@@ -19,8 +19,10 @@
 //	-validate  run the structural submission checks over every generated
 //	           set; any issue fails the run
 //	-build     build a serve snapshot from the generated list (sharded
-//	           parallel construction, honoring -shards/-mem-budget) and
-//	           report build time and memory, instead of emitting JSON
+//	           parallel construction, honoring -shards) and report build
+//	           time, estimated and measured memory, instead of emitting
+//	           JSON; with -mem-budget a list whose estimate exceeds the
+//	           budget fails the build (fit or fail)
 package main
 
 import (
@@ -68,7 +70,7 @@ func parseFlags(args []string) (config, error) {
 	val := fs.Bool("validate", false, "run structural submission checks over every set; issues fail the run")
 	build := fs.Bool("build", false, "build a serve snapshot and report build time/memory instead of emitting JSON")
 	shards := fs.Int("shards", 0, "snapshot build shards for -build (0: GOMAXPROCS)")
-	budget := fs.Int64("mem-budget", 0, "snapshot memory budget in bytes for -build (0: unlimited)")
+	budget := fs.Int64("mem-budget", 0, "snapshot memory budget in bytes for -build (0: unlimited; a list over it fails)")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
 	}
@@ -148,8 +150,6 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "build_shards         %d\n", info.Shards)
 		fmt.Fprintf(stdout, "estimated_bytes      %d\n", info.EstimatedBytes)
 		fmt.Fprintf(stdout, "memory_budget        %d\n", info.MemoryBudget)
-		fmt.Fprintf(stdout, "prebaked_set_dropped %v\n", info.PrebakedSetsDropped)
-		fmt.Fprintf(stdout, "snapshot_tier        %s\n", info.Tier)
 		fmt.Fprintf(stdout, "heap_delta_bytes     %d\n", int64(after.HeapAlloc)-int64(before.HeapAlloc))
 		return nil
 	}

@@ -6,19 +6,17 @@
 //
 //	rws-serve [-addr :8080] [-list file-or-url] [-poll interval]
 //	          [-timeline] [-retain N] [-amplify N [-amplify-seed S]]
-//	          [-mem-budget BYTES] [-strict-params]
+//	          [-mem-budget BYTES]
 //
 // Without -list, the embedded reconstruction of the 26 March 2024
 // snapshot is served. -amplify N boots from a deterministic synthetic
 // list of N sets instead (rws-amplify's generator; -amplify-seed picks
 // the seed) — the scale-tier target for load and soak testing. -mem-budget
-// caps the estimated bytes of each snapshot's derived tables; over
-// budget the snapshot degrades in tiers — the prebaked wire-format
-// response bytes go first (tier "resp-dropped", the endpoints fall back
-// to live encoding of the same values), then the prebaked /v1/set
-// slices (tier "sets-dropped"); the tier is reported in /v1/metrics
-// under snapshot_build, and a list that cannot fit even fully degraded
-// is rejected. -list accepts a local JSON file path or an
+// caps the estimated bytes of each snapshot's derived tables, fit or
+// fail: a boot list over budget stops the server, and a later revision
+// over budget is refused (logged, and the last snapshot keeps serving).
+// The estimate is reported in /v1/metrics under snapshot_build. -list
+// accepts a local JSON file path or an
 // http(s):// URL (the upstream related_website_sets.JSON). Either way
 // the list is hot-swapped without dropping traffic: SIGHUP forces a
 // re-read, and -poll re-checks on a ticker — a stat(2) gated on
@@ -107,7 +105,6 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 	if err != nil {
 		return err
 	}
-	srv.SetStrictParams(cfg.strictParams)
 	// A -list pointing at another rws-serve's /v1/list makes this node a
 	// follower: the boot fetch carries the leader's replication headers,
 	// so record the initial sync and advertise the state in /v1/metrics.
@@ -262,13 +259,8 @@ func newServer(cfg config, list *core.List, meta source.Meta) (*serve.Server, er
 		}
 	}
 	if cur := st.Current(); cur == nil || cur.Hash() != list.Hash() {
-		snap, err := st.AddList(list, ver)
-		if err != nil {
+		if _, err := st.AddList(list, ver); err != nil {
 			return nil, fmt.Errorf("boot list: %w", err)
-		}
-		if info := snap.BuildInfo(); info.Tier != "" && info.Tier != "full" {
-			fmt.Fprintf(os.Stderr, "rws-serve: memory budget %d degraded the snapshot to tier %q (estimated %d bytes retained)\n",
-				info.MemoryBudget, info.Tier, info.EstimatedBytes)
 		}
 	}
 	return serve.NewFromStore(st), nil
@@ -288,15 +280,14 @@ func newHTTPServer(handler http.Handler) *http.Server {
 }
 
 type config struct {
-	addr         string
-	list         string
-	poll         time.Duration
-	timeline     bool
-	retain       int
-	amplify      int
-	amplifySeed  int64
-	memBudget    int64
-	strictParams bool
+	addr        string
+	list        string
+	poll        time.Duration
+	timeline    bool
+	retain      int
+	amplify     int
+	amplifySeed int64
+	memBudget   int64
 }
 
 func parseFlags(args []string) (config, error) {
@@ -308,8 +299,7 @@ func parseFlags(args []string) (config, error) {
 	r := fs.Int("retain", serve.DefaultRetain, "list versions kept queryable (widened to fit -timeline)")
 	amp := fs.Int("amplify", 0, "boot from a synthetic amplified list of N sets (scale testing; excludes -list/-timeline)")
 	ampSeed := fs.Int64("amplify-seed", 1, "seed for -amplify (same seed reproduces the same list)")
-	mb := fs.Int64("mem-budget", 0, "snapshot memory budget in bytes, 0 = unlimited (degrades before failing; see /v1/metrics)")
-	sp := fs.Bool("strict-params", false, "reject unknown query parameters with a bad_request envelope on every endpoint (new endpoints always enforce)")
+	mb := fs.Int64("mem-budget", 0, "snapshot memory budget in bytes, 0 = unlimited (a list over it is refused; see /v1/metrics)")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
 	}
@@ -334,5 +324,5 @@ func parseFlags(args []string) (config, error) {
 	if *mb < 0 {
 		return config{}, fmt.Errorf("-mem-budget must be >= 0")
 	}
-	return config{addr: *a, list: *l, poll: *p, timeline: *tl, retain: *r, amplify: *amp, amplifySeed: *ampSeed, memBudget: *mb, strictParams: *sp}, nil
+	return config{addr: *a, list: *l, poll: *p, timeline: *tl, retain: *r, amplify: *amp, amplifySeed: *ampSeed, memBudget: *mb}, nil
 }

@@ -372,8 +372,8 @@ func TestRunAmplified(t *testing.T) {
 	if m.SnapshotBuild.Shards < 1 || m.SnapshotBuild.EstimatedBytes <= 0 {
 		t.Errorf("snapshot_build = %+v", m.SnapshotBuild)
 	}
-	if m.SnapshotBuild.PrebakedSetsDropped {
-		t.Error("unbudgeted boot should keep prebaked set slices")
+	if m.SnapshotBuild.MemoryBudget != 0 {
+		t.Errorf("unbudgeted boot reports memory_budget %d", m.SnapshotBuild.MemoryBudget)
 	}
 
 	cancel()

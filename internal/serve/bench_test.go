@@ -234,7 +234,7 @@ func BenchmarkSnapshotBuild(b *testing.B) {
 }
 
 // BenchmarkHandlerSameSetVersioned is the handler cost when the request
-// pins a version: one RLock'd prefix scan on top of the fast path.
+// pins a version: one RLock'd prefix scan on top of the plain path.
 func BenchmarkHandlerSameSetVersioned(b *testing.B) {
 	list, err := dataset.List()
 	if err != nil {
@@ -382,7 +382,7 @@ func BenchmarkHandlerChurn(b *testing.B) {
 	}
 }
 
-// benchPrebaked measures one fast-path endpoint through the full
+// benchPrebaked measures one hot endpoint through the full
 // Server.ServeHTTP stack with a reusable discard writer, so the reported
 // allocs/op are the handler's own — the value the benchgate's
 // zero-alloc assertion gates.

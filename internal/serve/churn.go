@@ -142,23 +142,20 @@ func churnChain(chain []ChainEntry, granularity string) []ChainEntry {
 }
 
 func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
-	if !requireGET(w, r) {
+	var q query
+	if !parse(w, r, paramsChurn, &q) {
 		return
 	}
-	q := r.URL.Query()
-	if !s.checkParams(w, r, q, paramsChurn, false) {
-		return
-	}
-	granularity, ok := churnGranularity(q.Get("granularity"))
+	granularity, ok := churnGranularity(q.vals[keyGranularity])
 	if !ok {
-		badRequest(w, r, "granularity %q: want step, month, or total", q.Get("granularity"))
+		badRequest(w, "granularity %q: want step, month, or total", q.vals[keyGranularity])
 		return
 	}
 	top := defaultChurnTop
-	if raw := q.Get("top"); raw != "" {
+	if raw := q.vals[keyTop]; raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 0 || n > maxChurnTop {
-			badRequest(w, r, "top %q: want an integer in [0, %d]", raw, maxChurnTop)
+			badRequest(w, "top %q: want an integer in [0, %d]", raw, maxChurnTop)
 			return
 		}
 		top = n
@@ -169,25 +166,25 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 	// defaults stay zero-hash and are resolved inside Chain, under the
 	// same lock as the walk — a parameterless query must not 404 because
 	// an endpoint the server itself picked was evicted in between.
-	fromSpec, toSpec := q.Get("from"), q.Get("to")
+	fromSpec, toSpec := q.vals[keyFrom], q.vals[keyTo]
 	var fromVer, toVer core.Version
 	var err error
 	if fromSpec != "" {
 		if _, fromVer, err = s.store.Resolve(fromSpec); err != nil {
-			writeResolveError(w, r, fmt.Errorf("from: %w", err))
+			writeResolveError(w, fmt.Errorf("from: %w", err))
 			return
 		}
 	}
 	if toSpec != "" {
 		if _, toVer, err = s.store.Resolve(toSpec); err != nil {
-			writeResolveError(w, r, fmt.Errorf("to: %w", err))
+			writeResolveError(w, fmt.Errorf("to: %w", err))
 			return
 		}
 	}
 
 	chain, err := s.store.Chain(fromVer, toVer)
 	if err != nil {
-		writeResolveError(w, r, err)
+		writeResolveError(w, err)
 		return
 	}
 	chain = churnChain(chain, granularity)
@@ -205,7 +202,7 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 	}
 	rep, err := core.Churn(lists, adjacent)
 	if err != nil {
-		writeJSON(w, r, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		writeError(w, http.StatusInternalServerError, codeInternal, "%v", err)
 		return
 	}
 
@@ -259,5 +256,5 @@ func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
 			Volatility:  lc.Volatility,
 		})
 	}
-	writeJSON(w, r, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, resp, q.pretty())
 }

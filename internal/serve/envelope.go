@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"time"
 )
 
 // This file is the v1 API contract layer: the machine-readable error
@@ -18,8 +17,8 @@ import (
 // the human-readable error text (which is free to change).
 const (
 	// codeBadRequest: the request shape is wrong — missing or conflicting
-	// parameters, malformed values, an unknown query key under strict
-	// params, an undecodable body.
+	// parameters, malformed values, an unknown query key, an undecodable
+	// body.
 	codeBadRequest = "bad_request"
 	// codeNotFound: no such endpoint.
 	codeNotFound = "not_found"
@@ -40,8 +39,8 @@ const (
 // plus the machine-readable code.
 //
 //rws:envelope
-func writeError(w http.ResponseWriter, r *http.Request, status int, code, format string, args ...any) {
-	writeJSON(w, r, status, errorBody{Error: fmt.Sprintf(format, args...), Code: code})
+func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
+	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...), Code: code}, false)
 }
 
 // writeNotModified answers a conditional request whose validator still
@@ -77,42 +76,6 @@ func etagMatches(values []string, etag string) bool {
 				return true
 			}
 		}
-	}
-	return false
-}
-
-// notModified evaluates a request's conditional headers against the
-// snapshot's validators: If-None-Match wins when present (RFC 9110
-// §13.2.2 evaluation order), otherwise If-Modified-Since compares
-// against the version's as-of time at second granularity (HTTP dates
-// carry no sub-second precision).
-func notModified(r *http.Request, etag string, asOf time.Time) bool {
-	if inm, ok := r.Header["If-None-Match"]; ok {
-		return etagMatches(inm, etag)
-	}
-	// A zero asOf means the caller had no version time in hand (the
-	// prebaked fast paths); date comparison against it would 304
-	// unconditionally, so only the ETag validator applies there.
-	if ims := r.Header.Get("If-Modified-Since"); ims != "" && !asOf.IsZero() {
-		if t, err := http.ParseTime(ims); err == nil {
-			return !asOf.Truncate(time.Second).After(t)
-		}
-	}
-	return false
-}
-
-// conditionalDone installs the snapshot's strong validator on the
-// response and answers a still-matching conditional request with 304;
-// it reports true when the 304 was written and the handler is done.
-// Called after request validation (a malformed request must stay 400,
-// per RFC 9110 §13.2.2 preconditions apply only to requests that would
-// otherwise succeed) and before the body write, so the prebaked paths
-// skip assembly entirely on a revalidation hit.
-func conditionalDone(w http.ResponseWriter, r *http.Request, snap *Snapshot, asOf time.Time) bool {
-	w.Header()["Etag"] = snap.etagHeader
-	if notModified(r, snap.etag, asOf) {
-		writeNotModified(w)
-		return true
 	}
 	return false
 }

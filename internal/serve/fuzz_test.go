@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"net/url"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -73,6 +75,63 @@ func FuzzParsePairs(f *testing.F) {
 		for i := range again {
 			if again[i] != pairs[i] {
 				t.Fatalf("reparse of %q pair %d = %v, want %v", raw, i, again[i], pairs[i])
+			}
+		}
+	})
+}
+
+// FuzzQueryScan holds the query scanner to net/url: for any raw query
+// without ';' (which url.ParseQuery rejects and parseQuery admits inside
+// pairs= only), parseQuery rejects the query exactly when url.ParseQuery
+// errors or returns a key outside the allowlist, and otherwise reports
+// each allowlisted key as url.ParseQuery(raw) does: the same Get value
+// and the same presence.
+func FuzzQueryScan(f *testing.F) {
+	for _, seed := range []string{
+		"a=bild.de&b=autobild.de",
+		"b=x&a=y&pretty",
+		"a=%41&b=B+C&pretty=1",
+		"a=1&a=2&b=3",
+		"a=%zz&b=x",
+		"%61=x&b=y",
+		"bogus=1",
+		"=x",
+		"&&a=1&&b=2&",
+		"version=abcd&as_of=2023-01&a=x&b=y",
+		"a&b",
+		"a=%",
+		"pairs=a%2Cb%3Bc%2Cd",
+		"a+b=1",
+		"a=%E2%80%A8&b=%ff",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		if strings.Contains(raw, ";") {
+			return
+		}
+		var q query
+		_, ok := parseQuery(raw, paramsSameSet, &q)
+		want, err := url.ParseQuery(raw)
+		accept := err == nil
+		for name := range want {
+			if !slices.ContainsFunc(paramsSameSet, func(k qkey) bool { return keyNames[k] == name }) {
+				accept = false
+			}
+		}
+		if ok != accept {
+			t.Fatalf("parseQuery(%q) ok = %v, want %v (url.ParseQuery: %v, %v)", raw, ok, accept, want, err)
+		}
+		if !ok {
+			return
+		}
+		for _, key := range paramsSameSet {
+			name := keyNames[key]
+			if got := q.vals[key]; got != want.Get(name) {
+				t.Errorf("parseQuery(%q)[%s] = %q, want %q", raw, name, got, want.Get(name))
+			}
+			if seen := q.seen&(1<<key) != 0; seen != want.Has(name) {
+				t.Errorf("parseQuery(%q) saw %s = %v, want %v", raw, name, seen, want.Has(name))
 			}
 		}
 	})

@@ -15,19 +15,20 @@ import (
 // etagMatches without touching the body, and the X-RWS-* headers carry
 // the version provenance a follower needs to detect it is following and
 // to measure swap-propagation lag.
-//
-// Always strict-params: this endpoint is new in the v1 contract, so
-// unknown keys were never silently accepted and need no legacy mode.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	if !requireGET(w, r) {
+	var q query
+	if !parse(w, r, paramsVersioned, &q) {
 		return
 	}
-	snap, ver, ok := s.resolveQuery(w, r, r.URL.Query(), paramsVersioned, true)
+	snap, ver, ok := s.resolve(w, &q)
 	if !ok {
 		return
 	}
+	if ver.Hash == "" {
+		// The current version: its provenance rides in the headers.
+		ver, _ = s.store.versionOf(snap)
+	}
 	h := w.Header()
-	h["Etag"] = snap.etagHeader
 	// no-cache (not no-store): caches may hold the body but must
 	// revalidate — exactly the 304 loop followers run. A poll interval is
 	// the freshness contract here, not a TTL.
@@ -36,16 +37,8 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	h.Set("X-RWS-Version", snap.hash)
 	h.Set("X-RWS-As-Of", ver.AsOf.UTC().Format(time.RFC3339Nano))
 	h.Set("X-RWS-Swapped-At", ver.ObservedAt.UTC().Format(time.RFC3339Nano))
-	if notModified(r, snap.etag, ver.AsOf) {
-		writeNotModified(w)
+	if s.notModified(w, r, snap, ver) {
 		return
 	}
-	if snap.respList != nil && !prettyRequested(r) {
-		writeRawJSON(w, http.StatusOK, snap.respList)
-		return
-	}
-	// Budget-degraded tiers (and ?pretty=1) fall back to the live encode;
-	// *core.List marshals to the same canonical bytes respList was baked
-	// from.
-	writeJSON(w, r, http.StatusOK, snap.list)
+	writeRawJSON(w, http.StatusOK, snap.respList, q.pretty())
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"rwskit/internal/core"
 )
@@ -80,7 +81,7 @@ func TestListExport(t *testing.T) {
 		t.Errorf("body hash = %s, want %s", parsed.Hash(), snap.hash)
 	}
 
-	// ?pretty=1 falls back to the live (indented) encode of the same list.
+	// ?pretty=1 indents the same list.
 	resp = getWith(t, ts.URL+"/v1/list?pretty=1", nil)
 	pretty, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
@@ -174,8 +175,8 @@ func TestListConditionalGet(t *testing.T) {
 }
 
 // TestConditionalGetOnQueryEndpoints: every snapshot-derived GET
-// endpoint carries the snapshot's ETag and honours If-None-Match before
-// assembling a body, including on the prebaked fast paths.
+// endpoint carries the snapshot's ETag and honours If-None-Match and
+// If-Modified-Since before assembling a body.
 func TestConditionalGetOnQueryEndpoints(t *testing.T) {
 	s, ts := newTestServer(t)
 	snap := currentSnap(t, s)
@@ -203,13 +204,13 @@ func TestConditionalGetOnQueryEndpoints(t *testing.T) {
 			t.Errorf("%s: conditional GET = %d with %d bytes, want bare 304", path, resp.StatusCode, len(body))
 		}
 
-		// The fast paths carry no version time, so a date validator alone
-		// must not revalidate there (only the ETag is authoritative).
+		// A date validator alone revalidates against the current
+		// version's as-of time.
 		resp = getWith(t, ts.URL+path, map[string]string{"If-Modified-Since": "Mon, 01 Jan 2990 00:00:00 GMT"})
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s: IMS-only fast path = %d, want 200", path, resp.StatusCode)
+		if resp.StatusCode != http.StatusNotModified {
+			t.Errorf("%s: If-Modified-Since after the as-of time = %d, want 304", path, resp.StatusCode)
 		}
 
 		resp = getWith(t, ts.URL+path, map[string]string{"If-None-Match": `"deadbeef"`})
@@ -227,6 +228,50 @@ func TestConditionalGetOnQueryEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed conditional request: status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestConditionalGetIgnoresQuerySpelling: a current-version request
+// honours If-Modified-Since against the current version's as-of time the
+// same way however its query is spelled — plain, escaped, reordered, or
+// with pretty= — on sameset, set, partition and stats.
+func TestConditionalGetIgnoresQuerySpelling(t *testing.T) {
+	s, ts := newTestServer(t)
+	ver, ok := s.store.CurrentVersion()
+	if !ok {
+		t.Fatal("no current version")
+	}
+	after := ver.AsOf.Add(time.Hour).UTC().Format(http.TimeFormat)
+	before := ver.AsOf.Add(-time.Hour).UTC().Format(http.TimeFormat)
+	for _, path := range []string{
+		"/v1/sameset?a=bild.de&b=autobild.de",
+		"/v1/sameset?a=%62ild.de&b=autobild.de",
+		"/v1/sameset?b=autobild.de&a=bild.de",
+		"/v1/sameset?a=BILD.de&b=autobild.de&pretty=0",
+		"/v1/sameset?a=bild.de&b=autobild.de&pretty=1",
+		"/v1/set?site=bild.de",
+		"/v1/set?site=bild%2Ede",
+		"/v1/set?pretty=1&site=bild.de",
+		"/v1/set?site=BILD.de&pretty=0",
+		"/v1/partition?top=bild.de&embedded=autobild.de",
+		"/v1/partition?top=bild.de&embedded=auto%62ild.de",
+		"/v1/partition?embedded=autobild.de&policy=strict&top=bild.de",
+		"/v1/partition?top=bild.de&embedded=autobild.de&pretty=1",
+		"/v1/stats",
+		"/v1/stats?pretty=1",
+		"/v1/stats?pretty=0",
+	} {
+		for _, tc := range []struct {
+			ims  string
+			want int
+		}{{after, http.StatusNotModified}, {before, http.StatusOK}} {
+			resp := getWith(t, ts.URL+path, map[string]string{"If-Modified-Since": tc.ims})
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s with If-Modified-Since %s: status %d, want %d", path, tc.ims, resp.StatusCode, tc.want)
+			}
+		}
 	}
 }
 
@@ -317,57 +362,66 @@ func oversizedBodyJSON() string {
 }
 
 // TestStrictParams: unknown query keys are rejected with a bad_request
-// envelope naming the supported keys — always on /v1/list (new in the
-// contract), opt-in via SetStrictParams elsewhere.
+// envelope naming the key and the supported keys, on every endpoint —
+// there is no lenient mode.
 func TestStrictParams(t *testing.T) {
-	s, ts := newTestServer(t)
-
-	// /v1/list never had a lenient era.
-	var envelope struct {
+	_, ts := newTestServer(t)
+	type envelope struct {
 		Error string `json:"error"`
 		Code  string `json:"code"`
 	}
-	if code := getJSON(t, ts.URL+"/v1/list?bogus=1", &envelope); code != http.StatusBadRequest {
+	var env envelope
+	if code := getJSON(t, ts.URL+"/v1/list?bogus=1", &env); code != http.StatusBadRequest {
 		t.Errorf("/v1/list?bogus=1: status = %d, want 400", code)
 	}
-	if envelope.Code != "bad_request" || !strings.Contains(envelope.Error, "bogus") || !strings.Contains(envelope.Error, "version") {
-		t.Errorf("/v1/list?bogus=1: envelope = %+v, want bad_request naming the key and the supported set", envelope)
+	if env.Code != "bad_request" || !strings.Contains(env.Error, "bogus") || !strings.Contains(env.Error, "version") {
+		t.Errorf("/v1/list?bogus=1: envelope = %+v, want bad_request naming the key and the supported set", env)
 	}
 
-	// Legacy endpoints default lenient: unknown keys are ignored.
-	lenient := []string{
+	for _, path := range []string{
 		"/v1/sameset?a=bild.de&b=autobild.de&bogus=1",
 		"/v1/set?site=bild.de&bogus=1",
 		"/v1/partition?top=bild.de&embedded=autobild.de&bogus=1",
 		"/v1/stats?bogus=1",
 		"/healthz?bogus=1",
 		"/v1/churn?bogus=1",
+		"/v1/metrics?bogus=1",
+		"/v1/versions?bogus=1",
+		"/v1/diff?from=current&to=current&bogus=1",
+	} {
+		env = envelope{}
+		if code := getJSON(t, ts.URL+path, &env); code != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", path, code)
+		}
+		if env.Code != "bad_request" || !strings.Contains(env.Error, "bogus") {
+			t.Errorf("%s: envelope = %+v", path, env)
+		}
 	}
-	for _, path := range lenient {
-		var raw map[string]any
-		if code := getJSON(t, ts.URL+path, &raw); code != http.StatusOK {
-			t.Errorf("lenient %s: status = %d, want 200", path, code)
+	resp, err := http.Post(ts.URL+"/v1/partition/batch?bogus=1", "application/json",
+		strings.NewReader(`{"queries":[{"top":"bild.de","embedded":"autobild.de"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST /v1/partition/batch?bogus=1: status = %d, want 400", resp.StatusCode)
+	}
+
+	// Malformed escapes and a ';' outside pairs= are rejected the same way.
+	for _, path := range []string{
+		"/v1/set?site=bild%zz.de",
+		"/v1/set?site=bild.de;x",
+		"/v1/sameset?a=bild.de&b=autobild.de;c=1",
+	} {
+		env = envelope{}
+		if code := getJSON(t, ts.URL+path, &env); code != http.StatusBadRequest || env.Code != "bad_request" {
+			t.Errorf("%s: status %d, envelope %+v, want 400 bad_request", path, code, env)
 		}
 	}
 
-	// -strict-params flips them all to reject.
-	s.SetStrictParams(true)
-	for _, path := range lenient {
-		envelope = struct {
-			Error string `json:"error"`
-			Code  string `json:"code"`
-		}{}
-		if code := getJSON(t, ts.URL+path, &envelope); code != http.StatusBadRequest {
-			t.Errorf("strict %s: status = %d, want 400", path, code)
-		}
-		if envelope.Code != "bad_request" || !strings.Contains(envelope.Error, "bogus") {
-			t.Errorf("strict %s: envelope = %+v", path, envelope)
-		}
-	}
-
-	// Known keys still pass under strict.
+	// Known keys pass.
 	var body SameSetResponse
 	if code := getJSON(t, ts.URL+"/v1/sameset?a=bild.de&b=autobild.de&pretty=1", &body); code != http.StatusOK || !body.SameSet {
-		t.Errorf("strict with known keys: status %d, body %+v", code, body)
+		t.Errorf("known keys: status %d, body %+v", code, body)
 	}
 }

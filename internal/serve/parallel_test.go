@@ -2,12 +2,80 @@ package serve
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
+	"time"
 
 	"rwskit/internal/amplify"
+	"rwskit/internal/browser"
 	"rwskit/internal/core"
 	"rwskit/internal/dataset"
 )
+
+// buildSerial is the single-threaded reference construction the
+// parallel build is held equivalent to: one shard, one pass over the
+// sets in list order filling the host index, member fragments and role
+// tables, then the full-scan verdict builder per policy.
+func buildSerial(t testing.TB, list *core.List) *Snapshot {
+	t.Helper()
+	start := time.Now()
+	s := newSnapshot(list, 1)
+	var tableBytes int64
+	hosts := make(map[string]hostEntry, s.numSites)
+	for i, set := range s.sets {
+		for _, m := range set.Members() {
+			hosts[m.Site] = hostEntry{set: set, setIdx: int32(i), role: m.Role}
+			s.byRole[m.Role] = append(s.byRole[m.Role], m.Site)
+			tableBytes += int64(len(m.Site)) + 64
+		}
+		s.respMembers[i] = appendMembers(nil, set.Members())
+		tableBytes += int64(len(s.respMembers[i])) + 24
+	}
+	s.hostShards[0] = hosts
+	for r := range s.byRole {
+		sort.Strings(s.byRole[r])
+	}
+	for pid := range s.policies {
+		buildVerdictsSerial(s, policyID(pid))
+	}
+	snap, err := s.finish(start, tableBytes, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// buildVerdictsSerial fills the partition-verdict tables for one policy
+// by running the fresh-profile simulation once per reachable cell, using
+// the first member pair (in list order, then Members order) exhibiting
+// each (topRole, embRole) combination.
+func buildVerdictsSerial(s *Snapshot, pid policyID) {
+	live := s.policies[pid].live
+	// Cross-set cell: any pair of hosts that are not in the same set —
+	// including off-list hosts — takes this verdict, because every policy
+	// decides such requests without consulting the list or the roles. The
+	// .invalid TLD is reserved (RFC 2606), so these hosts can never be
+	// list members.
+	v := browser.EvaluateFresh(live, "cross-top.invalid", "cross-embedded.invalid")
+	s.cross[pid] = verdict{decision: v.Decision, granted: v.Granted, filled: true}
+	for _, set := range s.sets {
+		ms := set.Members()
+		for _, top := range ms {
+			for _, emb := range ms {
+				if top.Site == emb.Site {
+					continue
+				}
+				cell := &s.sameSet[pid][top.Role][emb.Role]
+				if cell.filled {
+					continue
+				}
+				v := browser.EvaluateFresh(live, top.Site, emb.Site)
+				*cell = verdict{decision: v.Decision, granted: v.Granted, filled: true}
+			}
+		}
+	}
+}
 
 // equalSnapshots holds two snapshots to exact equality across every
 // public query surface and the precomputed verdict tables: host-index
@@ -101,26 +169,21 @@ func equalSnapshots(t *testing.T, label string, got, want *Snapshot) {
 }
 
 // equalPrebakedTables holds the prebaked response plane of two snapshots
-// byte-equal: member fragments, sameset tails, partition heads/tails per
-// policy and cell, and the stats prefix.
+// byte-equal: member fragments, partition heads/tails per policy and
+// cell, the stats prefix and the list export.
 func equalPrebakedTables(t *testing.T, label string, got, want *Snapshot) {
 	t.Helper()
-	if got.respBaked != want.respBaked {
-		t.Fatalf("%s: respBaked %v != %v", label, got.respBaked, want.respBaked)
-	}
 	eq := func(what string, g, w []byte) {
 		t.Helper()
 		if string(g) != string(w) {
 			t.Fatalf("%s: prebaked %s = %q, want %q", label, what, g, w)
 		}
 	}
-	if len(got.respMembers) != len(want.respMembers) || len(got.respSameTail) != len(want.respSameTail) {
-		t.Fatalf("%s: prebaked table sizes (%d, %d) != (%d, %d)", label,
-			len(got.respMembers), len(got.respSameTail), len(want.respMembers), len(want.respSameTail))
+	if len(got.respMembers) != len(want.respMembers) {
+		t.Fatalf("%s: %d member fragments, want %d", label, len(got.respMembers), len(want.respMembers))
 	}
 	for i := range want.respMembers {
 		eq(fmt.Sprintf("members[%d]", i), got.respMembers[i], want.respMembers[i])
-		eq(fmt.Sprintf("sameTail[%d]", i), got.respSameTail[i], want.respSameTail[i])
 	}
 	for pid := 0; pid < int(numPolicies); pid++ {
 		eq(fmt.Sprintf("partHead[%d]", pid), got.respPartHead[pid], want.respPartHead[pid])
@@ -135,6 +198,7 @@ func equalPrebakedTables(t *testing.T, label string, got, want *Snapshot) {
 		}
 	}
 	eq("statsPrefix", got.respStatsPrefix, want.respStatsPrefix)
+	eq("list", got.respList, want.respList)
 }
 
 // TestParallelSnapshotMatchesSerial is the tentpole's equivalence
@@ -164,11 +228,8 @@ func TestParallelSnapshotMatchesSerial(t *testing.T) {
 	lists["tiny"] = tiny
 
 	for name, list := range lists {
-		serial, err := BuildSnapshot(list, SnapshotOptions{Serial: true})
-		if err != nil {
-			t.Fatalf("%s: serial build: %v", name, err)
-		}
-		if !serial.BuildInfo().Serial || serial.BuildInfo().Shards != 1 {
+		serial := buildSerial(t, list)
+		if serial.BuildInfo().Shards != 1 {
 			t.Fatalf("%s: serial BuildInfo = %+v", name, serial.BuildInfo())
 		}
 		for _, shards := range []int{1, 2, 3, 8} {
@@ -189,9 +250,6 @@ func TestNewSnapshotUsesParallelPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	info := NewSnapshot(list).BuildInfo()
-	if info.Serial {
-		t.Error("NewSnapshot took the serial path")
-	}
 	if info.Shards < 1 {
 		t.Errorf("Shards = %d, want >= 1", info.Shards)
 	}
@@ -200,13 +258,10 @@ func TestNewSnapshotUsesParallelPath(t *testing.T) {
 	}
 }
 
-// TestMemoryBudgetDegradesThenFails drives the budget ladder: unlimited
-// keeps everything; a budget just under the full footprint drops the
-// prebaked response bytes first (live encode, same bytes); a budget
-// under that drops the prebaked member slices too (and /v1/set still
-// answers, rebuilt on demand); a budget below the fully degraded
-// footprint errors.
-func TestMemoryBudgetDegradesThenFails(t *testing.T) {
+// TestMemoryBudgetFitOrFail: the budget is fit or fail. A budget at the
+// estimate builds the same snapshot as no budget; one byte under it
+// builds nothing and says why.
+func TestMemoryBudgetFitOrFail(t *testing.T) {
 	list, err := amplify.Generate(amplify.Config{Sets: 500, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -215,65 +270,25 @@ func TestMemoryBudgetDegradesThenFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info := full.BuildInfo(); info.PrebakedSetsDropped || info.PrebakedRespDropped || !full.respBaked {
-		t.Fatalf("unlimited build degraded: %+v", info)
+	need := full.BuildInfo().EstimatedBytes
+	if need <= 0 {
+		t.Fatalf("estimate = %d", need)
 	}
-	if tier := full.BuildInfo().Tier; tier != "full" {
-		t.Errorf("unlimited Tier = %q, want full", tier)
-	}
-	fullBytes := full.BuildInfo().EstimatedBytes
-
-	// Rung 1: the prebaked response bytes go first.
-	respDropped, err := BuildSnapshot(list, SnapshotOptions{MemoryBudget: fullBytes - 1})
+	fits, err := BuildSnapshot(list, SnapshotOptions{MemoryBudget: need})
 	if err != nil {
-		t.Fatalf("budget just under full footprint should degrade, not fail: %v", err)
+		t.Fatalf("budget equal to the estimate should fit: %v", err)
 	}
-	rinfo := respDropped.BuildInfo()
-	if !rinfo.PrebakedRespDropped || respDropped.respBaked {
-		t.Error("budget under full footprint did not drop prebaked response bytes")
+	if info := fits.BuildInfo(); info.EstimatedBytes != need || info.MemoryBudget != need {
+		t.Errorf("budgeted BuildInfo = %+v, want estimate and budget %d", info, need)
 	}
-	if rinfo.PrebakedSetsDropped {
-		t.Error("budget under full footprint dropped member slices before response bytes")
-	}
-	if rinfo.Tier != "resp-dropped" {
-		t.Errorf("Tier = %q, want resp-dropped", rinfo.Tier)
-	}
-	if rinfo.EstimatedBytes >= fullBytes {
-		t.Errorf("resp-dropped estimate %d not below full %d", rinfo.EstimatedBytes, fullBytes)
-	}
-	if respDropped.members == nil {
-		t.Error("resp-dropped rung lost the member slices")
-	}
+	equalSnapshots(t, "budgeted", fits, full)
 
-	// Rung 2: the prebaked member slices go next.
-	degraded, err := BuildSnapshot(list, SnapshotOptions{MemoryBudget: rinfo.EstimatedBytes - 1})
-	if err != nil {
-		t.Fatalf("budget just under resp-dropped footprint should degrade, not fail: %v", err)
+	snap, err := BuildSnapshot(list, SnapshotOptions{MemoryBudget: need - 1})
+	if err == nil || snap != nil {
+		t.Fatalf("budget one byte under the estimate built %v, err %v; want no snapshot and an error", snap, err)
 	}
-	info := degraded.BuildInfo()
-	if !info.PrebakedSetsDropped || !info.PrebakedRespDropped {
-		t.Errorf("budget under resp-dropped footprint did not drop both tiers: %+v", info)
-	}
-	if info.Tier != "sets-dropped" {
-		t.Errorf("Tier = %q, want sets-dropped", info.Tier)
-	}
-	if info.EstimatedBytes >= rinfo.EstimatedBytes {
-		t.Errorf("degraded estimate %d not below resp-dropped %d", info.EstimatedBytes, rinfo.EstimatedBytes)
-	}
-	// The degraded snapshot still answers /v1/set identically.
-	site := list.Sets()[7].Primary
-	got, want := degraded.Set(site), full.Set(site)
-	if got.Found != want.Found || len(got.Members) != len(want.Members) {
-		t.Fatalf("degraded Set(%q) = %+v, want %+v", site, got, want)
-	}
-	for i := range got.Members {
-		if got.Members[i] != want.Members[i] {
-			t.Errorf("degraded Set(%q).Members[%d] = %+v, want %+v", site, i, got.Members[i], want.Members[i])
-		}
-	}
-
-	if _, err := BuildSnapshot(list, SnapshotOptions{MemoryBudget: info.EstimatedBytes - 1}); err == nil {
-		t.Error("budget under the fully degraded footprint should fail")
+	if !strings.Contains(err.Error(), "memory budget") {
+		t.Errorf("error %q should name the memory budget", err)
 	}
 }
 

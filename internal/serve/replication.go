@@ -41,8 +41,10 @@ type ReplicationMetrics struct {
 	Polls      uint64 `json:"polls"`
 	Swaps      uint64 `json:"swaps"`
 	PollErrors uint64 `json:"poll_errors"`
-	// LastError is the most recent fetch failure, empty after a
-	// subsequent successful poll.
+	// LastError is the most recent fetch failure while it lasts (a later
+	// successful poll clears it), else a standing refusal to install the
+	// leader's last revision (a memory budget it does not fit), cleared
+	// by the next installed sync.
 	LastError string `json:"last_error,omitempty"`
 }
 
@@ -51,6 +53,7 @@ type replState struct {
 	mu        sync.Mutex
 	following bool               // guarded by mu
 	m         ReplicationMetrics // guarded by mu
+	refusal   string             // guarded by mu: the standing install refusal, "" when none
 	now       func() time.Time   // guarded by mu: test clock, nil = time.Now
 }
 
@@ -97,6 +100,19 @@ func (s *Server) RecordReplicationSwap(meta source.Meta) {
 	s.repl.m.LagMillis = lag.Milliseconds()
 	s.repl.m.Streak304 = 0
 	s.repl.m.Swaps++
+	s.repl.refusal = ""
+	s.repl.m.LastError = ""
+}
+
+// recordReplicationRefusal records a revision synced from the leader
+// that the store refused to install: the follower keeps its last
+// version (VersionHash and Swaps stay put) and reports why in
+// LastError until a later revision installs.
+func (s *Server) recordReplicationRefusal(err error) {
+	s.repl.mu.Lock()
+	defer s.repl.mu.Unlock()
+	s.repl.refusal = "refused to install the leader's list: " + err.Error()
+	s.repl.m.LastError = s.repl.refusal
 }
 
 // RecordReplicationPoll observes one completed watcher poll; wire it to
@@ -110,10 +126,10 @@ func (s *Server) RecordReplicationPoll(err error) {
 	s.repl.m.Polls++
 	switch {
 	case err == nil:
-		s.repl.m.LastError = ""
+		s.repl.m.LastError = s.repl.refusal
 	case errors.Is(err, source.ErrNotModified):
 		s.repl.m.Streak304++
-		s.repl.m.LastError = ""
+		s.repl.m.LastError = s.repl.refusal
 	default:
 		s.repl.m.PollErrors++
 		s.repl.m.LastError = err.Error()

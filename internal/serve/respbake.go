@@ -3,9 +3,9 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"unicode/utf8"
 
@@ -13,22 +13,24 @@ import (
 	"rwskit/internal/core"
 )
 
-// This file is the prebaked response plane: the exact compact-JSON wire
-// bytes for the enumerable answers (sameset verdicts per pair shape,
-// per-set /v1/set payloads, per-(roles, policy) partition verdicts, the
-// stats body) are computed once at snapshot build time, so the member-
-// pair hot paths reduce to assembling a handful of precomputed fragments
-// into a pooled buffer and one w.Write — zero encodes, zero per-request
-// allocations in steady state. Every fragment is produced by (or proven
-// byte-identical to) encoding/json, so the prebaked path and the live
-// writeJSON fallback emit the same bytes (TestPrebakedResponsesMatchLiveEncode).
+// This file is the response plane: the exact compact-JSON wire bytes
+// for the enumerable answers (per-set /v1/set members, per-(roles,
+// policy) partition verdicts, the stats body, the /v1/list export) are
+// computed once at snapshot build time, and the append* encoders below
+// assemble every sameset, set, partition and stats answer — for any
+// retained version, single or batch — from those fragments and the
+// echoed inputs into a pooled buffer and one w.Write: zero encodes, zero
+// per-request allocations in steady state. They are the only encoders of
+// those responses, held byte-identical to encoding/json over the
+// documented response structs (TestPrebakedResponsesMatchLiveEncode);
+// ?pretty=1 is json.Indent over the same bytes.
 
 // maxRetainedBuf caps the capacity of buffers returned to the pools;
 // anything larger (a one-off huge batch) is left for the GC instead of
 // pinning memory forever.
 const maxRetainedBuf = 64 << 10
 
-// respBuf is a pooled response-assembly buffer for the prebaked paths.
+// respBuf is a pooled response-assembly buffer.
 type respBuf struct{ b []byte }
 
 var respBufPool = sync.Pool{New: func() any { return &respBuf{b: make([]byte, 0, 1024)} }}
@@ -41,8 +43,14 @@ func putRespBuf(rb *respBuf) {
 	}
 }
 
-// jsonBufPool recycles the encode buffers behind writeJSON, the live
-// (non-prebaked) envelope.
+// writeResp writes an assembled 200 body and recycles its buffer.
+func writeResp(w http.ResponseWriter, rb *respBuf, pretty bool) {
+	writeRawJSON(w, http.StatusOK, rb.b, pretty)
+	putRespBuf(rb)
+}
+
+// jsonBufPool recycles the encode buffers behind writeJSON and the
+// indented copies behind ?pretty=1.
 var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // contentTypeJSON is the Content-Type value of every response, as a
@@ -50,134 +58,31 @@ var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // not allocate one per response. Nothing may mutate it.
 var contentTypeJSON = []string{"application/json; charset=utf-8"}
 
-// writeRawJSON writes an already-encoded JSON body. The Content-Type
-// slice is shared and the header write is a plain map assignment;
-// Content-Length is left to net/http (it infers the exact length for
-// buffered bodies), because Header().Set plus strconv.Itoa would cost
-// two allocations per response on an otherwise zero-alloc path.
+// writeRawJSON writes an already-encoded compact JSON body, indented
+// with json.Indent when pretty. The Content-Type slice is shared and the
+// header write is a plain map assignment; Content-Length is left to
+// net/http (it infers the exact length for buffered bodies), because
+// Header().Set plus strconv.Itoa would cost two allocations per response
+// on an otherwise zero-alloc path.
 //
 //rws:envelope
-func writeRawJSON(w http.ResponseWriter, status int, body []byte) {
+func writeRawJSON(w http.ResponseWriter, status int, body []byte, pretty bool) {
+	var buf *bytes.Buffer
+	if pretty {
+		buf = jsonBufPool.Get().(*bytes.Buffer)
+		buf.Reset()
+		if json.Indent(buf, body, "", "  ") == nil {
+			body = buf.Bytes()
+		}
+	}
 	w.Header()["Content-Type"] = contentTypeJSON
 	if status != http.StatusOK {
 		w.WriteHeader(status)
 	}
 	w.Write(body)
-}
-
-// prettyRequested reports whether the request opted into indented output
-// (?pretty, ?pretty=1, ?pretty=true). It scans the raw query without
-// materializing url.Values, so the compact default stays allocation-free.
-//
-//rws:hotpath
-func prettyRequested(r *http.Request) bool {
-	q := r.URL.RawQuery
-	for q != "" {
-		var seg string
-		seg, q, _ = strings.Cut(q, "&")
-		k, v, _ := strings.Cut(seg, "=")
-		if k == "pretty" {
-			return v == "" || v == "1" || v == "true"
-		}
+	if buf != nil && buf.Cap() <= maxRetainedBuf {
+		jsonBufPool.Put(buf)
 	}
-	return false
-}
-
-// cleanQueryValue reports whether a raw query value needs no decoding
-// ('%' escapes or '+' spaces) and so can be used verbatim.
-//
-//rws:hotpath
-//rws:allocfree
-func cleanQueryValue(v string) bool {
-	for i := 0; i < len(v); i++ {
-		if v[i] == '%' || v[i] == '+' {
-			return false
-		}
-	}
-	return true
-}
-
-// rawTwoParams parses a RawQuery of exactly k1=v1&k2=v2 (either order,
-// verbatim values, each key once). Anything else — extra keys (version=,
-// as_of=, pretty=, pairs=), escaped values, duplicates, empty values —
-// reports !ok and the caller falls back to the general handler, so the
-// fast path never changes observable behavior, it only skips work.
-//
-//rws:hotpath
-func rawTwoParams(raw, k1, k2 string) (v1, v2 string, ok bool) {
-	for raw != "" {
-		var seg string
-		seg, raw, _ = strings.Cut(raw, "&")
-		k, v, found := strings.Cut(seg, "=")
-		if !found || v == "" || !cleanQueryValue(v) {
-			return "", "", false
-		}
-		switch k {
-		case k1:
-			if v1 != "" {
-				return "", "", false
-			}
-			v1 = v
-		case k2:
-			if v2 != "" {
-				return "", "", false
-			}
-			v2 = v
-		default:
-			return "", "", false
-		}
-	}
-	return v1, v2, v1 != "" && v2 != ""
-}
-
-// rawOneParam is rawTwoParams for a single required key.
-//
-//rws:hotpath
-func rawOneParam(raw, key string) (string, bool) {
-	k, v, found := strings.Cut(raw, "=")
-	if !found || k != key || v == "" || !cleanQueryValue(v) {
-		return "", false
-	}
-	if strings.IndexByte(v, '&') >= 0 {
-		return "", false
-	}
-	return v, true
-}
-
-// rawPartitionParams parses top=&embedded=[&policy=] with verbatim
-// values. policy is optional (the default policy); a present-but-empty
-// policy= falls back like any other malformed shape.
-//
-//rws:hotpath
-func rawPartitionParams(raw string) (top, emb, policy string, ok bool) {
-	for raw != "" {
-		var seg string
-		seg, raw, _ = strings.Cut(raw, "&")
-		k, v, found := strings.Cut(seg, "=")
-		if !found || v == "" || !cleanQueryValue(v) {
-			return "", "", "", false
-		}
-		switch k {
-		case "top":
-			if top != "" {
-				return "", "", "", false
-			}
-			top = v
-		case "embedded":
-			if emb != "" {
-				return "", "", "", false
-			}
-			emb = v
-		case "policy":
-			if policy != "" {
-				return "", "", "", false
-			}
-			policy = v
-		default:
-			return "", "", "", false
-		}
-	}
-	return top, emb, policy, top != "" && emb != ""
 }
 
 // hexDigits feeds the \u00xx escapes, matching encoding/json's lowercase.
@@ -256,58 +161,32 @@ var sameSetCrossTail = []byte(`,"same_set":false}`)
 // omitempty).
 var setNotFoundTail = []byte(`,"found":false}` + "\n")
 
-// bakeResponses fills the prebaked response tables after the main build
-// pass, parallelized across the snapshot's shard count like the index
-// build itself. It returns the estimated footprint of the tables and
-// whether baking succeeded (a Marshal failure — unreachable for these
-// struct shapes — degrades to the live-encode tier instead of failing
-// the build).
-func (s *Snapshot) bakeResponses() (int64, bool) {
-	n := len(s.sets)
-	s.respMembers = make([][]byte, n)
-	s.respSameTail = make([][]byte, n)
-	var respBytes int64
-	if n > 0 {
-		workers := s.info.Shards
-		if workers > n {
-			workers = n
+// appendMembers appends the /v1/set members array of one set, exactly as
+// encoding/json renders a []SetMember.
+func appendMembers(dst []byte, ms []core.Member) []byte {
+	dst = append(dst, '[')
+	for i, m := range ms {
+		if i > 0 {
+			dst = append(dst, ',')
 		}
-		sums := make([]int64, workers)
-		fails := make([]bool, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * n / workers
-			hi := (w + 1) * n / workers
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					mb, err := json.Marshal(s.members[i])
-					if err != nil {
-						fails[w] = true
-						return
-					}
-					set := s.sets[i]
-					tail := make([]byte, 0, len(set.Primary)+32)
-					tail = append(tail, `,"same_set":true,"primary":`...)
-					tail = appendJSONString(tail, set.Primary)
-					tail = append(tail, '}')
-					s.respMembers[i] = mb
-					s.respSameTail[i] = tail
-					sums[w] += int64(len(mb)+len(tail)) + 48
-				}
-			}(w, lo, hi)
+		dst = append(dst, `{"site":`...)
+		dst = appendJSONString(dst, m.Site)
+		dst = append(dst, `,"role":`...)
+		dst = appendJSONString(dst, m.Role.String())
+		if m.AliasOf != "" {
+			dst = append(dst, `,"alias_of":`...)
+			dst = appendJSONString(dst, m.AliasOf)
 		}
-		wg.Wait()
-		for w := range sums {
-			if fails[w] {
-				s.dropResponseTier()
-				return 0, false
-			}
-			respBytes += sums[w]
-		}
+		dst = append(dst, '}')
 	}
+	return append(dst, ']')
+}
 
+// bakeResponses fills the per-policy partition fragments, the stats
+// prefix and the /v1/list body after the build pass has encoded the
+// member fragments, and returns their estimated footprint.
+func (s *Snapshot) bakeResponses() (int64, error) {
+	var respBytes int64
 	for pid := range s.policies {
 		info := &s.policies[pid]
 		head := make([]byte, 0, len(info.name)+24)
@@ -347,28 +226,25 @@ func (s *Snapshot) bakeResponses() (int64, bool) {
 		SnapshotHash:    s.hash,
 	})
 	marker := []byte(`,"requests_served":0,"list_swaps":0}`)
-	if err != nil || !bytes.HasSuffix(statsBody, marker) {
-		s.dropResponseTier()
-		return 0, false
+	if err == nil && !bytes.HasSuffix(statsBody, marker) {
+		err = fmt.Errorf("body %s does not end in %s", statsBody, marker)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("serve: baking the stats body: %w", err)
 	}
 	prefix := statsBody[:len(statsBody)-len(marker)]
 	s.respStatsPrefix = append(prefix[:len(prefix):len(prefix)], `,"requests_served":`...)
 	respBytes += int64(len(s.respStatsPrefix))
 
 	// The /v1/list export body: the canonical compact list JSON a
-	// follower's HTTPSource parses back with core.ParseJSON. Baked with
-	// the rest of the response tier — a budget-constrained node can still
-	// lead, it just pays a live encode per (rare) full fetch.
+	// follower's HTTPSource parses back with core.ParseJSON.
 	listBody, err := s.list.MarshalJSON()
 	if err != nil {
-		s.dropResponseTier()
-		return 0, false
+		return 0, err
 	}
 	s.respList = append(listBody, '\n')
 	respBytes += int64(len(s.respList))
-
-	s.respBaked = true
-	return respBytes, true
+	return respBytes, nil
 }
 
 // partitionTail renders everything of a PartitionResponse after the
@@ -386,30 +262,8 @@ func partitionTail(sameSet, partByDefault bool, d browser.Decision, granted bool
 	return append(tail, '}')
 }
 
-// dropResponseTier releases the prebaked response tables; queries fall
-// back to the live encode, which produces the same bytes.
-func (s *Snapshot) dropResponseTier() {
-	s.respBaked = false
-	s.respMembers = nil
-	s.respSameTail = nil
-	for pid := range s.policies {
-		s.respPartHead[pid] = nil
-		s.respPartCross[pid] = nil
-		s.respPartHostSame[pid] = nil
-		s.respPartHostCross[pid] = nil
-		for r1 := 0; r1 < numRoles; r1++ {
-			for r2 := 0; r2 < numRoles; r2++ {
-				s.respPartSame[pid][r1][r2] = nil
-			}
-		}
-	}
-	s.respStatsPrefix = nil
-	s.respList = nil
-}
-
 // appendSameSetBody appends the SameSetResponse object for (a, b) minus
-// the trailing newline, assembled from the echoed inputs and a prebaked
-// tail. Requires respBaked.
+// the trailing newline, assembled from the echoed inputs and a tail.
 func (s *Snapshot) appendSameSetBody(dst []byte, a, b string) []byte {
 	dst = append(dst, `{"a":`...)
 	dst = appendJSONString(dst, a)
@@ -417,10 +271,12 @@ func (s *Snapshot) appendSameSetBody(dst []byte, a, b string) []byte {
 	dst = appendJSONString(dst, b)
 	ea, aok := s.lookup(core.CanonicalHost(a))
 	eb, bok := s.lookup(core.CanonicalHost(b))
-	if aok && bok && ea.set == eb.set {
-		return append(dst, s.respSameTail[ea.setIdx]...)
+	if !aok || !bok || ea.set != eb.set {
+		return append(dst, sameSetCrossTail...)
 	}
-	return append(dst, sameSetCrossTail...)
+	dst = append(dst, `,"same_set":true,"primary":`...)
+	dst = appendJSONString(dst, ea.set.Primary)
+	return append(dst, '}')
 }
 
 // appendSameSet appends the full /v1/sameset response body for (a, b).
@@ -443,7 +299,7 @@ func (s *Snapshot) appendSameSetBatch(dst []byte, pairs [][2]string) []byte {
 }
 
 // appendSet appends the /v1/set response body for site, splicing the
-// prebaked members array in whole. Requires respBaked.
+// prebaked members array in whole.
 func (s *Snapshot) appendSet(dst []byte, site string) []byte {
 	dst = append(dst, `{"site":`...)
 	dst = appendJSONString(dst, site)
@@ -460,46 +316,60 @@ func (s *Snapshot) appendSet(dst []byte, site string) []byte {
 	return append(dst, '}', '\n')
 }
 
-// appendPartition appends the /v1/partition response body, or reports
-// !ok when the query falls off the prebaked plane (unknown policy, or an
-// off-list pair that needs the live simulator) and the caller must take
-// the general handler. Requires respBaked.
-func (s *Snapshot) appendPartition(dst []byte, policyName, top, embedded string) ([]byte, bool) {
-	pid, err := policyFor(policyName)
-	if err != nil {
-		return dst, false
-	}
+// appendPartitionBody appends the PartitionResponse object for (top,
+// embedded) under policy pid minus the trailing newline. Pairs of list
+// members and same-host pairs take a prebaked tail; a pair with an
+// off-list host runs the live simulator on the canonical hosts and
+// renders its verdict the same way.
+func (s *Snapshot) appendPartitionBody(dst []byte, pid policyID, top, embedded string) []byte {
 	ct, ce := core.CanonicalHost(top), core.CanonicalHost(embedded)
+	te, tok := s.lookup(ct)
+	ee, eok := s.lookup(ce)
 	var tail []byte
-	if ct == ce {
-		if _, ok := s.lookup(ct); ok {
-			tail = s.respPartHostSame[pid]
-		} else {
-			tail = s.respPartHostCross[pid]
-		}
-	} else {
-		te, tok := s.lookup(ct)
-		ee, eok := s.lookup(ce)
-		switch {
-		case tok && eok && te.set == ee.set:
-			tail = s.respPartSame[pid][te.role][ee.role]
-		case tok && eok:
-			tail = s.respPartCross[pid]
-		}
+	switch {
+	case ct == ce && tok:
+		tail = s.respPartHostSame[pid]
+	case ct == ce:
+		tail = s.respPartHostCross[pid]
+	case tok && eok && te.set == ee.set:
+		tail = s.respPartSame[pid][te.role][ee.role]
+	case tok && eok:
+		tail = s.respPartCross[pid]
 	}
 	if tail == nil {
-		return dst, false
+		info := &s.policies[pid]
+		v := browser.EvaluateFresh(info.live, ct, ce)
+		tail = partitionTail(false, info.partitionByDefault, v.Decision, v.Granted)
 	}
 	dst = append(dst, s.respPartHead[pid]...)
 	dst = appendJSONString(dst, top)
 	dst = append(dst, `,"embedded":`...)
 	dst = appendJSONString(dst, embedded)
-	dst = append(dst, tail...)
-	return append(dst, '\n'), true
+	return append(dst, tail...)
+}
+
+// appendPartition appends the full /v1/partition response body.
+func (s *Snapshot) appendPartition(dst []byte, pid policyID, top, embedded string) []byte {
+	return append(s.appendPartitionBody(dst, pid, top, embedded), '\n')
+}
+
+// appendPartitionBatch appends the /v1/partition/batch response body;
+// pids[i] is the resolved policy of queries[i].
+func (s *Snapshot) appendPartitionBatch(dst []byte, queries []PartitionQuery, pids []policyID) []byte {
+	dst = append(dst, `{"queries":`...)
+	dst = strconv.AppendInt(dst, int64(len(queries)), 10)
+	dst = append(dst, `,"results":[`...)
+	for i, pq := range queries {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = s.appendPartitionBody(dst, pids[i], pq.Top, pq.Embedded)
+	}
+	return append(dst, ']', '}', '\n')
 }
 
 // appendStats appends the /v1/stats response body around the two live
-// server counters. Requires respBaked.
+// server counters.
 func (s *Snapshot) appendStats(dst []byte, requests, swaps uint64) []byte {
 	dst = append(dst, s.respStatsPrefix...)
 	dst = strconv.AppendUint(dst, requests, 10)

@@ -1,28 +1,47 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
+	"time"
 
 	"rwskit/internal/amplify"
+	"rwskit/internal/core"
 	"rwskit/internal/dataset"
 )
 
-// marshalCompactLn renders v exactly as the live writeJSON compact path
-// does: json.Marshal plus the trailing newline.
-func marshalCompactLn(t *testing.T, v any) string {
+// golden renders v as the documented encoding/json output of a response
+// struct: compact, or indented as Encoder.SetIndent("", "  ") renders it,
+// with the trailing newline either way.
+func golden(t *testing.T, v any, pretty bool) string {
 	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	if pretty {
+		enc.SetIndent("", "  ")
+	}
+	if err := enc.Encode(v); err != nil {
 		t.Fatal(err)
 	}
-	return string(b) + "\n"
+	return buf.String()
+}
+
+// indented is what ?pretty=1 writes for a compact body.
+func indented(t *testing.T, body []byte) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, body, "", "  "); err != nil {
+		t.Fatalf("json.Indent(%s): %v", body, err)
+	}
+	return buf.String()
 }
 
 // TestAppendJSONStringMatchesMarshal holds the hand-rolled string
@@ -54,9 +73,9 @@ func TestAppendJSONStringMatchesMarshal(t *testing.T) {
 	}
 }
 
-// prebakedTestLists is the property-test corpus: the embedded real list
-// plus amplified lists, each built at several shard counts (serial
-// included), per the ISSUE's "embedded + amplified lists × shard counts".
+// prebakedTestLists is the golden-test corpus: the embedded real list
+// plus amplified lists, each built at several shard counts, and the
+// embedded list through the serial reference build.
 func prebakedTestLists(t *testing.T) map[string]*Snapshot {
 	t.Helper()
 	snaps := map[string]*Snapshot{}
@@ -64,8 +83,6 @@ func prebakedTestLists(t *testing.T) map[string]*Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lists := map[string]any{}
-	_ = lists
 	for _, seed := range []int64{1, 2} {
 		list, err := amplify.Generate(amplify.Config{Sets: 200, Seed: seed})
 		if err != nil {
@@ -86,84 +103,89 @@ func prebakedTestLists(t *testing.T) map[string]*Snapshot {
 		}
 		snaps[fmt.Sprintf("embedded-shards%d", shards)] = snap
 	}
-	serial, err := BuildSnapshot(embedded, SnapshotOptions{Serial: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snaps["embedded-serial"] = serial
+	snaps["embedded-serial"] = buildSerial(t, embedded)
 	return snaps
 }
 
-// TestPrebakedResponsesMatchLiveEncode is the tentpole's correctness
-// property: for every endpoint with a prebaked path, the assembled bytes
-// are byte-identical to what the live compact encode of the fallback
-// structs produces — across the embedded and amplified lists, at several
-// shard counts, for every pair shape (same-set, cross-set, same-host,
-// off-list, miss) and every policy.
+// goldenPairs is a cross-section of pair shapes over snap's list:
+// same-set both ways, cross-set, same-host, off-list on one or both
+// sides, and non-canonical spellings.
+func goldenPairs(snap *Snapshot) [][2]string {
+	sets := snap.List().Sets()
+	first := sets[0].Members()
+	mid := sets[len(sets)/2].Members()
+	return [][2]string{
+		{first[0].Site, first[len(first)-1].Site},
+		{first[len(first)-1].Site, first[0].Site},
+		{first[0].Site, mid[0].Site},
+		{mid[0].Site, mid[0].Site},
+		{"off-list.invalid", "OFF-LIST.invalid."},
+		{first[0].Site, "off-list.invalid"},
+		{"off-a.invalid", "off-b.invalid"},
+		{"HTTPS://" + first[0].Site + ":443", mid[len(mid)-1].Site + "."},
+		{"<b>&x", "\u2028\xff"},
+	}
+}
+
+// TestPrebakedResponsesMatchLiveEncode is the golden test of the one
+// encoder: for sameset, set, partition and stats, single and batch, the
+// append* bytes equal encoding/json's output for the documented response
+// structs the typed Snapshot methods return — across the embedded and
+// amplified lists at several shard counts, for every pair shape
+// (same-set, cross-set, same-host, off-list, miss) and every policy
+// spelling — and ?pretty=1 (json.Indent over those bytes) equals the
+// struct encoded with SetIndent. The http-versions subtest drives the
+// same comparison through ServeHTTP for the current and a pinned
+// version.
 func TestPrebakedResponsesMatchLiveEncode(t *testing.T) {
+	check := func(t *testing.T, what string, got []byte, want any) {
+		t.Helper()
+		if g, w := string(got), golden(t, want, false); g != w {
+			t.Errorf("%s = %s, want %s", what, g, w)
+		}
+		if g, w := indented(t, got), golden(t, want, true); g != w {
+			t.Errorf("%s pretty = %s, want %s", what, g, w)
+		}
+	}
+	policies := []string{"", "rws", "chrome", "strict", "brave", "prompt", "firefox", "safari", "legacy", "unpartitioned"}
 	for label, snap := range prebakedTestLists(t) {
 		t.Run(label, func(t *testing.T) {
-			if !snap.respBaked {
-				t.Fatal("snapshot has no prebaked response plane")
-			}
-			sets := snap.List().Sets()
-			first := sets[0].Members()
-			mid := sets[len(sets)/2].Members()
-			pairs := [][2]string{
-				{first[0].Site, first[len(first)-1].Site},
-				{first[len(first)-1].Site, first[0].Site},
-				{first[0].Site, mid[0].Site},
-				{mid[0].Site, mid[0].Site},
-				{first[0].Site, "off-list.invalid"},
-				{"off-a.invalid", "off-b.invalid"},
-				{"HTTPS://" + first[0].Site + ":443", mid[len(mid)-1].Site + "."},
-			}
-			for _, p := range pairs {
-				want := marshalCompactLn(t, snap.SameSet(p[0], p[1]))
-				if got := string(snap.appendSameSet(nil, p[0], p[1])); got != want {
-					t.Errorf("appendSameSet(%q, %q) = %s, want %s", p[0], p[1], got, want)
-				}
-			}
+			pairs := goldenPairs(snap)
 			batch := SameSetBatchResponse{Pairs: len(pairs), Results: make([]SameSetResponse, len(pairs))}
 			for i, p := range pairs {
 				batch.Results[i] = snap.SameSet(p[0], p[1])
+				check(t, fmt.Sprintf("appendSameSet(%q, %q)", p[0], p[1]), snap.appendSameSet(nil, p[0], p[1]), batch.Results[i])
 			}
-			if got, want := string(snap.appendSameSetBatch(nil, pairs)), marshalCompactLn(t, batch); got != want {
-				t.Errorf("appendSameSetBatch = %s, want %s", got, want)
+			check(t, "appendSameSetBatch", snap.appendSameSetBatch(nil, pairs), batch)
+
+			for _, p := range pairs {
+				check(t, fmt.Sprintf("appendSet(%q)", p[0]), snap.appendSet(nil, p[0]), snap.Set(p[0]))
 			}
 
-			sites := []string{first[0].Site, first[len(first)-1].Site, mid[0].Site, "nope.invalid", "WWW.Example.COM"}
-			for _, site := range sites {
-				want := marshalCompactLn(t, snap.Set(site))
-				if got := string(snap.appendSet(nil, site)); got != want {
-					t.Errorf("appendSet(%q) = %s, want %s", site, got, want)
+			var queries []PartitionQuery
+			var pids []policyID
+			pbatch := PartitionBatchResponse{}
+			for _, policy := range policies {
+				pid, err := policyFor(policy)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-
-			for _, policy := range []string{"", "rws", "chrome", "strict", "brave", "prompt", "firefox", "safari", "legacy", "unpartitioned"} {
 				for _, p := range pairs {
-					got, ok := snap.appendPartition(nil, policy, p[0], p[1])
 					resp, err := snap.Partition(policy, p[0], p[1])
 					if err != nil {
 						t.Fatalf("Partition(%q, %q, %q): %v", policy, p[0], p[1], err)
 					}
-					if !ok {
-						// The prebaked plane only declines queries that need
-						// the live simulator: at least one off-list host with
-						// distinct canonical hosts.
-						continue
-					}
-					if want := marshalCompactLn(t, resp); string(got) != want {
-						t.Errorf("appendPartition(%q, %q, %q) = %s, want %s", policy, p[0], p[1], got, want)
-					}
-				}
-				if _, ok := snap.appendPartition(nil, "bogus-policy", first[0].Site, mid[0].Site); ok {
-					t.Error("appendPartition accepted an unknown policy")
+					check(t, fmt.Sprintf("appendPartition(%q, %q, %q)", policy, p[0], p[1]), snap.appendPartition(nil, pid, p[0], p[1]), resp)
+					queries = append(queries, PartitionQuery{Top: p[0], Embedded: p[1], Policy: policy})
+					pids = append(pids, pid)
+					pbatch.Results = append(pbatch.Results, resp)
 				}
 			}
+			pbatch.Queries = len(queries)
+			check(t, "appendPartitionBatch", snap.appendPartitionBatch(nil, queries, pids), pbatch)
 
 			for _, counters := range [][2]uint64{{0, 0}, {1, 1}, {123456789, 42}} {
-				want := marshalCompactLn(t, StatsResponse{
+				check(t, fmt.Sprintf("appendStats(%d, %d)", counters[0], counters[1]), snap.appendStats(nil, counters[0], counters[1]), StatsResponse{
 					Sets:            snap.stats.Sets,
 					Sites:           snap.numSites,
 					AssociatedSites: snap.stats.AssociatedSites,
@@ -174,19 +196,147 @@ func TestPrebakedResponsesMatchLiveEncode(t *testing.T) {
 					Requests:        counters[0],
 					ListSwaps:       counters[1],
 				})
-				if got := string(snap.appendStats(nil, counters[0], counters[1])); got != want {
-					t.Errorf("appendStats(%d, %d) = %s, want %s", counters[0], counters[1], got, want)
-				}
 			}
+			check(t, "respList", snap.respList, snap.List())
 		})
 	}
+
+	t.Run("http-versions", func(t *testing.T) {
+		old, err := amplify.Generate(amplify.Config{Sets: 200, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := dataset.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := NewStore(4)
+		jan := time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)
+		st.Add(old, core.Version{Source: "old", ObservedAt: jan, AsOf: jan})
+		st.Add(cur, core.Version{Source: "cur", ObservedAt: time.Now(), AsOf: time.Now()})
+		s := NewFromStore(st)
+		get := func(method, path, body string) []byte {
+			t.Helper()
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s %s: status %d: %s", method, path, rec.Code, rec.Body)
+			}
+			return rec.Body.Bytes()
+		}
+		oldSnap, _, err := st.ByHash(old.Hash())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			pin  string
+			snap *Snapshot
+		}{
+			{"", st.Current()},
+			{"&version=" + old.Hash()[:12], oldSnap},
+			{"&as_of=2023-06", oldSnap},
+		} {
+			snap := tc.snap
+			pairs := goldenPairs(snap)
+			for _, pretty := range []bool{false, true} {
+				pin := tc.pin
+				if pretty {
+					pin += "&pretty=1"
+				}
+				compare := func(path string, got []byte, want any) {
+					t.Helper()
+					if g, w := string(got), golden(t, want, pretty); g != w {
+						t.Errorf("%s = %s, want %s", path, g, w)
+					}
+				}
+				var spec []string
+				for _, p := range pairs {
+					a, b := url.QueryEscape(p[0]), url.QueryEscape(p[1])
+					path := "/v1/sameset?a=" + a + "&b=" + b + pin
+					compare(path, get(http.MethodGet, path, ""), snap.SameSet(p[0], p[1]))
+					spec = append(spec, p[0]+","+p[1])
+
+					path = "/v1/set?site=" + a + pin
+					compare(path, get(http.MethodGet, path, ""), snap.Set(p[0]))
+
+					resp, err := snap.Partition("strict", p[0], p[1])
+					if err != nil {
+						t.Fatal(err)
+					}
+					path = "/v1/partition?top=" + a + "&embedded=" + b + "&policy=strict" + pin
+					compare(path, get(http.MethodGet, path, ""), resp)
+				}
+				// The batch echoes each side as parsePairs trimmed it.
+				parsed, err := parsePairs(strings.Join(spec, ";"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				batch := SameSetBatchResponse{Pairs: len(parsed)}
+				for _, p := range parsed {
+					batch.Results = append(batch.Results, snap.SameSet(p[0], p[1]))
+				}
+				path := "/v1/sameset?pairs=" + url.QueryEscape(strings.Join(spec, ";")) + pin
+				compare(path, get(http.MethodGet, path, ""), batch)
+
+				path = "/v1/stats?" + strings.TrimPrefix(pin, "&")
+				var stats StatsResponse
+				if err := json.Unmarshal(get(http.MethodGet, path, ""), &stats); err != nil {
+					t.Fatal(err)
+				}
+				if stats.SnapshotHash != snap.hash || stats.Sets != snap.NumSets() {
+					t.Errorf("%s answered %.12s (%d sets), want %.12s", path, stats.SnapshotHash, stats.Sets, snap.hash)
+				}
+			}
+		}
+
+		// The POST batch form answers from the current version, echoing
+		// the hosts as the request body decodes them.
+		snap := st.Current()
+		req := PartitionBatchRequest{Policy: "prompt"}
+		for i, p := range goldenPairs(snap) {
+			q := PartitionQuery{Top: p[0], Embedded: p[1]}
+			if i%2 == 1 {
+				q.Policy = "legacy"
+			}
+			req.Queries = append(req.Queries, q)
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var decoded PartitionBatchRequest
+		if err := json.Unmarshal(body, &decoded); err != nil {
+			t.Fatal(err)
+		}
+		want := PartitionBatchResponse{Queries: len(decoded.Queries)}
+		for _, q := range decoded.Queries {
+			policy := q.Policy
+			if policy == "" {
+				policy = decoded.Policy
+			}
+			resp, err := snap.Partition(policy, q.Top, q.Embedded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Results = append(want.Results, resp)
+		}
+		for _, pretty := range []bool{false, true} {
+			path := "/v1/partition/batch"
+			if pretty {
+				path += "?pretty=1"
+			}
+			if got, w := string(get(http.MethodPost, path, string(body))), golden(t, want, pretty); got != w {
+				t.Errorf("POST %s = %s, want %s", path, got, w)
+			}
+		}
+	})
 }
 
 // TestFastPathMatchesSlowPathOverHTTP drives the real server twice per
-// query — once in the fast-path shape, once with a percent-encoded
-// character that forces the general handler — and requires byte-equal
-// bodies. This pins the whole request path (mux, instrument, envelope),
-// not just the fragment assembly.
+// query — once with plain values, once with a percent-encoded character
+// the query scanner must decode — and requires byte-equal bodies. This
+// pins the whole request path (mux, instrument, envelope), not just the
+// fragment assembly.
 func TestFastPathMatchesSlowPathOverHTTP(t *testing.T) {
 	_, ts := newTestServer(t)
 	fetch := func(path string) string {
@@ -213,20 +363,19 @@ func TestFastPathMatchesSlowPathOverHTTP(t *testing.T) {
 	a := sets[0].Members()[0].Site
 	b := sets[0].Members()[len(sets[0].Members())-1].Site
 	c := sets[1].Members()[0].Site
-	// Percent-encoding the first byte decodes to the same host, but its
-	// presence forces the slow path (url.Values + struct + live encode).
-	slow := func(h string) string { return fmt.Sprintf("%%%02X%s", h[0], h[1:]) }
+	// Percent-encoding the first byte decodes to the same host.
+	escape := func(h string) string { return fmt.Sprintf("%%%02X%s", h[0], h[1:]) }
 	queries := [][2]string{
-		{"/v1/sameset?a=" + a + "&b=" + b, "/v1/sameset?a=" + slow(a) + "&b=" + slow(b)},
-		{"/v1/sameset?a=" + a + "&b=" + c, "/v1/sameset?a=" + slow(a) + "&b=" + slow(c)},
-		{"/v1/set?site=" + a, "/v1/set?site=" + slow(a)},
+		{"/v1/sameset?a=" + a + "&b=" + b, "/v1/sameset?a=" + escape(a) + "&b=" + escape(b)},
+		{"/v1/sameset?a=" + a + "&b=" + c, "/v1/sameset?a=" + escape(a) + "&b=" + escape(c)},
+		{"/v1/set?site=" + a, "/v1/set?site=" + escape(a)},
 		{"/v1/set?site=nope.invalid", "/v1/set?site=nope%2Einvalid"},
-		{"/v1/partition?top=" + a + "&embedded=" + b, "/v1/partition?top=" + slow(a) + "&embedded=" + slow(b)},
-		{"/v1/partition?top=" + a + "&embedded=" + c + "&policy=strict", "/v1/partition?top=" + slow(a) + "&embedded=" + slow(c) + "&policy=strict"},
+		{"/v1/partition?top=" + a + "&embedded=" + b, "/v1/partition?top=" + escape(a) + "&embedded=" + escape(b)},
+		{"/v1/partition?top=" + a + "&embedded=" + c + "&policy=strict", "/v1/partition?top=" + escape(a) + "&embedded=" + escape(c) + "&policy=strict"},
 	}
 	for _, q := range queries {
-		if fast, slow := fetch(q[0]), fetch(q[1]); fast != slow {
-			t.Errorf("fast path %s = %s, slow path %s = %s", q[0], fast, q[1], slow)
+		if plain, escaped := fetch(q[0]), fetch(q[1]); plain != escaped {
+			t.Errorf("%s = %s, but %s = %s", q[0], plain, q[1], escaped)
 		}
 	}
 	// The pretty opt-in really is indented, and decodes to the same value.
@@ -267,9 +416,10 @@ func (d *discardRW) Write(p []byte) (int, error) {
 
 func (d *discardRW) WriteHeader(status int) { d.status = status }
 
-// TestPrebakedHandlersZeroAlloc asserts the fast paths allocate nothing
-// per request through the full Server.ServeHTTP stack (mux dispatch,
-// instrument, fragment assembly, envelope).
+// TestPrebakedHandlersZeroAlloc asserts the hot endpoints allocate
+// nothing per request through the full Server.ServeHTTP stack (mux
+// dispatch, instrument, query scan, fragment assembly, envelope) for
+// plain current-version queries, conditional ones included.
 func TestPrebakedHandlersZeroAlloc(t *testing.T) {
 	list, err := dataset.List()
 	if err != nil {

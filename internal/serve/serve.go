@@ -43,9 +43,15 @@
 // Host parameters accept any legitimate spelling — scheme prefix, :port
 // suffix, trailing dot, mixed case — and are canonicalized before lookup.
 //
+// Every endpoint scans its query once against an allowlist of keys
+// (params.go) — an unknown key is a bad_request — and each hot endpoint
+// has one answer path: parse, resolve the snapshot, evaluate the
+// conditional headers, append the response from the prebaked fragments
+// (respbake.go), write.
+//
 // The package is a JSON API end to end: every response body, success or
-// error, goes through the writeJSON envelope (machine-checked by
-// rws-lint's jsonenvelope analyzer via the directive below).
+// error, goes through the envelope helpers (machine-checked by rws-lint's
+// jsonenvelope analyzer via the directive below).
 //
 //rws:jsonapi
 package serve
@@ -57,7 +63,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -126,20 +131,10 @@ type Server struct {
 	metrics  [numEndpoints]endpointCounters
 	mux      *http.ServeMux
 
-	// strictParams rejects unknown query keys on every endpoint (the
-	// -strict-params mode); the new endpoints (/v1/list) enforce the
-	// allowlist regardless. Atomic so it can be toggled under traffic.
-	strictParams atomic.Bool
-
 	// repl tracks replication state when this node follows a leader's
 	// /v1/list export; nil fields in /v1/metrics otherwise.
 	repl replState
 }
-
-// SetStrictParams toggles server-wide strict query-parameter checking:
-// when on, a query key outside an endpoint's documented set is a
-// bad_request envelope instead of being silently ignored.
-func (s *Server) SetStrictParams(on bool) { s.strictParams.Store(on) }
 
 // New returns a server answering queries against list, precomputing the
 // query plane once up front. The backing store retains DefaultRetain
@@ -205,7 +200,10 @@ func (s *Server) SwapSnapshot(snap *Snapshot) {
 // SwapDeliver returns a source.Watcher delivery callback that installs
 // each delivered revision into the version store (Meta → Version) and
 // logs the change to logw. The snapshot precompute runs on the watcher
-// goroutine, never on the request path.
+// goroutine, never on the request path. A revision the store refuses
+// (over its memory budget) is logged and left uninstalled: the last
+// snapshot keeps serving, and a follower reports the refusal as its
+// replication last_error instead of recording a sync.
 func (s *Server) SwapDeliver(logw io.Writer) func(source.Swap) {
 	return func(sw source.Swap) {
 		ver := sw.Meta.Version()
@@ -215,7 +213,14 @@ func (s *Server) SwapDeliver(logw io.Writer) func(source.Swap) {
 		if ver.AsOf.IsZero() {
 			ver.AsOf = ver.ObservedAt
 		}
-		s.store.Add(sw.List, ver)
+		if _, err := s.store.AddList(sw.List, ver); err != nil {
+			fmt.Fprintf(logw, "serve: refused list from %s (%d sets, hash %.12s), still serving %.12s: %v\n",
+				sw.Meta.Location, sw.List.NumSets(), sw.Meta.Hash, s.Snapshot().hash, err)
+			if sw.Meta.Follows() {
+				s.recordReplicationRefusal(err)
+			}
+			return
+		}
 		if sw.Meta.Follows() {
 			s.RecordReplicationSwap(sw.Meta)
 		}
@@ -276,43 +281,40 @@ type errorBody struct {
 	Code  string `json:"code"`
 }
 
-// writeJSON encodes v and writes it: compact by default, indented when
-// the request opted in with ?pretty=1. The encode buffer is pooled and
-// reused across requests. Encoding happens fully before any byte
-// reaches the wire, so an encode failure surfaces as a 500 JSON
-// envelope instead of a truncated 200. Write errors after that mean the
-// client went away; there is nothing left to surface to it.
+// writeJSON encodes v and writes it, compact or (pretty) indented. It
+// serves the endpoints whose answers are not enumerable — metrics,
+// versions, diff, churn, healthz — and the error envelope. The encode
+// buffer is pooled and reused across requests. Encoding happens fully
+// before any byte reaches the wire, so an encode failure surfaces as a
+// 500 JSON envelope instead of a truncated 200. Write errors after that
+// mean the client went away; there is nothing left to surface to it.
 //
 //rws:envelope
-func writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
+func writeJSON(w http.ResponseWriter, status int, v any, pretty bool) {
 	buf := jsonBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	enc := json.NewEncoder(buf)
-	if prettyRequested(r) {
-		enc.SetIndent("", "  ")
-	}
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		buf.Reset()
 		status = http.StatusInternalServerError
 		body, _ := json.Marshal(errorBody{Error: "encoding response: " + err.Error(), Code: codeInternal})
 		buf.Write(body)
 		buf.WriteByte('\n')
 	}
-	writeRawJSON(w, status, buf.Bytes())
+	writeRawJSON(w, status, buf.Bytes(), pretty)
 	if buf.Cap() <= maxRetainedBuf {
 		jsonBufPool.Put(buf)
 	}
 }
 
-func badRequest(w http.ResponseWriter, r *http.Request, format string, args ...any) {
-	writeError(w, r, http.StatusBadRequest, codeBadRequest, format, args...)
+func badRequest(w http.ResponseWriter, format string, args ...any) {
+	writeError(w, http.StatusBadRequest, codeBadRequest, format, args...)
 }
 
 // requireGET rejects non-GET methods; the read path is side-effect free.
 func requireGET(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		w.Header().Set("Allow", "GET, HEAD")
-		writeError(w, r, http.StatusMethodNotAllowed, codeMethodNotAllowed, "method not allowed")
+		writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "method not allowed")
 		return false
 	}
 	return true
@@ -322,31 +324,29 @@ func requireGET(w http.ResponseWriter, r *http.Request) bool {
 // contract: unknown versions are 404 version_not_found (the spec was
 // well-formed, the store just doesn't hold it), everything else is a 400
 // bad_request.
-func writeResolveError(w http.ResponseWriter, r *http.Request, err error) {
+func writeResolveError(w http.ResponseWriter, err error) {
 	if errors.Is(err, ErrVersionNotFound) {
-		writeError(w, r, http.StatusNotFound, codeVersionNotFound, "%v", err)
+		writeError(w, http.StatusNotFound, codeVersionNotFound, "%v", err)
 		return
 	}
-	writeError(w, r, http.StatusBadRequest, codeBadRequest, "%v", err)
+	writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
 }
 
 // handleNotFound keeps unmatched paths inside the JSON contract instead
 // of falling through to a plain-text 404.
 func (s *Server) handleNotFound(w http.ResponseWriter, r *http.Request) {
-	writeError(w, r, http.StatusNotFound, codeNotFound, "no such endpoint: %s", r.URL.Path)
+	writeError(w, http.StatusNotFound, codeNotFound, "no such endpoint: %s", r.URL.Path)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !requireGET(w, r) {
+	var q query
+	if !parse(w, r, paramsPretty, &q) {
 		return
 	}
-	if s.strictParams.Load() && !s.checkParams(w, r, r.URL.Query(), paramsPretty, true) {
-		return
-	}
-	writeJSON(w, r, http.StatusOK, map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"ok":   true,
 		"sets": s.Snapshot().NumSets(),
-	})
+	}, q.pretty())
 }
 
 // SameSetResponse answers /v1/sameset.
@@ -364,26 +364,6 @@ type SameSetResponse struct {
 type SameSetBatchResponse struct {
 	Pairs   int               `json:"pairs"`
 	Results []SameSetResponse `json:"results"`
-}
-
-// pairsParam extracts the pairs parameter. Go's url.Values silently
-// drops keys whose raw value contains a ';' (historically a query
-// separator, rejected since Go 1.17), which would swallow the documented
-// pairs=a1,b1;a2,b2 syntax whenever the caller doesn't percent-encode
-// the semicolons — so fall back to scanning the raw query ourselves.
-func pairsParam(q url.Values, rawQuery string) string {
-	if v := q.Get("pairs"); v != "" {
-		return v
-	}
-	for _, seg := range strings.Split(rawQuery, "&") {
-		if v, ok := strings.CutPrefix(seg, "pairs="); ok {
-			if dec, err := url.QueryUnescape(v); err == nil {
-				return dec
-			}
-			return v
-		}
-	}
-	return ""
 }
 
 // errTooManyPairs marks a batch that exceeded maxBatchPairs, so the
@@ -423,90 +403,41 @@ func parsePairs(raw string) ([][2]string, error) {
 }
 
 func (s *Server) handleSameSet(w http.ResponseWriter, r *http.Request) {
-	// Fast path: a plain current-version a=/b= GET against a snapshot
-	// with prebaked response bytes is answered with zero allocations —
-	// no url.Values, no response struct, no encode. Any other shape
-	// (version pinning, pairs=, escaped values, ?pretty=1, POST) falls
-	// through to the general handler below, which answers identically.
-	if r.Method == http.MethodGet && snapRespBaked(s.store.Current()) {
-		if a, b, ok := rawTwoParams(r.URL.RawQuery, "a", "b"); ok {
-			snap := s.store.Current()
-			snap.requests.Add(1)
-			if conditionalDone(w, r, snap, time.Time{}) {
-				return
-			}
-			rb := getRespBuf()
-			rb.b = snap.appendSameSet(rb.b[:0], a, b)
-			writeRawJSON(w, http.StatusOK, rb.b)
-			putRespBuf(rb)
-			return
-		}
-	}
-	if !requireGET(w, r) {
+	var q query
+	if !parse(w, r, paramsSameSet, &q) {
 		return
 	}
-	q := r.URL.Query()
-	snap, ver, ok := s.resolveQuery(w, r, q, paramsSameSet, false)
-	if !ok {
-		return
-	}
-	if raw := pairsParam(q, r.URL.RawQuery); raw != "" {
-		if q.Get("a") != "" || q.Get("b") != "" {
-			badRequest(w, r, "use either pairs= or a=/b=, not both")
+	a, b := q.vals[keyA], q.vals[keyB]
+	var pairs [][2]string
+	if raw := q.vals[keyPairs]; raw != "" {
+		if a != "" || b != "" {
+			badRequest(w, "use either pairs= or a=/b=, not both")
 			return
 		}
-		pairs, err := parsePairs(raw)
-		if err != nil {
+		var err error
+		if pairs, err = parsePairs(raw); err != nil {
 			code := codeBadRequest
 			if errors.Is(err, errTooManyPairs) {
 				code = codeBatchTooLarge
 			}
-			writeError(w, r, http.StatusBadRequest, code, "%v", err)
+			writeError(w, http.StatusBadRequest, code, "%v", err)
 			return
 		}
-		if conditionalDone(w, r, snap, ver.AsOf) {
-			return
-		}
-		if snap.respBaked && !prettyRequested(r) {
-			rb := getRespBuf()
-			rb.b = snap.appendSameSetBatch(rb.b[:0], pairs)
-			writeRawJSON(w, http.StatusOK, rb.b)
-			putRespBuf(rb)
-			return
-		}
-		resp := SameSetBatchResponse{Pairs: len(pairs), Results: make([]SameSetResponse, len(pairs))}
-		for i, p := range pairs {
-			resp.Results[i] = snap.SameSet(p[0], p[1])
-		}
-		writeJSON(w, r, http.StatusOK, resp)
+	} else if a == "" || b == "" {
+		badRequest(w, "both a and b query parameters are required")
 		return
 	}
-	a, b := q.Get("a"), q.Get("b")
-	if a == "" || b == "" {
-		badRequest(w, r, "both a and b query parameters are required")
+	snap, ver, ok := s.resolve(w, &q)
+	if !ok || s.notModified(w, r, snap, ver) {
 		return
 	}
-	if conditionalDone(w, r, snap, ver.AsOf) {
-		return
-	}
-	if snap.respBaked && !prettyRequested(r) {
-		rb := getRespBuf()
+	rb := getRespBuf()
+	if pairs != nil {
+		rb.b = snap.appendSameSetBatch(rb.b[:0], pairs)
+	} else {
 		rb.b = snap.appendSameSet(rb.b[:0], a, b)
-		writeRawJSON(w, http.StatusOK, rb.b)
-		putRespBuf(rb)
-		return
 	}
-	writeJSON(w, r, http.StatusOK, snap.SameSet(a, b))
-}
-
-// snapRespBaked reports whether snap carries the prebaked response
-// plane; a nil snapshot (empty store — impossible through NewFromStore)
-// reports false so fast paths fall through safely.
-//
-//rws:hotpath
-//rws:allocfree
-func snapRespBaked(snap *Snapshot) bool {
-	return snap != nil && snap.respBaked
+	writeResp(w, rb, q.pretty())
 }
 
 // SetMember is one member in a /v1/set response.
@@ -526,46 +457,22 @@ type SetResponse struct {
 }
 
 func (s *Server) handleSet(w http.ResponseWriter, r *http.Request) {
-	// Fast path: plain current-version site= GET, answered by splicing
-	// the prebaked members array into a pooled buffer.
-	if r.Method == http.MethodGet && snapRespBaked(s.store.Current()) {
-		if site, ok := rawOneParam(r.URL.RawQuery, "site"); ok {
-			snap := s.store.Current()
-			snap.requests.Add(1)
-			if conditionalDone(w, r, snap, time.Time{}) {
-				return
-			}
-			rb := getRespBuf()
-			rb.b = snap.appendSet(rb.b[:0], site)
-			writeRawJSON(w, http.StatusOK, rb.b)
-			putRespBuf(rb)
-			return
-		}
-	}
-	if !requireGET(w, r) {
+	var q query
+	if !parse(w, r, paramsSet, &q) {
 		return
 	}
-	q := r.URL.Query()
-	site := q.Get("site")
+	site := q.vals[keySite]
 	if site == "" {
-		badRequest(w, r, "site query parameter is required")
+		badRequest(w, "site query parameter is required")
 		return
 	}
-	snap, ver, ok := s.resolveQuery(w, r, q, paramsSet, false)
-	if !ok {
+	snap, ver, ok := s.resolve(w, &q)
+	if !ok || s.notModified(w, r, snap, ver) {
 		return
 	}
-	if conditionalDone(w, r, snap, ver.AsOf) {
-		return
-	}
-	if snap.respBaked && !prettyRequested(r) {
-		rb := getRespBuf()
-		rb.b = snap.appendSet(rb.b[:0], site)
-		writeRawJSON(w, http.StatusOK, rb.b)
-		putRespBuf(rb)
-		return
-	}
-	writeJSON(w, r, http.StatusOK, snap.Set(site))
+	rb := getRespBuf()
+	rb.b = snap.appendSet(rb.b[:0], site)
+	writeResp(w, rb, q.pretty())
 }
 
 // PartitionResponse answers /v1/partition: the storage semantics a fresh
@@ -588,50 +495,27 @@ type PartitionResponse struct {
 }
 
 func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
-	// Fast path: plain current-version top=/embedded=[&policy=] GET for
-	// a pair on the precomputed plane. Off-list pairs (which need the
-	// live simulator) and unknown policies report !ok from
-	// appendPartition and fall through.
-	if r.Method == http.MethodGet && snapRespBaked(s.store.Current()) {
-		if top, embedded, policy, ok := rawPartitionParams(r.URL.RawQuery); ok {
-			snap := s.store.Current()
-			rb := getRespBuf()
-			if b, ok := snap.appendPartition(rb.b[:0], policy, top, embedded); ok {
-				snap.requests.Add(1)
-				if conditionalDone(w, r, snap, time.Time{}) {
-					putRespBuf(rb)
-					return
-				}
-				rb.b = b
-				writeRawJSON(w, http.StatusOK, rb.b)
-				putRespBuf(rb)
-				return
-			}
-			putRespBuf(rb)
-		}
-	}
-	if !requireGET(w, r) {
+	var q query
+	if !parse(w, r, paramsPartition, &q) {
 		return
 	}
-	q := r.URL.Query()
-	top, embedded := q.Get("top"), q.Get("embedded")
+	top, embedded := q.vals[keyTop], q.vals[keyEmbedded]
 	if top == "" || embedded == "" {
-		badRequest(w, r, "both top and embedded query parameters are required")
+		badRequest(w, "both top and embedded query parameters are required")
 		return
 	}
-	snap, ver, ok := s.resolveQuery(w, r, q, paramsPartition, false)
-	if !ok {
-		return
-	}
-	resp, err := snap.Partition(q.Get("policy"), top, embedded)
+	pid, err := policyFor(q.vals[keyPolicy])
 	if err != nil {
-		badRequest(w, r, "%v", err)
+		badRequest(w, "%v", err)
 		return
 	}
-	if conditionalDone(w, r, snap, ver.AsOf) {
+	snap, ver, ok := s.resolve(w, &q)
+	if !ok || s.notModified(w, r, snap, ver) {
 		return
 	}
-	writeJSON(w, r, http.StatusOK, resp)
+	rb := getRespBuf()
+	rb.b = snap.appendPartition(rb.b[:0], pid, top, embedded)
+	writeResp(w, rb, q.pretty())
 }
 
 // PartitionQuery is one query in a /v1/partition/batch request. Policy
@@ -659,7 +543,12 @@ type PartitionBatchResponse struct {
 func (s *Server) handlePartitionBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
-		writeError(w, r, http.StatusMethodNotAllowed, codeMethodNotAllowed, "method not allowed (POST a JSON body)")
+		writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "method not allowed (POST a JSON body)")
+		return
+	}
+	var q query
+	if bad, ok := parseQuery(r.URL.RawQuery, paramsPretty, &q); !ok {
+		rejectQuery(w, bad, paramsPretty)
 		return
 	}
 	var req PartitionBatchRequest
@@ -668,39 +557,40 @@ func (s *Server) handlePartitionBatch(w http.ResponseWriter, r *http.Request) {
 	if err := dec.Decode(&req); err != nil {
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
-			writeError(w, r, http.StatusRequestEntityTooLarge, codeBodyTooLarge, "%v", err)
+			writeError(w, http.StatusRequestEntityTooLarge, codeBodyTooLarge, "%v", err)
 			return
 		}
-		badRequest(w, r, "decoding request body: %v", err)
+		badRequest(w, "decoding request body: %v", err)
 		return
 	}
 	if len(req.Queries) == 0 {
-		badRequest(w, r, "queries must be non-empty")
+		badRequest(w, "queries must be non-empty")
 		return
 	}
 	if len(req.Queries) > maxBatchPairs {
-		writeError(w, r, http.StatusBadRequest, codeBatchTooLarge, "too many queries: %d > %d", len(req.Queries), maxBatchPairs)
+		writeError(w, http.StatusBadRequest, codeBatchTooLarge, "too many queries: %d > %d", len(req.Queries), maxBatchPairs)
 		return
 	}
-	snap := s.Snapshot()
-	resp := PartitionBatchResponse{Queries: len(req.Queries), Results: make([]PartitionResponse, len(req.Queries))}
+	pids := make([]policyID, len(req.Queries))
 	for i, pq := range req.Queries {
 		if pq.Top == "" || pq.Embedded == "" {
-			badRequest(w, r, "query %d: both top and embedded are required", i)
+			badRequest(w, "query %d: both top and embedded are required", i)
 			return
 		}
 		policy := pq.Policy
 		if policy == "" {
 			policy = req.Policy
 		}
-		pr, err := snap.Partition(policy, pq.Top, pq.Embedded)
-		if err != nil {
-			badRequest(w, r, "query %d: %v", i, err)
+		var err error
+		if pids[i], err = policyFor(policy); err != nil {
+			badRequest(w, "query %d: %v", i, err)
 			return
 		}
-		resp.Results[i] = pr
 	}
-	writeJSON(w, r, http.StatusOK, resp)
+	snap, _, _ := s.resolve(w, &q) // no version key in the allowlist: always the current version
+	rb := getRespBuf()
+	rb.b = snap.appendPartitionBatch(rb.b[:0], req.Queries, pids)
+	writeResp(w, rb, q.pretty())
 }
 
 // StatsResponse answers /v1/stats.
@@ -717,44 +607,20 @@ type StatsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	// Fast path: a bare current-version GET splices the two live
-	// counters into the prebaked stats body.
-	if r.Method == http.MethodGet && r.URL.RawQuery == "" && snapRespBaked(s.store.Current()) {
-		snap := s.store.Current()
-		snap.requests.Add(1)
-		// The stats ETag covers the snapshot-derived fields; the live
-		// counters ride along and are not part of the validator (a cache
-		// revalidating an unchanged snapshot keeps its counter values).
-		if conditionalDone(w, r, snap, time.Time{}) {
-			return
-		}
-		rb := getRespBuf()
-		rb.b = snap.appendStats(rb.b[:0], s.requests.Load(), s.store.Swaps())
-		writeRawJSON(w, http.StatusOK, rb.b)
-		putRespBuf(rb)
+	var q query
+	if !parse(w, r, paramsVersioned, &q) {
 		return
 	}
-	if !requireGET(w, r) {
+	snap, ver, ok := s.resolve(w, &q)
+	// The stats ETag covers the snapshot-derived fields; the live counters
+	// ride along and are not part of the validator (a cache revalidating
+	// an unchanged snapshot keeps its counter values).
+	if !ok || s.notModified(w, r, snap, ver) {
 		return
 	}
-	snap, ver, ok := s.resolveQuery(w, r, r.URL.Query(), paramsVersioned, false)
-	if !ok {
-		return
-	}
-	if conditionalDone(w, r, snap, ver.AsOf) {
-		return
-	}
-	writeJSON(w, r, http.StatusOK, StatsResponse{
-		Sets:            snap.stats.Sets,
-		Sites:           snap.numSites,
-		AssociatedSites: snap.stats.AssociatedSites,
-		ServiceSites:    snap.stats.ServiceSites,
-		CCTLDSites:      snap.stats.CCTLDSites,
-		MeanAssociated:  snap.stats.MeanAssociatedPerSet,
-		SnapshotHash:    snap.hash,
-		Requests:        s.requests.Load(),
-		ListSwaps:       s.store.Swaps(),
-	})
+	rb := getRespBuf()
+	rb.b = snap.appendStats(rb.b[:0], s.requests.Load(), s.store.Swaps())
+	writeResp(w, rb, q.pretty())
 }
 
 // EndpointMetrics is one endpoint's counters in a /v1/metrics response.
@@ -801,8 +667,7 @@ type MetricsResponse struct {
 	ListSwaps    uint64 `json:"list_swaps"`
 	SnapshotHash string `json:"snapshot_hash"`
 	// SnapshotBuild reports how the current snapshot was constructed —
-	// shard count, build time, estimated footprint, and whether a memory
-	// budget forced the prebaked /v1/set slices to be dropped.
+	// shard count, build time, estimated footprint and memory budget.
 	SnapshotBuild BuildInfo `json:"snapshot_build"`
 	// VersionsRetained / VersionsCapacity is the version-store occupancy.
 	VersionsRetained int               `json:"versions_retained"`
@@ -817,10 +682,8 @@ type MetricsResponse struct {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if !requireGET(w, r) {
-		return
-	}
-	if s.strictParams.Load() && !s.checkParams(w, r, r.URL.Query(), paramsPretty, true) {
+	var q query
+	if !parse(w, r, paramsPretty, &q) {
 		return
 	}
 	dc := s.store.diffs.metrics()
@@ -867,7 +730,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Endpoints = append(resp.Endpoints, em)
 	}
-	writeJSON(w, r, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, resp, q.pretty())
 }
 
 // VersionResponse describes one retained version in /v1/versions and in
@@ -902,10 +765,8 @@ func versionResponse(vi VersionInfo) VersionResponse {
 }
 
 func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request) {
-	if !requireGET(w, r) {
-		return
-	}
-	if s.strictParams.Load() && !s.checkParams(w, r, r.URL.Query(), paramsPretty, true) {
+	var q query
+	if !parse(w, r, paramsPretty, &q) {
 		return
 	}
 	infos := s.store.Versions()
@@ -917,7 +778,7 @@ func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request) {
 	for _, vi := range infos {
 		resp.Versions = append(resp.Versions, versionResponse(vi))
 	}
-	writeJSON(w, r, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, resp, q.pretty())
 }
 
 // DiffResponse answers /v1/diff: the member-level changes from one
@@ -935,26 +796,23 @@ type DiffResponse struct {
 }
 
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
-	if !requireGET(w, r) {
+	var q query
+	if !parse(w, r, paramsDiff, &q) {
 		return
 	}
-	q := r.URL.Query()
-	if !s.checkParams(w, r, q, paramsDiff, false) {
-		return
-	}
-	from, to := q.Get("from"), q.Get("to")
+	from, to := q.vals[keyFrom], q.vals[keyTo]
 	if from == "" || to == "" {
-		badRequest(w, r, "both from and to query parameters are required (a version hash prefix, an as-of time, or \"current\")")
+		badRequest(w, "both from and to query parameters are required (a version hash prefix, an as-of time, or \"current\")")
 		return
 	}
 	fromSnap, fromVer, err := s.store.Resolve(from)
 	if err != nil {
-		writeResolveError(w, r, fmt.Errorf("from: %w", err))
+		writeResolveError(w, fmt.Errorf("from: %w", err))
 		return
 	}
 	toSnap, toVer, err := s.store.Resolve(to)
 	if err != nil {
-		writeResolveError(w, r, fmt.Errorf("to: %w", err))
+		writeResolveError(w, fmt.Errorf("to: %w", err))
 		return
 	}
 	fromSnap.requests.Add(1)
@@ -963,7 +821,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	// pair computes DiffLists, every later one (and the swap-precomputed
 	// adjacent pairs) is a cache hit.
 	d := s.store.Diff(fromSnap, toSnap)
-	writeJSON(w, r, http.StatusOK, DiffResponse{
+	writeJSON(w, http.StatusOK, DiffResponse{
 		From:           versionResponse(VersionInfo{Version: fromVer, Sets: fromSnap.NumSets(), Sites: fromSnap.NumSites()}),
 		To:             versionResponse(VersionInfo{Version: toVer, Sets: toSnap.NumSets(), Sites: toSnap.NumSites()}),
 		Empty:          d.Empty(),
@@ -972,5 +830,5 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		RemovedSets:    d.RemovedSets,
 		AddedMembers:   d.AddedMembers,
 		RemovedMembers: d.RemovedMembers,
-	})
+	}, q.pretty())
 }

@@ -63,9 +63,7 @@ type verdict struct {
 }
 
 // hostEntry is the precomputed membership record for one canonical host.
-// setIdx indexes the snapshot's set-order tables (members), so the entry
-// stays valid when the prebaked member slices are dropped under a memory
-// budget and must be keyed some other way.
+// setIdx indexes the snapshot's set-order tables (respMembers).
 type hostEntry struct {
 	set    *core.Set
 	setIdx int32
@@ -81,51 +79,26 @@ const numRoles = 4
 // memory budget.
 type SnapshotOptions struct {
 	// Shards is the number of construction workers, and the number of
-	// shards the host index is split into. 0 means GOMAXPROCS. Ignored
-	// (forced to 1) when Serial is set.
+	// shards the host index is split into. 0 means GOMAXPROCS.
 	Shards int
 	// MemoryBudget caps the estimated bytes of the snapshot's derived
-	// tables (host index, prebaked response bytes, prebaked member
-	// slices, role tables). 0 means unlimited. When the estimate exceeds
-	// the budget, construction degrades in order before failing: the
-	// prebaked response bytes are dropped first (queries fall back to the
-	// live encode, same bytes), then the prebaked /v1/set member slices
-	// (Set rebuilds a response's members on demand); if the remaining
-	// tables still exceed the budget, BuildSnapshot errors. The decision
-	// is recorded in BuildInfo and surfaced by /v1/metrics.
+	// tables (host index, role tables, prebaked response bytes). 0 means
+	// unlimited. It is fit or fail: a snapshot whose estimate exceeds the
+	// budget is not built, and BuildSnapshot errors.
 	MemoryBudget int64
-	// Serial selects the retained single-threaded reference construction
-	// path. The parallel path is proven equivalent to it by property test
-	// (TestParallelSnapshotMatchesSerial); production callers never set it.
-	Serial bool
 }
 
 // BuildInfo records how a snapshot was constructed — the shard count, the
-// wall-clock build time, the memory estimate, and whether the memory
-// budget forced degradation. Exposed via /v1/metrics.
+// wall-clock build time and the memory estimate. Exposed via /v1/metrics.
 type BuildInfo struct {
 	// Shards is the worker/shard count actually used.
 	Shards int `json:"shards"`
-	// Serial reports whether the reference serial path built the snapshot.
-	Serial bool `json:"serial,omitempty"`
 	// BuildNanos is the wall-clock construction time in nanoseconds.
 	BuildNanos int64 `json:"build_nanos"`
-	// EstimatedBytes is the estimated footprint of the derived tables
-	// after any degradation.
+	// EstimatedBytes is the estimated footprint of the derived tables.
 	EstimatedBytes int64 `json:"estimated_bytes"`
 	// MemoryBudget echoes the configured budget (0 = unlimited).
 	MemoryBudget int64 `json:"memory_budget,omitempty"`
-	// PrebakedSetsDropped reports that the budget forced the prebaked
-	// /v1/set member slices to be dropped; Set rebuilds them per request.
-	PrebakedSetsDropped bool `json:"prebaked_sets_dropped,omitempty"`
-	// PrebakedRespDropped reports that the budget forced the prebaked
-	// response bytes to be dropped (the first degradation rung); queries
-	// fall back to the live encode, which produces the same bytes.
-	PrebakedRespDropped bool `json:"prebaked_resp_dropped,omitempty"`
-	// Tier summarizes the degradation state: "full" (everything prebaked),
-	// "resp-dropped" (live encode, prebaked member slices kept), or
-	// "sets-dropped" (member slices rebuilt on demand too).
-	Tier string `json:"tier"`
 }
 
 // Snapshot is the precomputed, immutable query plane the server answers
@@ -135,13 +108,13 @@ type BuildInfo struct {
 //   - a normalized host index (every member keyed by canonical host),
 //     sharded so construction parallelises and lookups touch one shard,
 //   - per-role membership tables,
-//   - prebuilt /v1/set member slices per set (unless a memory budget
-//     dropped them),
 //   - composition statistics,
 //   - a per-policy partition-verdict table over (topRole, embRole,
 //     sameSet), so /v1/partition for list members is a table lookup
 //     instead of a browser build + visit + embed per request,
-//   - the list's content hash.
+//   - the list's content hash,
+//   - the prebaked response bytes every answer is assembled from
+//     (respbake.go).
 //
 // A Snapshot's query plane is never mutated after construction returns,
 // so any number of request goroutines may read it without locks;
@@ -155,9 +128,7 @@ type Snapshot struct {
 	// (`"<hash>"`), and etagHeader is the same value pre-wrapped as a
 	// one-element header slice so the hot path installs it with a single
 	// map assignment (w.Header()["Etag"] = snap.etagHeader) — no
-	// per-request slice allocation. Both are set for every tier: cache
-	// validators survive even when a memory budget drops the prebaked
-	// response bytes.
+	// per-request slice allocation.
 	etag       string
 	etagHeader []string
 
@@ -167,26 +138,19 @@ type Snapshot struct {
 	requests atomic.Uint64
 
 	// sets is list.Sets(), the set-index space hostEntry.setIdx and
-	// members are keyed by.
+	// respMembers are keyed by.
 	sets       []*core.Set
 	hostShards []map[string]hostEntry
-	// members holds the prebaked /v1/set response slice per set index;
-	// nil as a whole when a memory budget dropped the table.
-	members [][]SetMember
-	byRole  [numRoles][]string
+	byRole     [numRoles][]string
 
 	stats    core.CompositionStats
 	numSites int
 
 	// The prebaked response plane (respbake.go): exact compact-JSON wire
 	// bytes for the enumerable answers, assembled into pooled buffers by
-	// the handler fast paths. respBaked gates the whole tier — it is the
-	// first thing a memory budget drops, falling back to the live encode.
-	respBaked bool
-	// respMembers is the encoded members array per set index;
-	// respSameTail closes a same-set SameSetResponse per set index.
-	respMembers  [][]byte
-	respSameTail [][]byte
+	// every hot handler. respMembers is the encoded /v1/set members array
+	// per set index — the one stored form of a set's members.
+	respMembers [][]byte
 	// respPartHead opens a PartitionResponse per policy; the tails close
 	// it per verdict shape (same-set cell, cross-set, same-host on/off
 	// list). respStatsPrefix is the stats body up to the live counters.
@@ -231,30 +195,30 @@ func BuildSnapshot(list *core.List, opts SnapshotOptions) (*Snapshot, error) {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	if opts.Serial {
-		shards = 1
-	}
 	if n := list.NumSets(); shards > n && n > 0 {
 		shards = n
 	}
 	if shards < 1 {
 		shards = 1
 	}
+	s := newSnapshot(list, shards)
+	return s.finish(start, s.buildParallel(shards), opts.MemoryBudget)
+}
+
+// newSnapshot allocates a snapshot of list with its identity, policies
+// and empty tables, ready for a build pass to fill.
+func newSnapshot(list *core.List, shards int) *Snapshot {
 	hash := list.Hash()
 	s := &Snapshot{
-		list:       list,
-		hash:       hash,
-		etag:       `"` + hash + `"`,
-		sets:       list.Sets(),
-		hostShards: make([]map[string]hostEntry, shards),
-		members:    make([][]SetMember, list.NumSets()),
-		stats:      list.Stats(),
-		numSites:   list.NumSites(),
-		info: BuildInfo{
-			Shards:       shards,
-			Serial:       opts.Serial,
-			MemoryBudget: opts.MemoryBudget,
-		},
+		list:        list,
+		hash:        hash,
+		etag:        `"` + hash + `"`,
+		sets:        list.Sets(),
+		hostShards:  make([]map[string]hostEntry, shards),
+		respMembers: make([][]byte, list.NumSets()),
+		stats:       list.Stats(),
+		numSites:    list.NumSites(),
+		info:        BuildInfo{Shards: shards},
 	}
 	s.etagHeader = []string{s.etag}
 	s.policies = [numPolicies]policyInfo{
@@ -268,58 +232,31 @@ func BuildSnapshot(list *core.List, opts SnapshotOptions) (*Snapshot, error) {
 		info.name = info.live.Name()
 		info.partitionByDefault = info.live.PartitionByDefault()
 	}
+	return s
+}
 
-	var hostBytes, memberBytes int64
-	if opts.Serial {
-		hostBytes, memberBytes = s.buildSerial()
-	} else {
-		hostBytes, memberBytes = s.buildParallel(shards)
+// finish bakes the remaining response bytes over a filled build pass and
+// holds the total estimate to the budget — fit or fail, no degraded
+// snapshot. tableBytes is the build pass's estimate of the host index
+// and member fragments; the role tables add one string header per
+// member.
+func (s *Snapshot) finish(start time.Time, tableBytes, budget int64) (*Snapshot, error) {
+	respBytes, err := s.bakeResponses()
+	if err != nil {
+		return nil, err
 	}
-
-	// The estimate covers the big derived tables: the sharded host index
-	// (key bytes + entry/bucket overhead), the prebaked response bytes,
-	// the prebaked member slices (string bytes + struct + slice headers),
-	// and the role tables (one string header per member per table). Under
-	// a budget the tiers drop in that order of dispensability: response
-	// bytes first (live encode produces the same bytes), member slices
-	// second (rebuilt on demand), and only then does the build fail.
-	byRoleBytes := int64(s.numSites) * 16
-	estimated := hostBytes + memberBytes + byRoleBytes
-	if opts.MemoryBudget > 0 && estimated > opts.MemoryBudget {
-		// Already over budget before the response tier: skip baking it.
-		s.info.PrebakedRespDropped = true
-	} else if respBytes, ok := s.bakeResponses(); ok {
-		estimated += respBytes
-		if opts.MemoryBudget > 0 && estimated > opts.MemoryBudget {
-			s.dropResponseTier()
-			s.info.PrebakedRespDropped = true
-			estimated -= respBytes
-		}
-	}
-	if opts.MemoryBudget > 0 && estimated > opts.MemoryBudget {
-		s.members = nil
-		s.info.PrebakedSetsDropped = true
-		estimated -= memberBytes
-		if estimated > opts.MemoryBudget {
-			return nil, fmt.Errorf("serve: snapshot needs an estimated %d bytes even after dropping prebaked responses and set slices; memory budget is %d", estimated, opts.MemoryBudget)
-		}
-	}
-	switch {
-	case s.info.PrebakedSetsDropped:
-		s.info.Tier = "sets-dropped"
-	case !s.respBaked:
-		s.info.Tier = "resp-dropped"
-	default:
-		s.info.Tier = "full"
+	estimated := tableBytes + int64(s.numSites)*16 + respBytes
+	if budget > 0 && estimated > budget {
+		return nil, fmt.Errorf("serve: snapshot needs an estimated %d bytes; memory budget is %d", estimated, budget)
 	}
 	s.info.EstimatedBytes = estimated
+	s.info.MemoryBudget = budget
 	s.info.BuildNanos = time.Since(start).Nanoseconds()
 	return s, nil
 }
 
-// prebakeMembers builds the /v1/set response slice for one set, and is
-// also the on-demand fallback when a memory budget dropped the prebaked
-// table.
+// prebakeMembers builds the /v1/set members of one set as response
+// structs, for the typed Snapshot.Set.
 func prebakeMembers(set *core.Set) []SetMember {
 	ms := set.Members()
 	pre := make([]SetMember, len(ms))
@@ -327,79 +264,6 @@ func prebakeMembers(set *core.Set) []SetMember {
 		pre[i] = SetMember{Site: m.Site, Role: m.Role.String(), AliasOf: m.AliasOf}
 	}
 	return pre
-}
-
-// memberSliceBytes estimates the heap footprint of one prebaked slice:
-// string bytes plus ~48 per SetMember struct and 24 for the slice header.
-func memberSliceBytes(pre []SetMember) int64 {
-	b := int64(24)
-	for _, m := range pre {
-		b += int64(len(m.Site)+len(m.Role)+len(m.AliasOf)) + 48
-	}
-	return b
-}
-
-// buildSerial is the retained single-threaded reference construction
-// path: one pass over the sets in list order filling the (single-shard)
-// host index, member slices, and role tables, then the original
-// full-scan verdict builder per policy. The parallel path is held
-// equivalent to this one by property test.
-func (s *Snapshot) buildSerial() (hostBytes, memberBytes int64) {
-	hosts := make(map[string]hostEntry, s.numSites)
-	for i, set := range s.sets {
-		ms := set.Members()
-		pre := make([]SetMember, len(ms))
-		for j, m := range ms {
-			pre[j] = SetMember{Site: m.Site, Role: m.Role.String(), AliasOf: m.AliasOf}
-			hosts[m.Site] = hostEntry{set: set, setIdx: int32(i), role: m.Role}
-			s.byRole[m.Role] = append(s.byRole[m.Role], m.Site)
-			hostBytes += int64(len(m.Site)) + 64
-		}
-		s.members[i] = pre
-		memberBytes += memberSliceBytes(pre)
-	}
-	s.hostShards[0] = hosts
-	for r := range s.byRole {
-		sort.Strings(s.byRole[r])
-	}
-	for pid := range s.policies {
-		s.buildVerdictsSerial(policyID(pid))
-	}
-	return hostBytes, memberBytes
-}
-
-// buildVerdictsSerial fills the partition-verdict tables for one policy
-// by running the fresh-profile simulation once per reachable cell, using
-// the first member pair (in list order, then Members order) exhibiting
-// each (topRole, embRole) combination.
-func (s *Snapshot) buildVerdictsSerial(pid policyID) {
-	live := s.policies[pid].live
-	// Cross-set cell: any pair of hosts that are not in the same set —
-	// including off-list hosts — takes this verdict, because every policy
-	// decides such requests without consulting the list or the roles. The
-	// .invalid TLD is reserved (RFC 2606), so these hosts can never be
-	// list members.
-	v := browser.EvaluateFresh(live, "cross-top.invalid", "cross-embedded.invalid")
-	s.cross[pid] = verdict{decision: v.Decision, granted: v.Granted, filled: true}
-	// Same-set cells: one live evaluation per (topRole, embRole)
-	// combination the list actually contains, using the first member pair
-	// that exhibits it.
-	for _, set := range s.sets {
-		ms := set.Members()
-		for _, top := range ms {
-			for _, emb := range ms {
-				if top.Site == emb.Site {
-					continue
-				}
-				cell := &s.sameSet[pid][top.Role][emb.Role]
-				if cell.filled {
-					continue
-				}
-				v := browser.EvaluateFresh(live, top.Site, emb.Site)
-				*cell = verdict{decision: v.Decision, granted: v.Granted, filled: true}
-			}
-		}
-	}
 }
 
 // shardOf maps a canonical host to its shard with inline FNV-1a; cheap
@@ -446,16 +310,15 @@ type repPair struct {
 // workerOut is everything one phase-A worker produces from its
 // contiguous set range, merged deterministically in phase B.
 type workerOut struct {
-	perShard    [][]shardKV
-	byRole      [numRoles][]string
-	reps        [numRoles][numRoles]repPair
-	hostBytes   int64
-	memberBytes int64
+	perShard [][]shardKV
+	byRole   [numRoles][]string
+	reps     [numRoles][numRoles]repPair
+	bytes    int64
 }
 
 // buildParallel partitions the sets across `shards` workers. Each worker
-// owns a contiguous set range: it prebakes member slices (written to
-// disjoint indices of s.members, race-free), routes host-index entries to
+// owns a contiguous set range: it encodes member fragments (written to
+// disjoint indices of s.respMembers, race-free), routes host-index entries to
 // per-(worker,shard) buffers, accumulates worker-local role tables, and
 // records its first member pair per (topRole, embRole) combination. Phase
 // B then merges: per-shard maps are built in parallel with workers
@@ -465,7 +328,8 @@ type workerOut struct {
 // worker ranges are ordered, so that is exactly the globally-first pair
 // the serial path would have evaluated. Each verdict cell then gets one
 // fresh-profile evaluation per policy, identical to the serial result.
-func (s *Snapshot) buildParallel(shards int) (hostBytes, memberBytes int64) {
+// It returns the estimated bytes of the host index and member fragments.
+func (s *Snapshot) buildParallel(shards int) (tableBytes int64) {
 	outs := make([]*workerOut, shards)
 	var wg sync.WaitGroup
 	for w := 0; w < shards; w++ {
@@ -479,18 +343,16 @@ func (s *Snapshot) buildParallel(shards int) (hostBytes, memberBytes int64) {
 			for i := lo; i < hi; i++ {
 				set := s.sets[i]
 				ms := set.Members()
-				pre := make([]SetMember, len(ms))
 				var present [numRoles]bool
-				for j, m := range ms {
-					pre[j] = SetMember{Site: m.Site, Role: m.Role.String(), AliasOf: m.AliasOf}
+				for _, m := range ms {
 					sh := shardOf(m.Site, shards)
 					out.perShard[sh] = append(out.perShard[sh], shardKV{m.Site, hostEntry{set: set, setIdx: int32(i), role: m.Role}})
 					out.byRole[m.Role] = append(out.byRole[m.Role], m.Site)
-					out.hostBytes += int64(len(m.Site)) + 64
+					out.bytes += int64(len(m.Site)) + 64
 					present[m.Role] = true
 				}
-				s.members[i] = pre
-				out.memberBytes += memberSliceBytes(pre)
+				s.respMembers[i] = appendMembers(nil, ms)
+				out.bytes += int64(len(s.respMembers[i])) + 24
 
 				// Representative scan, skipped when this set's role
 				// combinations are all already represented locally — after a
@@ -559,8 +421,7 @@ func (s *Snapshot) buildParallel(shards int) (hostBytes, memberBytes int64) {
 		s.byRole[r] = merged
 	}
 	for _, out := range outs {
-		hostBytes += out.hostBytes
-		memberBytes += out.memberBytes
+		tableBytes += out.bytes
 	}
 
 	// Merge verdict representatives: the first worker (in range order)
@@ -588,7 +449,7 @@ func (s *Snapshot) buildParallel(shards int) (hostBytes, memberBytes int64) {
 			}
 		}
 	}
-	return hostBytes, memberBytes
+	return tableBytes
 }
 
 // List returns the list the snapshot was derived from.
@@ -631,19 +492,15 @@ func (s *Snapshot) SameSet(a, b string) SameSetResponse {
 	return resp
 }
 
-// Set answers a set-lookup query from the prebuilt member tables, or
-// rebuilds the member slice on demand when a memory budget dropped them.
+// Set answers a set-lookup query from the host index, building the
+// member structs from the set.
 func (s *Snapshot) Set(site string) SetResponse {
 	resp := SetResponse{Site: site}
 	if e, ok := s.lookup(core.CanonicalHost(site)); ok {
 		resp.Found = true
 		resp.Role = e.role.String()
 		resp.Primary = e.set.Primary
-		if s.members != nil {
-			resp.Members = s.members[e.setIdx]
-		} else {
-			resp.Members = prebakeMembers(e.set)
-		}
+		resp.Members = prebakeMembers(e.set)
 	}
 	return resp
 }

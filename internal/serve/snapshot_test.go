@@ -447,7 +447,7 @@ func TestNotFoundJSON(t *testing.T) {
 // JSON envelope, not a truncated 200.
 func TestWriteJSONEncodeFailure(t *testing.T) {
 	rec := httptest.NewRecorder()
-	writeJSON(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil), http.StatusOK, map[string]any{"bad": func() {}})
+	writeJSON(rec, http.StatusOK, map[string]any{"bad": func() {}}, true)
 	if rec.Code != http.StatusInternalServerError {
 		t.Errorf("status = %d, want 500", rec.Code)
 	}

@@ -138,8 +138,8 @@ func (st *Store) Swaps() uint64 { return st.swaps.Load() }
 // Add precomputes a snapshot for list and installs it as the current
 // version. The precompute runs on the caller, never on the request path.
 // The result is nil only when the store was built with a MemoryBudget
-// and the list cannot fit even degraded; budgeted callers should prefer
-// AddList, which reports that error.
+// the list does not fit; budgeted callers should prefer AddList, which
+// reports that error.
 func (st *Store) Add(list *core.List, ver core.Version) *Snapshot {
 	snap, _ := st.AddList(list, ver)
 	return snap
@@ -397,6 +397,18 @@ func (st *Store) CurrentVersion() (core.Version, bool) {
 	defer st.mu.RUnlock()
 	_, ver, ok := st.currentLocked()
 	return ver, ok
+}
+
+// versionOf returns the descriptor snap's content is retained under,
+// false once it has been evicted.
+func (st *Store) versionOf(snap *Snapshot) (core.Version, bool) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	e, ok := st.byHash[snap.hash]
+	if !ok {
+		return core.Version{}, false
+	}
+	return e.ver, true
 }
 
 // Versions lists the retained versions, oldest first.

@@ -258,52 +258,21 @@ type Server = serve.Server
 // verdict table) once up front. Server.Swap hot-swaps it under traffic.
 func NewServer(list *List) *Server { return serve.New(list) }
 
-// ServerSnapshot is the immutable precomputed query plane a Server
-// answers from: normalized host index, per-role membership tables, and
-// the per-policy partition-verdict table.
-type ServerSnapshot = serve.Snapshot
-
-// NewServerSnapshot precomputes the query plane for list without
-// installing it in a server; Server.SwapSnapshot installs a prebuilt one,
-// keeping the precompute off the serving path.
-func NewServerSnapshot(list *List) *ServerSnapshot { return serve.NewSnapshot(list) }
-
-// SnapshotOptions configures BuildServerSnapshot: construction shard
-// count, a memory budget with graceful degradation, and the retained
-// serial reference path.
-type SnapshotOptions = serve.SnapshotOptions
-
-// SnapshotBuildInfo reports how a snapshot was constructed (shards,
-// build time, estimated footprint, budget decisions); also surfaced by
-// /v1/metrics as snapshot_build.
-type SnapshotBuildInfo = serve.BuildInfo
-
-// BuildServerSnapshot is NewServerSnapshot with explicit construction
-// options. It errors only when a MemoryBudget is set and the list's
-// derived tables cannot fit even after degrading.
-func BuildServerSnapshot(list *List, opts SnapshotOptions) (*ServerSnapshot, error) {
-	return serve.BuildSnapshot(list, opts)
-}
-
 // ServerStore is a bounded version store of precomputed snapshots: the
 // current version serves the lock-free fast path, superseded versions
 // stay queryable by hash or as-of time, and diffs between any two
 // retained versions are exact DiffLists results.
 type ServerStore = serve.Store
 
-// ServerVersionInfo describes one retained version in a store listing.
-type ServerVersionInfo = serve.VersionInfo
-
 // NewServerStore returns an empty version store retaining up to capacity
 // versions (capacity < 1 selects serve.DefaultRetain). Add at least one
 // version before serving from it.
 func NewServerStore(capacity int) *ServerStore { return serve.NewStore(capacity) }
 
-// NewServerStoreWith is NewServerStore with explicit snapshot
-// construction options applied to every list the store precomputes.
-func NewServerStoreWith(capacity int, opts SnapshotOptions) *ServerStore {
-	return serve.NewStoreWith(capacity, opts)
-}
+// NewServerFromStore returns a Server answering queries from st, which
+// must already hold a current version. Use it to preload history (e.g.
+// the monthly study-window snapshots) before taking traffic.
+func NewServerFromStore(st *ServerStore) *Server { return serve.NewFromStore(st) }
 
 // AmplifyConfig configures AmplifyList: the set count, the seed, and an
 // optional composition profile (nil samples the embedded snapshot's
@@ -321,21 +290,6 @@ type AmplifyProfile = amplify.Profile
 // matches the embedded snapshot's distributions within sampling noise.
 // The same config reproduces the same list bit-for-bit.
 func AmplifyList(cfg AmplifyConfig) (*List, error) { return amplify.Generate(cfg) }
-
-// NewServerFromStore returns a Server answering queries from st, which
-// must already hold a current version. Use it to preload history (e.g.
-// the monthly study-window snapshots) before taking traffic.
-func NewServerFromStore(st *ServerStore) *Server { return serve.NewFromStore(st) }
-
-// ServerReplicationMetrics is the replication block a follower Server
-// advertises in /v1/metrics: the upstream /v1/list URL it tracks, the
-// last-synced version hash, swap-propagation lag, and the
-// consecutive-304 idle streak. Server.Replication returns it (nil on
-// non-followers); wire Server.RecordReplicationPoll to
-// SourceWatcher.OnPoll and call Server.RecordReplicationSwap on each
-// delivered swap to keep it current. See the README's "Replication &
-// edge tiering" section for the full follower topology.
-type ServerReplicationMetrics = serve.ReplicationMetrics
 
 // ListSource produces list revisions with change detection: Fetch returns
 // ErrListNotModified when the list is unchanged since the previous

@@ -214,7 +214,7 @@ func TestServerSnapshotFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := NewServerSnapshot(list)
+	snap := NewServer(list).Snapshot()
 	if snap.NumSets() != list.NumSets() || snap.Hash() != list.Hash() {
 		t.Errorf("snapshot = %d sets / %s, want %d / %s",
 			snap.NumSets(), snap.Hash(), list.NumSets(), list.Hash())
