@@ -6,7 +6,7 @@
 // Usage:
 //
 //	rws-amplify -sets N [-seed 1] [-o FILE] [-hash] [-stats]
-//	            [-validate] [-build [-shards N] [-mem-budget BYTES]]
+//	            [-validate] [-build [-mem-budget BYTES]]
 //
 // By default the list is written to stdout (or -o FILE) as upstream
 // related_website_sets.JSON, directly servable by rws-serve -list.
@@ -18,8 +18,8 @@
 //	-stats     print composition statistics instead of JSON
 //	-validate  run the structural submission checks over every generated
 //	           set; any issue fails the run
-//	-build     build a serve snapshot from the generated list (sharded
-//	           parallel construction, honoring -shards) and report build
+//	-build     build a serve snapshot from the generated list (parallel
+//	           construction, one worker per GOMAXPROCS) and report build
 //	           time, estimated and measured memory, instead of emitting
 //	           JSON; with -mem-budget a list whose estimate exceeds the
 //	           budget fails the build (fit or fail)
@@ -56,7 +56,6 @@ type config struct {
 	stats     bool
 	validate  bool
 	build     bool
-	shards    int
 	memBudget int64
 }
 
@@ -69,7 +68,6 @@ func parseFlags(args []string) (config, error) {
 	stats := fs.Bool("stats", false, "print composition statistics instead of emitting JSON")
 	val := fs.Bool("validate", false, "run structural submission checks over every set; issues fail the run")
 	build := fs.Bool("build", false, "build a serve snapshot and report build time/memory instead of emitting JSON")
-	shards := fs.Int("shards", 0, "snapshot build shards for -build (0: GOMAXPROCS)")
 	budget := fs.Int64("mem-budget", 0, "snapshot memory budget in bytes for -build (0: unlimited; a list over it fails)")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
@@ -82,7 +80,7 @@ func parseFlags(args []string) (config, error) {
 	}
 	return config{
 		sets: *sets, seed: *seed, out: *out, hashOnly: *hash, stats: *stats,
-		validate: *val, build: *build, shards: *shards, memBudget: *budget,
+		validate: *val, build: *build, memBudget: *budget,
 	}, nil
 }
 
@@ -135,7 +133,7 @@ func run(args []string, stdout io.Writer) error {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		snap, err := serve.BuildSnapshot(list, serve.SnapshotOptions{Shards: cfg.shards, MemoryBudget: cfg.memBudget})
+		snap, err := serve.BuildSnapshot(list, serve.SnapshotOptions{MemoryBudget: cfg.memBudget})
 		if err != nil {
 			return err
 		}
@@ -147,7 +145,6 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "sites                %d\n", snap.NumSites())
 		fmt.Fprintf(stdout, "generate_time        %s\n", genElapsed.Round(time.Millisecond))
 		fmt.Fprintf(stdout, "build_time           %s\n", elapsed.Round(time.Millisecond))
-		fmt.Fprintf(stdout, "build_shards         %d\n", info.Shards)
 		fmt.Fprintf(stdout, "estimated_bytes      %d\n", info.EstimatedBytes)
 		fmt.Fprintf(stdout, "memory_budget        %d\n", info.MemoryBudget)
 		fmt.Fprintf(stdout, "heap_delta_bytes     %d\n", int64(after.HeapAlloc)-int64(before.HeapAlloc))

@@ -190,9 +190,13 @@ func timelineTarget(t *testing.T) *httptest.Server {
 	}
 	st := serve.NewStore(4)
 	jan := time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)
-	st.Add(oldList, core.Version{Source: "timeline:2023-01", ObservedAt: jan, AsOf: jan})
+	if _, err := st.AddList(oldList, core.Version{Source: "timeline:2023-01", ObservedAt: jan, AsOf: jan}); err != nil {
+		t.Fatal(err)
+	}
 	mar := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
-	st.Add(newList, core.Version{Source: "timeline:2024-03", ObservedAt: mar, AsOf: mar})
+	if _, err := st.AddList(newList, core.Version{Source: "timeline:2024-03", ObservedAt: mar, AsOf: mar}); err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(serve.NewFromStore(st))
 	t.Cleanup(ts.Close)
 	return ts

@@ -369,7 +369,7 @@ func TestRunAmplified(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if m.SnapshotBuild.Shards < 1 || m.SnapshotBuild.EstimatedBytes <= 0 {
+	if m.SnapshotBuild.BuildNanos <= 0 || m.SnapshotBuild.EstimatedBytes <= 0 {
 		t.Errorf("snapshot_build = %+v", m.SnapshotBuild)
 	}
 	if m.SnapshotBuild.MemoryBudget != 0 {

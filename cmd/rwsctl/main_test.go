@@ -171,9 +171,13 @@ func timelineServer(t *testing.T) *httptest.Server {
 	}
 	st := rwskit.NewServerStore(4)
 	jan := time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)
-	st.Add(oldList, rwskit.Version{Source: "timeline:2023-01", ObservedAt: jan, AsOf: jan})
+	if _, err := st.AddList(oldList, rwskit.Version{Source: "timeline:2023-01", ObservedAt: jan, AsOf: jan}); err != nil {
+		t.Fatal(err)
+	}
 	feb := time.Date(2023, 2, 1, 0, 0, 0, 0, time.UTC)
-	st.Add(newList, rwskit.Version{Source: "timeline:2023-02", ObservedAt: feb, AsOf: feb})
+	if _, err := st.AddList(newList, rwskit.Version{Source: "timeline:2023-02", ObservedAt: feb, AsOf: feb}); err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(rwskit.NewServerFromStore(st))
 	t.Cleanup(ts.Close)
 	return ts

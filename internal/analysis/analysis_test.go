@@ -174,3 +174,15 @@ func TestArtifactsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestExperimentsListStable: All lists the 12 experiments in paper
+// order, tables first.
+func TestExperimentsListStable(t *testing.T) {
+	es := All()
+	if len(es) != 12 {
+		t.Fatalf("experiments = %d, want 12", len(es))
+	}
+	if es[0].ID != "table1" || es[11].ID != "figure9" {
+		t.Errorf("order: first=%s last=%s", es[0].ID, es[11].ID)
+	}
+}

@@ -71,7 +71,7 @@ func BenchmarkServeSameSetUnderSwaps(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := New(list)
-	snaps := [2]*Snapshot{NewSnapshot(list), NewSnapshot(list)}
+	snaps := [2]*Snapshot{mustBuild(b, list), mustBuild(b, list)}
 	ts := httptest.NewServer(s)
 	b.Cleanup(ts.Close)
 	stop := make(chan struct{})
@@ -81,7 +81,7 @@ func BenchmarkServeSameSetUnderSwaps(b *testing.B) {
 			case <-stop:
 				return
 			default:
-				s.SwapSnapshot(snaps[i%2])
+				s.store.AddSnapshot(snaps[i%2], core.Version{Source: "swap"})
 			}
 		}
 	}()
@@ -151,7 +151,7 @@ func BenchmarkPartition(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	snap := NewSnapshot(list)
+	snap := mustBuild(b, list)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -217,7 +217,7 @@ func BenchmarkServeSameSetBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkSnapshotBuild is the Swap-time precompute cost — the price paid
+// BenchmarkSnapshotBuild is the install-time precompute cost — the price paid
 // once per reload so every request afterwards is a lookup.
 func BenchmarkSnapshotBuild(b *testing.B) {
 	list, err := dataset.List()
@@ -227,8 +227,8 @@ func BenchmarkSnapshotBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if snap := NewSnapshot(list); snap.NumSets() == 0 {
-			b.Fatal("empty snapshot")
+		if snap, err := BuildSnapshot(list, SnapshotOptions{}); err != nil || snap.NumSets() == 0 {
+			b.Fatal("empty snapshot", err)
 		}
 	}
 }
@@ -262,7 +262,7 @@ func BenchmarkStoreCurrent(b *testing.B) {
 		b.Fatal(err)
 	}
 	st := NewStore(4)
-	st.Add(list, core.Version{})
+	mustAdd(b, st, list, core.Version{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -282,7 +282,7 @@ func BenchmarkStoreResolveAsOf(b *testing.B) {
 	st := NewStore(len(tl.Snapshots) + 1)
 	for _, snap := range tl.Snapshots {
 		asOf, _ := time.Parse("2006-01", snap.Month)
-		st.Add(snap.List, core.Version{Source: "timeline:" + snap.Month, ObservedAt: asOf, AsOf: asOf})
+		mustAdd(b, st, snap.List, core.Version{Source: "timeline:" + snap.Month, ObservedAt: asOf, AsOf: asOf})
 	}
 	at, _ := parseAsOf("2023-07")
 	b.ReportAllocs()
@@ -305,7 +305,7 @@ func timelineBenchStore(b *testing.B) *Store {
 	st := NewStore(len(tl.Snapshots) + 1)
 	for _, snap := range tl.Snapshots {
 		asOf, _ := time.Parse("2006-01", snap.Month)
-		st.Add(snap.List, core.Version{Source: "timeline:" + snap.Month, ObservedAt: asOf, AsOf: asOf})
+		mustAdd(b, st, snap.List, core.Version{Source: "timeline:" + snap.Month, ObservedAt: asOf, AsOf: asOf})
 	}
 	return st
 }

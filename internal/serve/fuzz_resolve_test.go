@@ -38,7 +38,7 @@ func FuzzResolveSpec(f *testing.F) {
 			f.Fatal(err)
 		}
 		at, _ := time.Parse("2006-01", fmt.Sprintf("2023-%02d", 2*i+1))
-		st.Add(list, core.Version{Source: "fuzz:" + name, ObservedAt: at, AsOf: at})
+		mustAdd(f, st, list, core.Version{Source: "fuzz:" + name, ObservedAt: at, AsOf: at})
 	}
 	seeds := []string{
 		"", "current", "current ",

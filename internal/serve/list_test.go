@@ -147,7 +147,7 @@ func TestListConditionalGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Swap(replacement)
+	swapList(t, s, replacement)
 	resp := getWith(t, ts.URL+"/v1/list", map[string]string{"If-None-Match": etag})
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
@@ -237,10 +237,7 @@ func TestConditionalGetOnQueryEndpoints(t *testing.T) {
 // with pretty= — on sameset, set, partition and stats.
 func TestConditionalGetIgnoresQuerySpelling(t *testing.T) {
 	s, ts := newTestServer(t)
-	ver, ok := s.store.CurrentVersion()
-	if !ok {
-		t.Fatal("no current version")
-	}
+	ver := currentVersion(s.store)
 	after := ver.AsOf.Add(time.Hour).UTC().Format(http.TimeFormat)
 	before := ver.AsOf.Add(-time.Hour).UTC().Format(http.TimeFormat)
 	for _, path := range []string{

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -14,27 +13,21 @@ import (
 )
 
 // buildSerial is the single-threaded reference construction the
-// parallel build is held equivalent to: one shard, one pass over the
-// sets in list order filling the host index, member fragments and role
-// tables, then the full-scan verdict builder per policy.
+// parallel build is held equivalent to: one pass over the sets in list
+// order filling the host index and member fragments, then the full-scan
+// verdict builder per policy.
 func buildSerial(t testing.TB, list *core.List) *Snapshot {
 	t.Helper()
 	start := time.Now()
-	s := newSnapshot(list, 1)
+	s := newSnapshot(list)
 	var tableBytes int64
-	hosts := make(map[string]hostEntry, s.numSites)
 	for i, set := range s.sets {
 		for _, m := range set.Members() {
-			hosts[m.Site] = hostEntry{set: set, setIdx: int32(i), role: m.Role}
-			s.byRole[m.Role] = append(s.byRole[m.Role], m.Site)
+			s.hosts[m.Site] = hostEntry{set: set, setIdx: int32(i), role: m.Role}
 			tableBytes += int64(len(m.Site)) + 64
 		}
 		s.respMembers[i] = appendMembers(nil, set.Members())
 		tableBytes += int64(len(s.respMembers[i])) + 24
-	}
-	s.hostShards[0] = hosts
-	for r := range s.byRole {
-		sort.Strings(s.byRole[r])
 	}
 	for pid := range s.policies {
 		buildVerdictsSerial(s, policyID(pid))
@@ -80,8 +73,8 @@ func buildVerdictsSerial(s *Snapshot, pid policyID) {
 // equalSnapshots holds two snapshots to exact equality across every
 // public query surface and the precomputed verdict tables: host-index
 // answers for every member site (plus off-list probes), prebuilt /v1/set
-// slices, role tables, composition stats, and the full per-policy
-// sameSet/cross verdict tables.
+// slices, composition stats, and the full per-policy sameSet/cross
+// verdict tables.
 func equalSnapshots(t *testing.T, label string, got, want *Snapshot) {
 	t.Helper()
 	if got.Hash() != want.Hash() {
@@ -91,19 +84,8 @@ func equalSnapshots(t *testing.T, label string, got, want *Snapshot) {
 		t.Fatalf("%s: sizes (%d sets, %d sites) != (%d sets, %d sites)",
 			label, got.NumSets(), got.NumSites(), want.NumSets(), want.NumSites())
 	}
-	if got.stats != want.stats {
-		t.Errorf("%s: stats %+v != %+v", label, got.stats, want.stats)
-	}
-	for r := core.Role(0); int(r) < numRoles; r++ {
-		g, w := got.SitesByRole(r), want.SitesByRole(r)
-		if len(g) != len(w) {
-			t.Fatalf("%s: role %s table has %d entries, want %d", label, r, len(g), len(w))
-		}
-		for i := range g {
-			if g[i] != w[i] {
-				t.Fatalf("%s: role %s entry %d = %q, want %q", label, r, i, g[i], w[i])
-			}
-		}
+	if len(got.hosts) != len(want.hosts) {
+		t.Fatalf("%s: host index has %d entries, want %d", label, len(got.hosts), len(want.hosts))
 	}
 	// Verdict tables, cell by cell.
 	for pid := 0; pid < int(numPolicies); pid++ {
@@ -201,12 +183,12 @@ func equalPrebakedTables(t *testing.T, label string, got, want *Snapshot) {
 	eq("list", got.respList, want.respList)
 }
 
-// TestParallelSnapshotMatchesSerial is the tentpole's equivalence
-// property: sharded parallel construction produces a snapshot
-// semantically identical to the retained serial reference path — over
-// the embedded real list and randomized amplified lists, for several
-// seeds × shard counts. CI runs the package under -race, so this also
-// proves the phase-A/phase-B writes are race-free.
+// TestParallelSnapshotMatchesSerial is the build's equivalence
+// property: parallel construction produces a snapshot semantically
+// identical to the serial reference path — over the embedded real list
+// and randomized amplified lists, for several seeds × worker counts. CI
+// runs the package under -race, so this also proves the phase-A/phase-B
+// writes are race-free.
 func TestParallelSnapshotMatchesSerial(t *testing.T) {
 	lists := map[string]*core.List{}
 	embedded, err := dataset.List()
@@ -229,30 +211,24 @@ func TestParallelSnapshotMatchesSerial(t *testing.T) {
 
 	for name, list := range lists {
 		serial := buildSerial(t, list)
-		if serial.BuildInfo().Shards != 1 {
-			t.Fatalf("%s: serial BuildInfo = %+v", name, serial.BuildInfo())
-		}
-		for _, shards := range []int{1, 2, 3, 8} {
-			par, err := BuildSnapshot(list, SnapshotOptions{Shards: shards})
+		for _, workers := range []int{1, 2, 3, 8} {
+			par, err := buildSnapshot(list, workers, 0)
 			if err != nil {
-				t.Fatalf("%s/shards=%d: parallel build: %v", name, shards, err)
+				t.Fatalf("%s/workers=%d: parallel build: %v", name, workers, err)
 			}
-			equalSnapshots(t, fmt.Sprintf("%s/shards=%d", name, shards), par, serial)
+			equalSnapshots(t, fmt.Sprintf("%s/workers=%d", name, workers), par, serial)
 		}
 	}
 }
 
-// TestNewSnapshotUsesParallelPath pins the default constructor to the
-// parallel path with GOMAXPROCS-derived shards.
+// TestNewSnapshotUsesParallelPath pins the default build (BuildSnapshot
+// with zero options, GOMAXPROCS workers) to a populated BuildInfo.
 func TestNewSnapshotUsesParallelPath(t *testing.T) {
 	list, err := dataset.List()
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := NewSnapshot(list).BuildInfo()
-	if info.Shards < 1 {
-		t.Errorf("Shards = %d, want >= 1", info.Shards)
-	}
+	info := mustBuild(t, list).BuildInfo()
 	if info.EstimatedBytes <= 0 || info.BuildNanos <= 0 {
 		t.Errorf("BuildInfo not populated: %+v", info)
 	}

@@ -151,7 +151,7 @@ func TestFollowerTracksLeader(t *testing.T) {
 		t.Fatalf("boot: follower serves %s, leader %s", got, want)
 	}
 
-	leader.Swap(tinyList(t, "example.com"))
+	swapList(t, leader, tinyList(t, "example.com"))
 	want := serveHash(t, leader)
 	waitFor(t, 5*time.Second, func() bool { return serveHash(t, f.srv) == want },
 		"follower to catch up with the swapped leader")
@@ -289,7 +289,7 @@ func TestFollowerRefusedSwapKeepsLastVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leader.Swap(big)
+	swapList(t, leader, big)
 	waitFor(t, 5*time.Second, func() bool {
 		return strings.Contains(f.srv.Replication().LastError, "memory budget")
 	}, "the refusal to show in last_error")
@@ -310,7 +310,7 @@ func TestFollowerRefusedSwapKeepsLastVersion(t *testing.T) {
 	}
 
 	fits := tinyList(t, "fits.example")
-	leader.Swap(fits)
+	swapList(t, leader, fits)
 	waitFor(t, 5*time.Second, func() bool { return serveHash(t, f.srv) == fits.Hash() }, "a revision that fits to install")
 	waitFor(t, 5*time.Second, func() bool {
 		m := f.srv.Replication()

@@ -216,13 +216,14 @@ func (s *Snapshot) bakeResponses() (int64, error) {
 	// counters; bake everything up to requests_served and splice digits in
 	// at request time. The split point is verified against the real
 	// encoder so a StatsResponse field change can never desynchronize it.
+	st := s.list.Stats()
 	statsBody, err := json.Marshal(StatsResponse{
-		Sets:            s.stats.Sets,
-		Sites:           s.numSites,
-		AssociatedSites: s.stats.AssociatedSites,
-		ServiceSites:    s.stats.ServiceSites,
-		CCTLDSites:      s.stats.CCTLDSites,
-		MeanAssociated:  s.stats.MeanAssociatedPerSet,
+		Sets:            st.Sets,
+		Sites:           s.list.NumSites(),
+		AssociatedSites: st.AssociatedSites,
+		ServiceSites:    st.ServiceSites,
+		CCTLDSites:      st.CCTLDSites,
+		MeanAssociated:  st.MeanAssociatedPerSet,
 		SnapshotHash:    s.hash,
 	})
 	marker := []byte(`,"requests_served":0,"list_swaps":0}`)

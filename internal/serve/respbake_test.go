@@ -74,8 +74,9 @@ func TestAppendJSONStringMatchesMarshal(t *testing.T) {
 }
 
 // prebakedTestLists is the golden-test corpus: the embedded real list
-// plus amplified lists, each built at several shard counts, and the
-// embedded list through the serial reference build.
+// plus amplified lists, each built at several worker counts (the
+// "shardsN" names give the count), and the embedded list through the
+// serial reference build.
 func prebakedTestLists(t *testing.T) map[string]*Snapshot {
 	t.Helper()
 	snaps := map[string]*Snapshot{}
@@ -88,20 +89,20 @@ func prebakedTestLists(t *testing.T) map[string]*Snapshot {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{1, 3, 8} {
-			snap, err := BuildSnapshot(list, SnapshotOptions{Shards: shards})
+		for _, workers := range []int{1, 3, 8} {
+			snap, err := buildSnapshot(list, workers, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			snaps[fmt.Sprintf("amplified-seed%d-shards%d", seed, shards)] = snap
+			snaps[fmt.Sprintf("amplified-seed%d-shards%d", seed, workers)] = snap
 		}
 	}
-	for _, shards := range []int{1, 4} {
-		snap, err := BuildSnapshot(embedded, SnapshotOptions{Shards: shards})
+	for _, workers := range []int{1, 4} {
+		snap, err := buildSnapshot(embedded, workers, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		snaps[fmt.Sprintf("embedded-shards%d", shards)] = snap
+		snaps[fmt.Sprintf("embedded-shards%d", workers)] = snap
 	}
 	snaps["embedded-serial"] = buildSerial(t, embedded)
 	return snaps
@@ -131,7 +132,7 @@ func goldenPairs(snap *Snapshot) [][2]string {
 // encoder: for sameset, set, partition and stats, single and batch, the
 // append* bytes equal encoding/json's output for the documented response
 // structs the typed Snapshot methods return — across the embedded and
-// amplified lists at several shard counts, for every pair shape
+// amplified lists at several worker counts, for every pair shape
 // (same-set, cross-set, same-host, off-list, miss) and every policy
 // spelling — and ?pretty=1 (json.Indent over those bytes) equals the
 // struct encoded with SetIndent. The http-versions subtest drives the
@@ -184,14 +185,15 @@ func TestPrebakedResponsesMatchLiveEncode(t *testing.T) {
 			pbatch.Queries = len(queries)
 			check(t, "appendPartitionBatch", snap.appendPartitionBatch(nil, queries, pids), pbatch)
 
+			st := snap.list.Stats()
 			for _, counters := range [][2]uint64{{0, 0}, {1, 1}, {123456789, 42}} {
 				check(t, fmt.Sprintf("appendStats(%d, %d)", counters[0], counters[1]), snap.appendStats(nil, counters[0], counters[1]), StatsResponse{
-					Sets:            snap.stats.Sets,
-					Sites:           snap.numSites,
-					AssociatedSites: snap.stats.AssociatedSites,
-					ServiceSites:    snap.stats.ServiceSites,
-					CCTLDSites:      snap.stats.CCTLDSites,
-					MeanAssociated:  snap.stats.MeanAssociatedPerSet,
+					Sets:            st.Sets,
+					Sites:           snap.NumSites(),
+					AssociatedSites: st.AssociatedSites,
+					ServiceSites:    st.ServiceSites,
+					CCTLDSites:      st.CCTLDSites,
+					MeanAssociated:  st.MeanAssociatedPerSet,
 					SnapshotHash:    snap.hash,
 					Requests:        counters[0],
 					ListSwaps:       counters[1],
@@ -212,8 +214,8 @@ func TestPrebakedResponsesMatchLiveEncode(t *testing.T) {
 		}
 		st := NewStore(4)
 		jan := time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)
-		st.Add(old, core.Version{Source: "old", ObservedAt: jan, AsOf: jan})
-		st.Add(cur, core.Version{Source: "cur", ObservedAt: time.Now(), AsOf: time.Now()})
+		mustAdd(t, st, old, core.Version{Source: "old", ObservedAt: jan, AsOf: jan})
+		mustAdd(t, st, cur, core.Version{Source: "cur", ObservedAt: time.Now(), AsOf: time.Now()})
 		s := NewFromStore(st)
 		get := func(method, path, body string) []byte {
 			t.Helper()

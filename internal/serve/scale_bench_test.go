@@ -29,9 +29,9 @@ func scaleBenchList(b *testing.B, sets int) *core.List {
 
 var benchSink int
 
-// BenchmarkSnapshotBuildScale measures sharded parallel snapshot
-// construction at the scale tiers the amplifier targets — the number
-// the million-set serve plane stands on. Gated by rws-benchgate against
+// BenchmarkSnapshotBuildScale measures parallel snapshot construction
+// at the scale tiers the amplifier targets — the number the million-set
+// serve plane stands on. Gated by rws-benchgate against
 // the committed baseline.
 func BenchmarkSnapshotBuildScale(b *testing.B) {
 	for _, tier := range []struct {
@@ -82,7 +82,7 @@ func BenchmarkStoreSwapUnderTraffic(b *testing.B) {
 			at := base.Add(time.Duration(i) * time.Hour)
 			return core.Version{Source: "bench", ObservedAt: at, AsOf: at}
 		}
-		// Warm both versions and the adjacent-diff cache in setup, so the
+		// Warm both versions and the adjacent-diff memo in setup, so the
 		// measured loop is the steady-state flap: atomic install + version
 		// re-file, no first-swap 10⁴-set diff precompute.
 		st.AddSnapshot(snapB, ver(0))

@@ -71,12 +71,13 @@ func TestScaleTierSwapUnderTraffic(t *testing.T) {
 		CCTLDSites      int `json:"cctld_sites"`
 	}
 	tupleOf := func(s *Snapshot) statTuple {
+		st := s.list.Stats()
 		return statTuple{
-			Sets:            s.stats.Sets,
+			Sets:            st.Sets,
 			Sites:           s.NumSites(),
-			AssociatedSites: s.stats.AssociatedSites,
-			ServiceSites:    s.stats.ServiceSites,
-			CCTLDSites:      s.stats.CCTLDSites,
+			AssociatedSites: st.AssociatedSites,
+			ServiceSites:    st.ServiceSites,
+			CCTLDSites:      st.CCTLDSites,
 		}
 	}
 	tupleA, tupleB := tupleOf(snapA), tupleOf(snapB)

@@ -4,9 +4,9 @@
 // users" north star asks for on top of the rwskit core.
 //
 // Queries are answered from a Snapshot — a precomputed query plane
-// (normalized host index, per-role membership tables, per-policy
-// partition-verdict table, composition stats) derived from a *core.List
-// once, at New/Swap time. Snapshots live in a Store: a bounded version
+// (normalized host index, per-policy partition-verdict table,
+// composition stats) derived from a *core.List once, when Store.AddList
+// installs it. Snapshots live in a Store: a bounded version
 // store keyed by list content hash that retains the last N revisions, so
 // the list can be hot-swapped (e.g. on SIGHUP, on a -poll tick, or when
 // upstream publishes a new related_website_sets.JSON) without pausing
@@ -141,13 +141,16 @@ type Server struct {
 // versions; use NewFromStore to choose the capacity or preload history.
 func New(list *core.List) *Server {
 	st := NewStore(DefaultRetain)
-	st.Add(list, core.Version{Source: "boot", ObservedAt: time.Now(), AsOf: time.Now()})
+	if _, err := st.AddList(list, core.Version{Source: "boot", ObservedAt: time.Now(), AsOf: time.Now()}); err != nil {
+		// Unreachable: construction can only fail under a MemoryBudget.
+		panic("serve: New: " + err.Error())
+	}
 	return NewFromStore(st)
 }
 
 // NewFromStore returns a server answering queries from st, which must
 // hold at least one version (the current one). The caller keeps a
-// reference to st and may Add to it under traffic; rws-serve -timeline
+// reference to st and may AddList to it under traffic; rws-serve -timeline
 // preloads the monthly study-window snapshots this way.
 func NewFromStore(st *Store) *Server {
 	if st.Current() == nil {
@@ -171,31 +174,9 @@ func NewFromStore(st *Store) *Server {
 	return s
 }
 
-// Store returns the version store backing the server.
-func (s *Server) Store() *Store { return s.store }
-
 // Snapshot returns the precomputed plane currently serving unversioned
 // queries.
 func (s *Server) Snapshot() *Snapshot { return s.store.Current() }
-
-// List returns the list behind the snapshot currently serving queries.
-func (s *Server) List() *core.List { return s.Snapshot().list }
-
-// Swap precomputes a fresh snapshot from list and atomically installs it
-// as the current version; the superseded version stays queryable until
-// evicted. Safe under traffic: requests already executing keep the
-// snapshot they loaded; subsequent requests see the new one. The
-// precompute runs on the caller, never on the request path.
-func (s *Server) Swap(list *core.List) {
-	s.store.Add(list, core.Version{Source: "swap", ObservedAt: time.Now(), AsOf: time.Now()})
-}
-
-// SwapSnapshot installs an already-built snapshot as the current
-// version, for callers that want to precompute off the serving goroutine
-// entirely.
-func (s *Server) SwapSnapshot(snap *Snapshot) {
-	s.store.AddSnapshot(snap, core.Version{Source: "swap", ObservedAt: time.Now(), AsOf: time.Now()})
-}
 
 // SwapDeliver returns a source.Watcher delivery callback that installs
 // each delivered revision into the version store (Meta → Version) and
@@ -376,11 +357,13 @@ var errTooManyPairs = errors.New("too many pairs")
 // doubled ';') are skipped and each side is space-trimmed — while a
 // genuinely malformed pair still reports its position and text.
 func parsePairs(raw string) ([][2]string, error) {
-	items := strings.Split(raw, ";")
-	// Cap the prealloc at the pair bound: a query of a million ';'s must
-	// not reserve a million entries before being rejected.
-	out := make([][2]string, 0, min(len(items), maxBatchPairs))
-	for i, item := range items {
+	// Walk the segments in place and cap the prealloc at the pair bound:
+	// a query of a million ';'s must not allocate a million substrings
+	// (or entries) before being rejected.
+	out := make([][2]string, 0, min(strings.Count(raw, ";")+1, maxBatchPairs))
+	for i, rest, more := 0, raw, true; more; i++ {
+		var item string
+		item, rest, more = strings.Cut(rest, ";")
 		if strings.TrimSpace(item) == "" {
 			continue
 		}
@@ -634,23 +617,6 @@ type EndpointMetrics struct {
 	MeanLatencyMicros float64 `json:"mean_latency_micros"`
 }
 
-// DiffCacheMetrics reports the memoized diff plane's counters in a
-// /v1/metrics response.
-type DiffCacheMetrics struct {
-	Capacity int    `json:"capacity"`
-	Entries  int    `json:"entries"`
-	Hits     uint64 `json:"hits"`
-	Misses   uint64 `json:"misses"`
-	// Evictions counts LRU capacity evictions; Invalidations counts
-	// entries dropped because a version they referenced left the store.
-	Evictions     uint64 `json:"evictions"`
-	Invalidations uint64 `json:"invalidations"`
-	// Computes counts real core.DiffLists runs feeding the cache; with
-	// singleflight it stays at one per cold pair no matter how many
-	// concurrent requests raced for it.
-	Computes uint64 `json:"computes"`
-}
-
 // VersionHits reports one retained version's request count in a
 // /v1/metrics response.
 type VersionHits struct {
@@ -666,8 +632,8 @@ type MetricsResponse struct {
 	Requests     uint64 `json:"requests_served"`
 	ListSwaps    uint64 `json:"list_swaps"`
 	SnapshotHash string `json:"snapshot_hash"`
-	// SnapshotBuild reports how the current snapshot was constructed —
-	// shard count, build time, estimated footprint and memory budget.
+	// SnapshotBuild reports how the snapshot named by SnapshotHash was
+	// constructed — build time, estimated footprint and memory budget.
 	SnapshotBuild BuildInfo `json:"snapshot_build"`
 	// VersionsRetained / VersionsCapacity is the version-store occupancy.
 	VersionsRetained int               `json:"versions_retained"`
@@ -686,27 +652,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if !parse(w, r, paramsPretty, &q) {
 		return
 	}
-	dc := s.store.diffs.metrics()
+	cur := s.Snapshot() // one load: the hash and build info must name the same snapshot
 	infos := s.store.Versions()
 	resp := MetricsResponse{
 		Requests:         s.requests.Load(),
 		ListSwaps:        s.store.Swaps(),
-		SnapshotHash:     s.Snapshot().hash,
-		SnapshotBuild:    s.Snapshot().BuildInfo(),
+		SnapshotHash:     cur.hash,
+		SnapshotBuild:    cur.info,
 		VersionsRetained: s.store.Len(),
 		VersionsCapacity: s.store.Cap(),
-		DiffCache: DiffCacheMetrics{
-			Capacity:      dc.capacity,
-			Entries:       dc.entries,
-			Hits:          dc.hits,
-			Misses:        dc.misses,
-			Evictions:     dc.evictions,
-			Invalidations: dc.invalidations,
-			Computes:      dc.computes,
-		},
-		VersionHits: make([]VersionHits, 0, len(infos)),
-		Endpoints:   make([]EndpointMetrics, 0, numEndpoints),
-		Replication: s.Replication(),
+		DiffCache:        s.store.diffMetrics(),
+		VersionHits:      make([]VersionHits, 0, len(infos)),
+		Endpoints:        make([]EndpointMetrics, 0, numEndpoints),
+		Replication:      s.Replication(),
 	}
 	for _, vi := range infos {
 		resp.VersionHits = append(resp.VersionHits, VersionHits{

@@ -7,10 +7,12 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"rwskit/internal/amplify"
 	"rwskit/internal/core"
 	"rwskit/internal/dataset"
 	"rwskit/internal/history"
@@ -193,6 +195,24 @@ func TestParsePairsLenient(t *testing.T) {
 	}
 }
 
+// TestParsePairsSeparatorFloodAllocs: a pairs= value of a mebibyte of
+// bare separators is rejected without allocating a substring (or a pair
+// slot) per separator.
+func TestParsePairsSeparatorFloodAllocs(t *testing.T) {
+	raw := strings.Repeat(";", 1<<20)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := parsePairs(raw)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a value of bare separators should be rejected")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("parsePairs allocated %d bytes on a %d-byte value, want under 64 KiB", got, len(raw))
+	}
+}
+
 // TestURLShapedSpellings: the endpoints must answer the same for
 // URL-shaped spellings — paths, queries, fragments, userinfo — as for
 // the bare host (the CanonicalHost truncation fix).
@@ -305,7 +325,7 @@ func TestHotSwapUnderTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Swap(replacement)
+	swapList(t, s, replacement)
 
 	if sameSet("bild.de", "autobild.de") {
 		t.Error("after swap, the old list should no longer answer")
@@ -327,7 +347,7 @@ func TestHotSwapUnderTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Swap(orig)
+	swapList(t, s, orig)
 	if !sameSet("bild.de", "autobild.de") {
 		t.Error("after swapping back, the seed snapshot should answer again")
 	}
@@ -338,7 +358,7 @@ func TestHotSwapUnderTraffic(t *testing.T) {
 // internally consistent with one snapshot or the other.
 func TestConcurrentQueriesDuringSwaps(t *testing.T) {
 	s, ts := newTestServer(t)
-	orig := s.List()
+	orig := s.Snapshot().List()
 	alt, err := core.ParseJSON([]byte(`{"sets":[{
 	  "primary": "https://example.com",
 	  "associatedSites": ["https://example-blog.com"],
@@ -353,9 +373,9 @@ func TestConcurrentQueriesDuringSwaps(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 200; i++ {
 			if i%2 == 0 {
-				s.Swap(alt)
+				swapList(t, s, alt)
 			} else {
-				s.Swap(orig)
+				swapList(t, s, orig)
 			}
 		}
 	}()
@@ -392,7 +412,7 @@ func newTimelineServer(t *testing.T) (*Server, *httptest.Server) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.Add(snap.List, core.Version{Source: "timeline:" + snap.Month, ObservedAt: asOf, AsOf: asOf})
+		mustAdd(t, st, snap.List, core.Version{Source: "timeline:" + snap.Month, ObservedAt: asOf, AsOf: asOf})
 	}
 	s := NewFromStore(st)
 	ts := httptest.NewServer(s)
@@ -409,8 +429,8 @@ func TestVersionsEndpoint(t *testing.T) {
 	if body.Retained != 15 || len(body.Versions) != 15 {
 		t.Fatalf("retained = %d versions = %d, want the 15-month window", body.Retained, len(body.Versions))
 	}
-	if body.Capacity != s.Store().Cap() {
-		t.Errorf("capacity = %d, want %d", body.Capacity, s.Store().Cap())
+	if body.Capacity != s.store.Cap() {
+		t.Errorf("capacity = %d, want %d", body.Capacity, s.store.Cap())
 	}
 	for i, v := range body.Versions {
 		if v.Sets == 0 || v.Hash == "" || !strings.HasPrefix(v.Source, "timeline:") {
@@ -433,10 +453,10 @@ func TestVersionsEndpoint(t *testing.T) {
 // between ANY two served versions must match core.DiffLists exactly.
 func TestDiffEndpointMatchesDiffLists(t *testing.T) {
 	s, ts := newTimelineServer(t)
-	infos := s.Store().Versions()
+	infos := s.store.Versions()
 	lists := make(map[string]*core.List, len(infos))
 	for _, vi := range infos {
-		snap, _, err := s.Store().ByHash(vi.Version.Hash)
+		snap, _, err := s.store.ByHash(vi.Version.Hash)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -492,12 +512,12 @@ func TestAsOfQueries(t *testing.T) {
 	s, ts := newTimelineServer(t)
 	// Find a set that joined the list mid-window, with at least two
 	// members, so its relatedness flips over time.
-	infos := s.Store().Versions()
-	first, _, err := s.Store().ByHash(infos[0].Version.Hash)
+	infos := s.store.Versions()
+	first, _, err := s.store.ByHash(infos[0].Version.Hash)
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, _, err := s.Store().ByHash(infos[len(infos)-1].Version.Hash)
+	final, _, err := s.store.ByHash(infos[len(infos)-1].Version.Hash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +571,7 @@ func TestAsOfQueries(t *testing.T) {
 // and stats to one retained version.
 func TestVersionPinnedQueries(t *testing.T) {
 	s, ts := newTimelineServer(t)
-	infos := s.Store().Versions()
+	infos := s.store.Versions()
 	firstHash := infos[0].Version.Hash
 	var st StatsResponse
 	u := fmt.Sprintf("%s/v1/stats?version=%s", ts.URL, firstHash[:12])
@@ -616,7 +636,7 @@ func TestMetricsOccupancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Swap(replacement)
+	swapList(t, s, replacement)
 	body = MetricsResponse{}
 	if code := getJSON(t, ts.URL+"/v1/metrics", &body); code != http.StatusOK {
 		t.Fatalf("status %d", code)
@@ -640,7 +660,7 @@ func TestSupersededVersionStaysQueryable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Swap(replacement)
+	swapList(t, s, replacement)
 
 	var cur SameSetResponse
 	if code := getJSON(t, ts.URL+"/v1/sameset?a=bild.de&b=autobild.de", &cur); code != http.StatusOK {
@@ -666,7 +686,7 @@ func TestSupersededVersionStaysQueryable(t *testing.T) {
 // window, also equals the direct endpoint diff).
 func TestChurnStepsMatchDiffLists(t *testing.T) {
 	s, ts := newTimelineServer(t)
-	infos := s.Store().Versions()
+	infos := s.store.Versions()
 	var body ChurnResponse
 	if code := getJSON(t, ts.URL+"/v1/churn?from=2023-01&to=current", &body); code != http.StatusOK {
 		t.Fatalf("status %d", code)
@@ -677,11 +697,11 @@ func TestChurnStepsMatchDiffLists(t *testing.T) {
 	}
 	composed := core.Diff{}
 	for i, step := range body.Steps {
-		fromSnap, _, err := s.Store().ByHash(infos[i].Version.Hash)
+		fromSnap, _, err := s.store.ByHash(infos[i].Version.Hash)
 		if err != nil {
 			t.Fatal(err)
 		}
-		toSnap, _, err := s.Store().ByHash(infos[i+1].Version.Hash)
+		toSnap, _, err := s.store.ByHash(infos[i+1].Version.Hash)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -723,7 +743,7 @@ func TestChurnStepsMatchDiffLists(t *testing.T) {
 // equals step on the monthly timeline; top= bounds the ranking.
 func TestChurnDefaultsAndGranularity(t *testing.T) {
 	s, ts := newTimelineServer(t)
-	n := len(s.Store().Versions())
+	n := len(s.store.Versions())
 
 	var bare ChurnResponse
 	if code := getJSON(t, ts.URL+"/v1/churn", &bare); code != http.StatusOK {
@@ -795,7 +815,7 @@ func TestChurnErrors(t *testing.T) {
 // hit counts must be observable through /v1/metrics.
 func TestMetricsDiffCacheAndVersionHits(t *testing.T) {
 	s, ts := newTimelineServer(t)
-	infos := s.Store().Versions()
+	infos := s.store.Versions()
 	first, last := infos[0].Version.Hash, infos[len(infos)-1].Version.Hash
 
 	var m0 MetricsResponse
@@ -803,12 +823,12 @@ func TestMetricsDiffCacheAndVersionHits(t *testing.T) {
 		t.Fatalf("status %d", code)
 	}
 	// The timeline preload precomputed every adjacent pair (both
-	// directions) at Add time.
+	// directions, one DiffLists run each) at install time.
 	if want := 2 * (len(infos) - 1); m0.DiffCache.Entries != want {
-		t.Errorf("diff cache entries = %d, want %d swap-precomputed adjacents", m0.DiffCache.Entries, want)
+		t.Errorf("diff memo entries = %d, want %d swap-precomputed adjacents", m0.DiffCache.Entries, want)
 	}
-	if m0.DiffCache.Capacity == 0 {
-		t.Error("diff cache capacity missing from metrics")
+	if want := uint64(len(infos) - 1); m0.DiffCache.Computes != want {
+		t.Errorf("diff memo computes = %d, want %d", m0.DiffCache.Computes, want)
 	}
 
 	// An adjacent diff is a pure hit; a distant pair misses then hits.
@@ -857,5 +877,55 @@ func TestMetricsDiffCacheAndVersionHits(t *testing.T) {
 	}
 	if vh := byHash[last]; !vh.Current {
 		t.Errorf("last version should be flagged current: %+v", vh)
+	}
+}
+
+// TestMetricsSnapshotFieldsAgreeUnderSwaps: snapshot_hash and
+// snapshot_build come from one load of the current snapshot. Under a
+// swap loop between two lists of different sizes, every /v1/metrics
+// response must report the estimate of the snapshot its hash names.
+func TestMetricsSnapshotFieldsAgreeUnderSwaps(t *testing.T) {
+	small, err := dataset.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := amplify.Generate(amplify.Config{Sets: 300, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps := [2]*Snapshot{mustBuild(t, small), mustBuild(t, big)}
+	estimate := map[string]int64{}
+	for _, snap := range snaps {
+		estimate[snap.Hash()] = snap.BuildInfo().EstimatedBytes
+	}
+	if estimate[snaps[0].Hash()] == estimate[snaps[1].Hash()] {
+		t.Fatal("the two lists need different estimates")
+	}
+	s := New(small)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				s.store.AddSnapshot(snaps[i%2], core.Version{Source: "flap"})
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	for i := 0; i < 300; i++ {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
+		var m MetricsResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+			t.Fatal(err)
+		}
+		if want := estimate[m.SnapshotHash]; m.SnapshotBuild.EstimatedBytes != want {
+			t.Fatalf("response %d: snapshot %.12s reports estimated_bytes %d, want its own %d",
+				i, m.SnapshotHash, m.SnapshotBuild.EstimatedBytes, want)
+		}
 	}
 }

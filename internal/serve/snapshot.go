@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,25 +73,19 @@ type hostEntry struct {
 // service, cctld).
 const numRoles = 4
 
-// SnapshotOptions configures BuildSnapshot. The zero value reproduces
-// NewSnapshot: parallel construction across GOMAXPROCS shards with no
-// memory budget.
+// SnapshotOptions configures BuildSnapshot. The zero value builds with
+// no memory budget.
 type SnapshotOptions struct {
-	// Shards is the number of construction workers, and the number of
-	// shards the host index is split into. 0 means GOMAXPROCS.
-	Shards int
 	// MemoryBudget caps the estimated bytes of the snapshot's derived
-	// tables (host index, role tables, prebaked response bytes). 0 means
+	// tables (host index, prebaked response bytes). 0 means
 	// unlimited. It is fit or fail: a snapshot whose estimate exceeds the
 	// budget is not built, and BuildSnapshot errors.
 	MemoryBudget int64
 }
 
-// BuildInfo records how a snapshot was constructed — the shard count, the
-// wall-clock build time and the memory estimate. Exposed via /v1/metrics.
+// BuildInfo records how a snapshot was constructed — the wall-clock
+// build time and the memory estimate. Exposed via /v1/metrics.
 type BuildInfo struct {
-	// Shards is the worker/shard count actually used.
-	Shards int `json:"shards"`
 	// BuildNanos is the wall-clock construction time in nanoseconds.
 	BuildNanos int64 `json:"build_nanos"`
 	// EstimatedBytes is the estimated footprint of the derived tables.
@@ -106,8 +99,6 @@ type BuildInfo struct {
 // *core.List once:
 //
 //   - a normalized host index (every member keyed by canonical host),
-//     sharded so construction parallelises and lookups touch one shard,
-//   - per-role membership tables,
 //   - composition statistics,
 //   - a per-policy partition-verdict table over (topRole, embRole,
 //     sameSet), so /v1/partition for list members is a table lookup
@@ -118,7 +109,7 @@ type BuildInfo struct {
 //
 // A Snapshot's query plane is never mutated after construction returns,
 // so any number of request goroutines may read it without locks;
-// Server.Swap installs a fresh one atomically. The one mutable field is
+// Store.AddList installs a fresh one atomically. The one mutable field is
 // the atomic requests counter, which feeds the per-version hit metrics.
 type Snapshot struct {
 	list *core.List
@@ -138,13 +129,9 @@ type Snapshot struct {
 	requests atomic.Uint64
 
 	// sets is list.Sets(), the set-index space hostEntry.setIdx and
-	// respMembers are keyed by.
-	sets       []*core.Set
-	hostShards []map[string]hostEntry
-	byRole     [numRoles][]string
-
-	stats    core.CompositionStats
-	numSites int
+	// respMembers are keyed by; hosts is the host index.
+	sets  []*core.Set
+	hosts map[string]hostEntry
 
 	// The prebaked response plane (respbake.go): exact compact-JSON wire
 	// bytes for the enumerable answers, assembled into pooled buffers by
@@ -178,47 +165,31 @@ type Snapshot struct {
 	cross   [numPolicies]verdict
 }
 
-// NewSnapshot precomputes the query plane for list with default options.
-func NewSnapshot(list *core.List) *Snapshot {
-	s, err := BuildSnapshot(list, SnapshotOptions{})
-	if err != nil {
-		// Unreachable: construction can only fail under a MemoryBudget.
-		panic("serve: NewSnapshot: " + err.Error())
-	}
-	return s
+// BuildSnapshot precomputes the query plane for list under opts, with
+// one construction worker per GOMAXPROCS, clamped to [1, sets].
+func BuildSnapshot(list *core.List, opts SnapshotOptions) (*Snapshot, error) {
+	return buildSnapshot(list, runtime.GOMAXPROCS(0), opts.MemoryBudget)
 }
 
-// BuildSnapshot precomputes the query plane for list under opts.
-func BuildSnapshot(list *core.List, opts SnapshotOptions) (*Snapshot, error) {
+// buildSnapshot is BuildSnapshot with an explicit worker count.
+func buildSnapshot(list *core.List, workers int, budget int64) (*Snapshot, error) {
 	start := time.Now()
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if n := list.NumSets(); shards > n && n > 0 {
-		shards = n
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	s := newSnapshot(list, shards)
-	return s.finish(start, s.buildParallel(shards), opts.MemoryBudget)
+	workers = max(1, min(workers, list.NumSets()))
+	s := newSnapshot(list)
+	return s.finish(start, s.buildParallel(workers), budget)
 }
 
 // newSnapshot allocates a snapshot of list with its identity, policies
 // and empty tables, ready for a build pass to fill.
-func newSnapshot(list *core.List, shards int) *Snapshot {
+func newSnapshot(list *core.List) *Snapshot {
 	hash := list.Hash()
 	s := &Snapshot{
 		list:        list,
 		hash:        hash,
 		etag:        `"` + hash + `"`,
 		sets:        list.Sets(),
-		hostShards:  make([]map[string]hostEntry, shards),
+		hosts:       make(map[string]hostEntry, list.NumSites()),
 		respMembers: make([][]byte, list.NumSets()),
-		stats:       list.Stats(),
-		numSites:    list.NumSites(),
-		info:        BuildInfo{Shards: shards},
 	}
 	s.etagHeader = []string{s.etag}
 	s.policies = [numPolicies]policyInfo{
@@ -238,14 +209,13 @@ func newSnapshot(list *core.List, shards int) *Snapshot {
 // finish bakes the remaining response bytes over a filled build pass and
 // holds the total estimate to the budget — fit or fail, no degraded
 // snapshot. tableBytes is the build pass's estimate of the host index
-// and member fragments; the role tables add one string header per
-// member.
+// and member fragments.
 func (s *Snapshot) finish(start time.Time, tableBytes, budget int64) (*Snapshot, error) {
 	respBytes, err := s.bakeResponses()
 	if err != nil {
 		return nil, err
 	}
-	estimated := tableBytes + int64(s.numSites)*16 + respBytes
+	estimated := tableBytes + respBytes
 	if budget > 0 && estimated > budget {
 		return nil, fmt.Errorf("serve: snapshot needs an estimated %d bytes; memory budget is %d", estimated, budget)
 	}
@@ -266,35 +236,17 @@ func prebakeMembers(set *core.Set) []SetMember {
 	return pre
 }
 
-// shardOf maps a canonical host to its shard with inline FNV-1a; cheap
-// enough that lookups pay one short hash before the map access.
-//
-//rws:hotpath
-//rws:allocfree
-func shardOf(host string, n int) int {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(host); i++ {
-		h ^= uint32(host[i])
-		h *= prime32
-	}
-	return int(h % uint32(n))
-}
-
-// lookup resolves a canonical host against the sharded index.
+// lookup resolves a canonical host against the host index.
 //
 //rws:hotpath
 //rws:allocfree
 func (s *Snapshot) lookup(host string) (hostEntry, bool) {
-	e, ok := s.hostShards[shardOf(host, len(s.hostShards))][host]
+	e, ok := s.hosts[host]
 	return e, ok
 }
 
-// shardKV is one host-index entry routed to a shard during phase A.
-type shardKV struct {
+// hostKV is one host-index entry a phase-A worker emits.
+type hostKV struct {
 	host string
 	e    hostEntry
 }
@@ -302,7 +254,6 @@ type shardKV struct {
 // repPair is a worker's first member pair exhibiting a (topRole, embRole)
 // combination: the candidate representative for that verdict cell.
 type repPair struct {
-	setIdx   int32
 	top, emb string
 	filled   bool
 }
@@ -310,32 +261,29 @@ type repPair struct {
 // workerOut is everything one phase-A worker produces from its
 // contiguous set range, merged deterministically in phase B.
 type workerOut struct {
-	perShard [][]shardKV
-	byRole   [numRoles][]string
-	reps     [numRoles][numRoles]repPair
-	bytes    int64
+	hosts []hostKV
+	reps  [numRoles][numRoles]repPair
+	bytes int64
 }
 
-// buildParallel partitions the sets across `shards` workers. Each worker
-// owns a contiguous set range: it encodes member fragments (written to
-// disjoint indices of s.respMembers, race-free), routes host-index entries to
-// per-(worker,shard) buffers, accumulates worker-local role tables, and
-// records its first member pair per (topRole, embRole) combination. Phase
-// B then merges: per-shard maps are built in parallel with workers
-// applied in order, role tables are concatenated in worker order and
-// sorted (the sort makes the result order-insensitive anyway), and
-// verdict representatives are merged by taking the first worker's pair —
-// worker ranges are ordered, so that is exactly the globally-first pair
-// the serial path would have evaluated. Each verdict cell then gets one
-// fresh-profile evaluation per policy, identical to the serial result.
-// It returns the estimated bytes of the host index and member fragments.
-func (s *Snapshot) buildParallel(shards int) (tableBytes int64) {
-	outs := make([]*workerOut, shards)
+// buildParallel partitions the sets across `workers` goroutines. Each
+// worker owns a contiguous set range: it encodes member fragments
+// (written to disjoint indices of s.respMembers, race-free), emits its
+// host-index entries, and records its first member pair per (topRole,
+// embRole) combination. Phase B then fills the one host index from the
+// workers' outputs in worker order and merges the verdict
+// representatives by taking the first worker's pair — worker ranges are
+// ordered, so that is exactly the globally-first pair the serial path
+// would have evaluated. Each verdict cell then gets one fresh-profile
+// evaluation per policy, identical to the serial result. It returns the
+// estimated bytes of the host index and member fragments.
+func (s *Snapshot) buildParallel(workers int) (tableBytes int64) {
+	outs := make([]*workerOut, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < shards; w++ {
-		lo := w * len(s.sets) / shards
-		hi := (w + 1) * len(s.sets) / shards
-		out := &workerOut{perShard: make([][]shardKV, shards)}
+	for w := 0; w < workers; w++ {
+		lo := w * len(s.sets) / workers
+		hi := (w + 1) * len(s.sets) / workers
+		out := &workerOut{}
 		outs[w] = out
 		wg.Add(1)
 		go func(lo, hi int, out *workerOut) {
@@ -345,9 +293,7 @@ func (s *Snapshot) buildParallel(shards int) (tableBytes int64) {
 				ms := set.Members()
 				var present [numRoles]bool
 				for _, m := range ms {
-					sh := shardOf(m.Site, shards)
-					out.perShard[sh] = append(out.perShard[sh], shardKV{m.Site, hostEntry{set: set, setIdx: int32(i), role: m.Role}})
-					out.byRole[m.Role] = append(out.byRole[m.Role], m.Site)
+					out.hosts = append(out.hosts, hostKV{m.Site, hostEntry{set: set, setIdx: int32(i), role: m.Role}})
 					out.bytes += int64(len(m.Site)) + 64
 					present[m.Role] = true
 				}
@@ -376,7 +322,7 @@ func (s *Snapshot) buildParallel(shards int) (tableBytes int64) {
 						}
 						r := &out.reps[top.Role][emb.Role]
 						if !r.filled {
-							*r = repPair{setIdx: int32(i), top: top.Site, emb: emb.Site, filled: true}
+							*r = repPair{top: top.Site, emb: emb.Site, filled: true}
 						}
 					}
 				}
@@ -385,42 +331,10 @@ func (s *Snapshot) buildParallel(shards int) (tableBytes int64) {
 	}
 	wg.Wait()
 
-	// Phase B: per-shard host maps, built in parallel, workers applied in
-	// order (entries are unique across sets anyway — NewList guarantees
-	// disjoint sets — so order only matters for determinism of iteration
-	// internals, not contents).
-	wg.Add(shards)
-	for sh := 0; sh < shards; sh++ {
-		go func(sh int) {
-			defer wg.Done()
-			n := 0
-			for _, out := range outs {
-				n += len(out.perShard[sh])
-			}
-			m := make(map[string]hostEntry, n)
-			for _, out := range outs {
-				for _, kv := range out.perShard[sh] {
-					m[kv.host] = kv.e
-				}
-			}
-			s.hostShards[sh] = m
-		}(sh)
-	}
-	wg.Wait()
-
-	for r := 0; r < numRoles; r++ {
-		n := 0
-		for _, out := range outs {
-			n += len(out.byRole[r])
-		}
-		merged := make([]string, 0, n)
-		for _, out := range outs {
-			merged = append(merged, out.byRole[r]...)
-		}
-		sort.Strings(merged)
-		s.byRole[r] = merged
-	}
 	for _, out := range outs {
+		for _, kv := range out.hosts {
+			s.hosts[kv.host] = kv.e
+		}
 		tableBytes += out.bytes
 	}
 
@@ -462,19 +376,10 @@ func (s *Snapshot) Hash() string { return s.hash }
 func (s *Snapshot) NumSets() int { return s.list.NumSets() }
 
 // NumSites returns the number of member sites in the snapshot.
-func (s *Snapshot) NumSites() int { return s.numSites }
+func (s *Snapshot) NumSites() int { return s.list.NumSites() }
 
 // BuildInfo reports how the snapshot was constructed.
 func (s *Snapshot) BuildInfo() BuildInfo { return s.info }
-
-// SitesByRole returns the canonical member hosts holding role, sorted.
-// The slice is shared; callers must not mutate it.
-func (s *Snapshot) SitesByRole(role core.Role) []string {
-	if role < 0 || int(role) >= numRoles {
-		return nil
-	}
-	return s.byRole[role]
-}
 
 // SameSet answers a relatedness query against the precomputed host index.
 // Inputs may be any legitimate host spelling (scheme, port, trailing dot,

@@ -129,7 +129,7 @@ func TestSameSetMatchesScan(t *testing.T) {
 // cross-set sweep, and off-list fallbacks, under all four policies.
 func TestPartitionTableMatchesLive(t *testing.T) {
 	list := testList(t)
-	snap := NewSnapshot(list)
+	snap := mustBuild(t, list)
 	policies := []string{"rws", "strict", "prompt", "legacy"}
 
 	check := func(policy, top, emb string) {
@@ -176,7 +176,7 @@ func TestPartitionTableMatchesLive(t *testing.T) {
 
 func TestSnapshotAccessors(t *testing.T) {
 	list := testList(t)
-	snap := NewSnapshot(list)
+	snap := mustBuild(t, list)
 	if snap.List() != list {
 		t.Error("List() should return the source list")
 	}
@@ -186,31 +186,25 @@ func TestSnapshotAccessors(t *testing.T) {
 	if snap.NumSets() != list.NumSets() || snap.NumSites() != list.NumSites() {
 		t.Errorf("counts = %d/%d, want %d/%d", snap.NumSets(), snap.NumSites(), list.NumSets(), list.NumSites())
 	}
-	st := list.Stats()
-	byRole := map[core.Role]int{
-		core.RolePrimary:    list.NumSets(),
-		core.RoleAssociated: st.AssociatedSites,
-		core.RoleService:    st.ServiceSites,
-		core.RoleCCTLD:      st.CCTLDSites,
-	}
-	total := 0
-	for role, want := range byRole {
-		sites := snap.SitesByRole(role)
-		if len(sites) != want {
-			t.Errorf("SitesByRole(%s) = %d sites, want %d", role, len(sites), want)
-		}
-		for _, site := range sites {
-			if _, r, ok := list.FindSet(site); !ok || r != role {
-				t.Errorf("SitesByRole(%s) contains %q with role %v", role, site, r)
+	// Every member resolves through the host index to its own set and
+	// role, and the index holds nothing else.
+	perRole := map[core.Role]int{}
+	for i, set := range list.Sets() {
+		for _, m := range set.Members() {
+			e, ok := snap.lookup(m.Site)
+			if !ok || e.set != set || int(e.setIdx) != i || e.role != m.Role {
+				t.Errorf("lookup(%q) = %+v, %v, want set %s (index %d) role %s", m.Site, e, ok, set.Primary, i, m.Role)
 			}
+			perRole[m.Role]++
 		}
-		total += len(sites)
 	}
-	if total != list.NumSites() {
-		t.Errorf("role tables cover %d sites, want %d", total, list.NumSites())
+	st := list.Stats()
+	if perRole[core.RolePrimary] != list.NumSets() || perRole[core.RoleAssociated] != st.AssociatedSites ||
+		perRole[core.RoleService] != st.ServiceSites || perRole[core.RoleCCTLD] != st.CCTLDSites {
+		t.Errorf("members per role = %v, want the list's composition %+v", perRole, st)
 	}
-	if snap.SitesByRole(core.Role(99)) != nil {
-		t.Error("out-of-range role should return nil")
+	if len(snap.hosts) != list.NumSites() {
+		t.Errorf("host index holds %d hosts, want %d", len(snap.hosts), list.NumSites())
 	}
 }
 
@@ -477,7 +471,7 @@ func TestStatsCarriesSnapshotHash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Swap(alt)
+	swapList(t, s, alt)
 	var after StatsResponse
 	if code := getJSON(t, ts.URL+"/v1/stats", &after); code != http.StatusOK {
 		t.Fatalf("status %d", code)

@@ -53,8 +53,8 @@ type ChainEntry struct {
 // The current version stays on a lock-free atomic pointer, so the hot
 // path (every request without version=/as_of=) costs exactly what the
 // single-snapshot server cost: one atomic load. The mutex guards only
-// the version index, which is touched by swaps and by explicitly
-// versioned requests.
+// the version index and the diff memo, which are touched by swaps, by
+// explicitly versioned requests and by diffs.
 type Store struct {
 	cur   atomic.Pointer[Snapshot]
 	swaps atomic.Uint64
@@ -64,58 +64,41 @@ type Store struct {
 	byHash  map[string]*storeEntry // guarded by mu
 	cap     int
 
-	// diffs memoizes DiffLists results between retained versions, keyed
-	// by (fromHash, toHash). It has its own lock; the order is always
-	// st.mu → diffs.mu, never the reverse — declared for rws-lint below.
-	//
-	//rws:lockorder serve.Store.mu<serve.diffCache.mu
-	diffs *diffCache
+	// diffs is the diff memo (diffcache.go): one slot per ordered pair
+	// of retained hashes that was asked for or swapped through.
+	diffs map[diffKey]*diffMemo // guarded by mu
 
-	// flightMu guards flights, the singleflight table that collapses
-	// concurrent Diff misses for the same (from, to) pair into one
-	// core.DiffLists run. It is a leaf lock: held only around map
-	// bookkeeping, never while computing a diff or taking any other lock.
-	flightMu sync.Mutex
-	flights  map[diffKey]*diffFlight // guarded by flightMu
+	diffHits, diffMisses, diffInvalidations, diffComputes atomic.Uint64
 
-	// opts configures how Add/AddList build snapshots (shard count,
-	// memory budget). Immutable after construction.
+	// opts configures how AddList builds snapshots (memory budget).
+	// Immutable after construction.
 	opts SnapshotOptions
 }
 
 // NewStore returns an empty store retaining up to capacity versions
 // (capacity < 1 selects DefaultRetain). The store serves no queries
-// until the first Add.
+// until the first AddList.
 func NewStore(capacity int) *Store {
 	return NewStoreWith(capacity, SnapshotOptions{})
 }
 
 // NewStoreWith is NewStore with explicit snapshot-construction options,
-// applied to every list the store precomputes (Add/AddList). Snapshots
+// applied to every list the store precomputes (AddList). Snapshots
 // installed directly via AddSnapshot are the caller's to configure.
 func NewStoreWith(capacity int, opts SnapshotOptions) *Store {
 	if capacity < 1 {
 		capacity = DefaultRetain
 	}
 	return &Store{
-		byHash:  make(map[string]*storeEntry, capacity),
-		cap:     capacity,
-		diffs:   newDiffCache(diffCacheCap(capacity)),
-		flights: make(map[diffKey]*diffFlight),
-		opts:    opts,
+		byHash: make(map[string]*storeEntry, capacity),
+		diffs:  make(map[diffKey]*diffMemo),
+		cap:    capacity,
+		opts:   opts,
 	}
 }
 
-// diffFlight is one in-progress Diff computation: the winner closes done
-// after storing d, so waiters reading d after <-done are ordered by the
-// channel-close happens-before edge.
-type diffFlight struct {
-	done chan struct{}
-	d    core.Diff
-}
-
 // Current returns the snapshot answering unversioned queries. Lock-free;
-// this is the request fast path. Nil only before the first Add.
+// this is the request fast path. Nil only before the first AddList.
 //
 //rws:hotpath
 //rws:allocfree
@@ -134,16 +117,6 @@ func (st *Store) Len() int {
 // Swaps returns how many times the current version changed after the
 // initial install.
 func (st *Store) Swaps() uint64 { return st.swaps.Load() }
-
-// Add precomputes a snapshot for list and installs it as the current
-// version. The precompute runs on the caller, never on the request path.
-// The result is nil only when the store was built with a MemoryBudget
-// the list does not fit; budgeted callers should prefer AddList, which
-// reports that error.
-func (st *Store) Add(list *core.List, ver core.Version) *Snapshot {
-	snap, _ := st.AddList(list, ver)
-	return snap
-}
 
 // AddList precomputes a snapshot for list under the store's snapshot
 // options and installs it as the current version. The precompute runs on
@@ -192,21 +165,25 @@ func (st *Store) AddSnapshot(snap *Snapshot, ver core.Version) {
 	prev := st.cur.Load()
 	st.cur.Store(snap)
 	st.evictLocked()
-	st.mu.Unlock()
+	// Swap-time adjacent-pair precompute: the superseded→current diff is
+	// the pair the watcher log, /v1/diff and churn walks ask for first.
+	// Its slot is registered here, inside the install's locked region,
+	// and filled on the swap caller after unlocking — never on the request
+	// path. A pair a flapping source already left in the memo is not
+	// recomputed, and a retain-1 store, which supersedes and evicts prev
+	// in one motion, registers nothing.
+	var fill *diffMemo
 	if prev != nil && prev.hash != snap.hash {
 		st.swaps.Add(1)
-		// Swap-time adjacent-pair precompute: the superseded→current diff
-		// (and its inverse) is the pair the watcher log, /v1/diff, and
-		// churn walks ask for first. Computed here on the swap caller,
-		// never on the request path, and skipped when a flapping source
-		// already left the pair warm — or when prev itself was evicted by
-		// this very Add (a retain-1 store supersedes and evicts in one
-		// motion; memoDiff would discard the result anyway). memoDiff
-		// still guards against an eviction racing in after this check.
-		if !st.diffs.peek(prev.hash, snap.hash) && st.retained(prev.hash) {
-			st.diffs.computes.Add(1)
-			st.memoDiff(prev, snap, core.DiffLists(prev.list, snap.list))
+		k := diffKey{from: prev.hash, to: snap.hash}
+		if _, ok := st.diffs[k]; !ok && st.retainedLocked(prev.hash, snap.hash) {
+			fill = &diffMemo{}
+			st.diffs[k] = fill
 		}
+	}
+	st.mu.Unlock()
+	if fill != nil {
+		st.fill(fill, prev, snap)
 	}
 }
 
@@ -226,9 +203,9 @@ func (st *Store) evictLocked() {
 			delete(st.byHash, e.ver.Hash)
 			st.entries = append(st.entries[:i], st.entries[i+1:]...)
 			// Drop every memoized diff touching the evicted version: no
-			// retained version can request it any more, and the cache must
+			// retained version can request it any more, and the memo must
 			// not pin memory for hashes the store no longer serves.
-			st.diffs.removeHash(e.ver.Hash)
+			st.dropDiffsLocked(e.ver.Hash)
 			evicted = true
 			break
 		}
@@ -236,78 +213,6 @@ func (st *Store) evictLocked() {
 			return
 		}
 	}
-}
-
-// Diff returns the member-level diff from one retained snapshot to
-// another, memoized by content-hash pair: the first request per pair
-// computes core.DiffLists, every later one is a cache hit. Identical
-// endpoints short-circuit to the empty diff without touching the cache.
-//
-// Concurrent misses for the same pair are singleflighted: one caller
-// computes, the rest wait on the flight and share the result, so a
-// thundering herd on a cold pair costs one DiffLists run instead of N.
-// The flight entry is removed before done is closed, so a post-close
-// caller either hits the cache (the usual case) or recomputes — never
-// reads a stale flight.
-func (st *Store) Diff(from, to *Snapshot) core.Diff {
-	if from.hash == to.hash {
-		return core.Diff{}
-	}
-	if d, ok := st.diffs.get(from.hash, to.hash); ok {
-		return d
-	}
-	k := diffKey{from: from.hash, to: to.hash}
-	// Straight-line locked region (the shape lockguard verifies): look up
-	// or register the flight, then branch outside the lock.
-	st.flightMu.Lock()
-	f, waiting := st.flights[k]
-	if !waiting {
-		f = &diffFlight{done: make(chan struct{})}
-		st.flights[k] = f
-	}
-	st.flightMu.Unlock()
-	if waiting {
-		<-f.done
-		return f.d
-	}
-
-	// Winner: compute and memoize outside flightMu, then retire the
-	// flight before releasing the waiters.
-	st.diffs.computes.Add(1)
-	f.d = core.DiffLists(from.list, to.list)
-	st.memoDiff(from, to, f.d)
-	st.flightMu.Lock()
-	delete(st.flights, k)
-	st.flightMu.Unlock()
-	close(f.done)
-	return f.d
-}
-
-// retained reports whether a version with this content hash is
-// currently in the store.
-func (st *Store) retained(hash string) bool {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	_, ok := st.byHash[hash]
-	return ok
-}
-
-// memoDiff caches d (and its inverse — the reverse pair costs nothing
-// extra) for a from→to snapshot pair, but only while both endpoints are
-// still retained: inserting an entry for an evicted hash would leak it
-// past invalidation, since removeHash has already run. The membership
-// check and the insert happen under the store read lock, and eviction
-// removes entries under the write lock, so the check cannot race the
-// invalidation sweep.
-func (st *Store) memoDiff(from, to *Snapshot, d core.Diff) {
-	st.mu.RLock()
-	_, fok := st.byHash[from.hash]
-	_, tok := st.byHash[to.hash]
-	if fok && tok {
-		st.diffs.put(from.hash, to.hash, d)
-		st.diffs.put(to.hash, from.hash, d.Inverse())
-	}
-	st.mu.RUnlock()
 }
 
 // Chain returns the retained versions from one version to another,
@@ -372,33 +277,6 @@ func (st *Store) Chain(from, to core.Version) ([]ChainEntry, error) {
 	return ordered[fromIdx : toIdx+1], nil
 }
 
-// currentLocked returns the current snapshot together with its version
-// descriptor as one consistent pair. Callers hold st.mu (read or write);
-// AddSnapshot publishes the pointer inside the write lock, so a single
-// locked read cannot observe a snapshot from one swap and a descriptor
-// from another.
-//
-//rws:locked mu
-func (st *Store) currentLocked() (*Snapshot, core.Version, bool) {
-	cur := st.cur.Load()
-	if cur == nil {
-		return nil, core.Version{}, false
-	}
-	e, ok := st.byHash[cur.hash]
-	if !ok {
-		return nil, core.Version{}, false
-	}
-	return cur, e.ver, true
-}
-
-// CurrentVersion returns the current snapshot's version descriptor.
-func (st *Store) CurrentVersion() (core.Version, bool) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	_, ver, ok := st.currentLocked()
-	return ver, ok
-}
-
 // versionOf returns the descriptor snap's content is retained under,
 // false once it has been evicted.
 func (st *Store) versionOf(snap *Snapshot) (core.Version, bool) {
@@ -435,13 +313,19 @@ func (st *Store) Versions() []VersionInfo {
 // candidates; an unknown one wraps ErrVersionNotFound.
 func (st *Store) ByHash(spec string) (*Snapshot, core.Version, error) {
 	if spec == "" || spec == "current" {
+		// AddSnapshot publishes the pointer inside the write lock, so one
+		// locked read pairs the current snapshot with its own descriptor.
+		var ver core.Version
 		st.mu.RLock()
-		snap, ver, ok := st.currentLocked()
+		cur := st.cur.Load()
+		if cur != nil {
+			ver = st.byHash[cur.hash].ver
+		}
 		st.mu.RUnlock()
-		if !ok {
+		if cur == nil {
 			return nil, core.Version{}, fmt.Errorf("%w: store is empty", ErrVersionNotFound)
 		}
-		return snap, ver, nil
+		return cur, ver, nil
 	}
 	if len(spec) < 4 {
 		return nil, core.Version{}, fmt.Errorf("version %q too short: want at least 4 hash characters", spec)

@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -27,6 +29,54 @@ func listWithPrimary(t *testing.T, name string) *core.List {
 	return list
 }
 
+// mustAdd installs list into st under ver, failing the test if the store
+// refuses it.
+func mustAdd(tb testing.TB, st *Store, list *core.List, ver core.Version) *Snapshot {
+	tb.Helper()
+	snap, err := st.AddList(list, ver)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return snap
+}
+
+// mustBuild builds list's snapshot with the default options.
+func mustBuild(tb testing.TB, list *core.List) *Snapshot {
+	tb.Helper()
+	snap, err := BuildSnapshot(list, SnapshotOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return snap
+}
+
+// swapList installs list as s's current version, the way a watcher
+// delivery does. It reports a refusal with Errorf, so it is safe to call
+// from any goroutine.
+func swapList(tb testing.TB, s *Server, list *core.List) {
+	tb.Helper()
+	if _, err := s.store.AddList(list, core.Version{Source: "swap", ObservedAt: time.Now(), AsOf: time.Now()}); err != nil {
+		tb.Errorf("swap refused: %v", err)
+	}
+}
+
+// currentVersion returns st's current version descriptor.
+func currentVersion(st *Store) core.Version {
+	_, ver, _ := st.ByHash("current")
+	return ver
+}
+
+// memoKeys returns the keys of st's diff memo.
+func memoKeys(st *Store) []diffKey {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	keys := make([]diffKey, 0, len(st.diffs))
+	for k := range st.diffs {
+		keys = append(keys, k)
+	}
+	return keys
+}
+
 func monthVersion(month string) core.Version {
 	t, _ := time.Parse("2006-01", month)
 	return core.Version{Source: "test:" + month, ObservedAt: t, AsOf: t}
@@ -37,17 +87,16 @@ func TestStoreAddCurrentAndSwaps(t *testing.T) {
 	if st.Current() != nil || st.Len() != 0 {
 		t.Fatal("fresh store should be empty")
 	}
-	a := st.Add(listWithPrimary(t, "alpha"), monthVersion("2023-01"))
+	a := mustAdd(t, st, listWithPrimary(t, "alpha"), monthVersion("2023-01"))
 	if st.Current() != a || st.Swaps() != 0 {
-		t.Errorf("after first Add: current=%p swaps=%d, want the snapshot and 0 swaps", st.Current(), st.Swaps())
+		t.Errorf("after first AddList: current=%p swaps=%d, want the snapshot and 0 swaps", st.Current(), st.Swaps())
 	}
-	b := st.Add(listWithPrimary(t, "beta"), monthVersion("2023-02"))
+	b := mustAdd(t, st, listWithPrimary(t, "beta"), monthVersion("2023-02"))
 	if st.Current() != b || st.Swaps() != 1 || st.Len() != 2 {
-		t.Errorf("after second Add: swaps=%d len=%d", st.Swaps(), st.Len())
+		t.Errorf("after second AddList: swaps=%d len=%d", st.Swaps(), st.Len())
 	}
-	ver, ok := st.CurrentVersion()
-	if !ok || ver.Hash != b.Hash() || ver.Source != "test:2023-02" {
-		t.Errorf("CurrentVersion = %+v, %v", ver, ok)
+	if ver := currentVersion(st); ver.Hash != b.Hash() || ver.Source != "test:2023-02" {
+		t.Errorf("current version = %+v", ver)
 	}
 }
 
@@ -58,15 +107,15 @@ func TestStoreAddCurrentAndSwaps(t *testing.T) {
 func TestStoreDedupByHash(t *testing.T) {
 	st := NewStore(4)
 	list := listWithPrimary(t, "alpha")
-	st.Add(list, monthVersion("2023-01"))
-	st.Add(list, monthVersion("2023-06"))
+	mustAdd(t, st, list, monthVersion("2023-01"))
+	mustAdd(t, st, list, monthVersion("2023-06"))
 	if st.Len() != 1 {
 		t.Errorf("len = %d after re-adding the same content, want 1", st.Len())
 	}
 	if st.Swaps() != 0 {
 		t.Errorf("swaps = %d for an identical re-add, want 0", st.Swaps())
 	}
-	ver, _ := st.CurrentVersion()
+	ver := currentVersion(st)
 	if ver.Source != "test:2023-06" || ver.Hash == "" {
 		t.Errorf("provenance = %+v, want the latest source with the hash filled in", ver)
 	}
@@ -74,8 +123,8 @@ func TestStoreDedupByHash(t *testing.T) {
 	// under the flap's provenance: AsOf(now) must agree with the
 	// unversioned plane, not resolve to the superseded middle version.
 	other := listWithPrimary(t, "beta")
-	st.Add(other, monthVersion("2023-02"))
-	st.Add(list, monthVersion("2023-03"))
+	mustAdd(t, st, other, monthVersion("2023-02"))
+	mustAdd(t, st, list, monthVersion("2023-03"))
 	if st.Len() != 2 || st.Swaps() != 2 {
 		t.Errorf("after flapping: len=%d swaps=%d, want 2/2", st.Len(), st.Swaps())
 	}
@@ -92,7 +141,7 @@ func TestStoreEviction(t *testing.T) {
 	st := NewStore(3)
 	hashes := make([]string, 0, 5)
 	for i, name := range []string{"a", "b", "c", "d", "e"} {
-		snap := st.Add(listWithPrimary(t, name), monthVersion(fmt.Sprintf("2023-%02d", i+1)))
+		snap := mustAdd(t, st, listWithPrimary(t, name), monthVersion(fmt.Sprintf("2023-%02d", i+1)))
 		hashes = append(hashes, snap.Hash())
 	}
 	if st.Len() != 3 {
@@ -120,15 +169,15 @@ func TestStoreEviction(t *testing.T) {
 	if st.Current() != cur || st.Len() != 3 {
 		t.Fatalf("re-install: current=%p len=%d", st.Current(), st.Len())
 	}
-	st.Add(listWithPrimary(t, "f"), monthVersion("2023-09"))
+	mustAdd(t, st, listWithPrimary(t, "f"), monthVersion("2023-09"))
 	if _, _, err := st.ByHash(hashes[2]); !errors.Is(err, ErrVersionNotFound) {
 		t.Errorf("superseded oldest version should be evicted first: %v", err)
 	}
 
 	// Capacity 1 degenerates to the single-snapshot plane.
 	one := NewStore(1)
-	one.Add(listWithPrimary(t, "x"), monthVersion("2023-01"))
-	one.Add(listWithPrimary(t, "y"), monthVersion("2023-02"))
+	mustAdd(t, one, listWithPrimary(t, "x"), monthVersion("2023-01"))
+	mustAdd(t, one, listWithPrimary(t, "y"), monthVersion("2023-02"))
 	if one.Len() != 1 || one.Current().NumSets() != 1 {
 		t.Errorf("capacity-1 store: len=%d", one.Len())
 	}
@@ -136,7 +185,7 @@ func TestStoreEviction(t *testing.T) {
 
 func TestStoreByHashResolution(t *testing.T) {
 	st := NewStore(4)
-	snap := st.Add(listWithPrimary(t, "alpha"), monthVersion("2023-01"))
+	snap := mustAdd(t, st, listWithPrimary(t, "alpha"), monthVersion("2023-01"))
 	full := snap.Hash()
 
 	for _, spec := range []string{full, full[:12], full[:4], "", "current"} {
@@ -177,8 +226,8 @@ func TestStoreByHashAmbiguous(t *testing.T) {
 
 func TestStoreAsOf(t *testing.T) {
 	st := NewStore(4)
-	jan := st.Add(listWithPrimary(t, "january"), monthVersion("2023-01"))
-	mar := st.Add(listWithPrimary(t, "march"), monthVersion("2023-03"))
+	jan := mustAdd(t, st, listWithPrimary(t, "january"), monthVersion("2023-01"))
+	mar := mustAdd(t, st, listWithPrimary(t, "march"), monthVersion("2023-03"))
 
 	for _, tc := range []struct {
 		spec string
@@ -213,8 +262,8 @@ func TestStoreAsOf(t *testing.T) {
 // times, and "current".
 func TestStoreResolveSpellings(t *testing.T) {
 	st := NewStore(4)
-	jan := st.Add(listWithPrimary(t, "january"), monthVersion("2023-01"))
-	mar := st.Add(listWithPrimary(t, "march"), monthVersion("2023-03"))
+	jan := mustAdd(t, st, listWithPrimary(t, "january"), monthVersion("2023-01"))
+	mar := mustAdd(t, st, listWithPrimary(t, "march"), monthVersion("2023-03"))
 	for spec, want := range map[string]*Snapshot{
 		"2023-01":       jan,
 		"2023-02-01":    jan,
@@ -229,7 +278,7 @@ func TestStoreResolveSpellings(t *testing.T) {
 	}
 }
 
-// TestStoreConcurrentAddAndResolve hammers Add, Current, and the
+// TestStoreConcurrentAddAndResolve hammers AddSnapshot, Current, and the
 // versioned resolvers from many goroutines (run with -race).
 func TestStoreConcurrentAddAndResolve(t *testing.T) {
 	st := NewStore(4)
@@ -240,7 +289,7 @@ func TestStoreConcurrentAddAndResolve(t *testing.T) {
 	}
 	snaps := make([]*Snapshot, len(lists))
 	for i, l := range lists {
-		snaps[i] = NewSnapshot(l)
+		snaps[i] = mustBuild(t, l)
 	}
 	st.AddSnapshot(snaps[0], monthVersion("2023-01"))
 
@@ -270,38 +319,37 @@ func TestStoreConcurrentAddAndResolve(t *testing.T) {
 }
 
 // TestStoreDiffMemoization: the first Diff per (from, to) pair computes
-// and caches; repeats are hits; the inverse pair is pre-seeded; identical
-// endpoints short-circuit without touching the cache.
+// and memoizes; repeats are hits; the inverse pair is pre-seeded;
+// identical endpoints short-circuit without touching the memo.
 func TestStoreDiffMemoization(t *testing.T) {
 	st := NewStore(4)
-	a := st.Add(listWithPrimary(t, "alpha"), monthVersion("2023-01"))
-	b := NewSnapshot(listWithPrimary(t, "beta"))
+	a := mustAdd(t, st, listWithPrimary(t, "alpha"), monthVersion("2023-01"))
+	b := mustBuild(t, listWithPrimary(t, "beta"))
 
-	// b is not retained yet: the diff computes but must not be cached
-	// (an unretained hash could never be invalidated).
+	// b is not retained yet: the diff computes but must not be memoized
+	// (an unretained hash could never be invalidated), and counts a miss.
 	d := st.Diff(a, b)
 	if d.Empty() {
 		t.Fatal("alpha→beta diff should not be empty")
 	}
-	if n := st.diffs.len(); n != 0 {
-		t.Errorf("cache holds %d entries for an unretained endpoint, want 0", n)
+	if m := st.diffMetrics(); m.Entries != 0 || m.Misses != 1 || m.Computes != 1 {
+		t.Errorf("memo after an unretained diff = %+v, want 0 entries, 1 miss, 1 compute", m)
 	}
 
 	st.AddSnapshot(b, monthVersion("2023-02"))
-	// The swap precomputed the adjacent pair in both directions.
-	if n := st.diffs.len(); n != 2 {
-		t.Errorf("cache holds %d entries after the swap precompute, want 2", n)
+	// The swap precomputed the adjacent pair in both directions, counting
+	// a compute but neither a hit nor a miss.
+	if m := st.diffMetrics(); m.Entries != 2 || m.Computes != 2 || m.Hits != 0 || m.Misses != 1 {
+		t.Errorf("memo after the swap precompute = %+v, want 2 entries, 2 computes, no new hits or misses", m)
 	}
-	misses := st.diffs.misses.Load()
 	if got := st.Diff(a, b); !reflect.DeepEqual(got, d) {
 		t.Errorf("memoized diff = %+v, want %+v", got, d)
 	}
 	if got := st.Diff(b, a); !reflect.DeepEqual(got, d.Inverse()) {
 		t.Errorf("inverse diff = %+v, want %+v", got, d.Inverse())
 	}
-	if st.diffs.misses.Load() != misses || st.diffs.hits.Load() < 2 {
-		t.Errorf("hits=%d misses=%d after warm reads, want hits and no new misses",
-			st.diffs.hits.Load(), st.diffs.misses.Load())
+	if m := st.diffMetrics(); m.Misses != 1 || m.Hits != 2 || m.Computes != 2 {
+		t.Errorf("memo after warm reads = %+v, want 2 hits and no new misses or computes", m)
 	}
 	if got := st.Diff(a, a); !got.Empty() {
 		t.Errorf("same-endpoint diff = %+v, want empty", got)
@@ -309,14 +357,14 @@ func TestStoreDiffMemoization(t *testing.T) {
 }
 
 // TestStoreDiffCacheInvalidationOnEvict: evicting a version must drop
-// every cached diff that touches its hash.
+// every memoized diff that touches its hash.
 func TestStoreDiffCacheInvalidationOnEvict(t *testing.T) {
 	st := NewStore(3)
 	snaps := make([]*Snapshot, 0, 4)
 	for i, name := range []string{"a", "b", "c"} {
-		snaps = append(snaps, st.Add(listWithPrimary(t, name), monthVersion(fmt.Sprintf("2023-%02d", i+1))))
+		snaps = append(snaps, mustAdd(t, st, listWithPrimary(t, name), monthVersion(fmt.Sprintf("2023-%02d", i+1))))
 	}
-	// Fill the cache with every ordered pair.
+	// Fill the memo with every ordered pair.
 	for _, from := range snaps {
 		for _, to := range snaps {
 			if from != to {
@@ -324,18 +372,18 @@ func TestStoreDiffCacheInvalidationOnEvict(t *testing.T) {
 			}
 		}
 	}
-	if n := st.diffs.len(); n != 6 {
-		t.Fatalf("cache holds %d entries, want all 6 ordered pairs", n)
+	if n := len(memoKeys(st)); n != 6 {
+		t.Fatalf("memo holds %d slots, want all 6 ordered pairs", n)
 	}
 	evictedHash := snaps[0].Hash()
-	st.Add(listWithPrimary(t, "d"), monthVersion("2023-04")) // evicts "a"
-	for _, k := range st.diffs.keys() {
+	mustAdd(t, st, listWithPrimary(t, "d"), monthVersion("2023-04")) // evicts "a"
+	for _, k := range memoKeys(st) {
 		if k.from == evictedHash || k.to == evictedHash {
-			t.Errorf("cache still holds %v after evicting %.8s", k, evictedHash)
+			t.Errorf("memo still holds %v after evicting %.8s", k, evictedHash)
 		}
 	}
-	if st.diffs.invalidations.Load() == 0 {
-		t.Error("invalidation counter did not move")
+	if st.diffMetrics().Invalidations != 4 {
+		t.Errorf("invalidations = %d, want the 4 slots touching the evicted version", st.diffMetrics().Invalidations)
 	}
 	// The evicted version itself must answer a clean not-found.
 	if _, _, err := st.ByHash(evictedHash); !errors.Is(err, ErrVersionNotFound) {
@@ -343,28 +391,93 @@ func TestStoreDiffCacheInvalidationOnEvict(t *testing.T) {
 	}
 }
 
-// TestDiffCacheLRU: past capacity the least recently used entry goes
-// first; a get refreshes recency.
-func TestDiffCacheLRU(t *testing.T) {
-	c := newDiffCache(2)
-	c.put("aaaa", "bbbb", core.Diff{AddedSets: []string{"a"}})
-	c.put("cccc", "dddd", core.Diff{AddedSets: []string{"c"}})
-	if _, ok := c.get("aaaa", "bbbb"); !ok { // refresh (aaaa,bbbb)
-		t.Fatal("warm entry missing")
+// TestStoreDiffMemoMatchesOracle drives a retain-3 store through seeded
+// random installs, including flaps back to retained hashes, and random
+// diffs over retained and evicted pairs. After every step the memo may
+// name only retained hashes, holds at most 3·2 slots, and every diff the
+// store returned equals core.DiffLists of the two lists.
+func TestStoreDiffMemoMatchesOracle(t *testing.T) {
+	const retain, revisions = 3, 6
+	rng := rand.New(rand.NewSource(7))
+	lists := make([]*core.List, revisions)
+	for i := range lists {
+		// Each revision holds its own set plus a random half of a shared
+		// pool, so pairs differ in both added and removed sets.
+		sets := []string{fmt.Sprintf(`{"primary":"https://rev%d.com"}`, i)}
+		for p := 0; p < 6; p++ {
+			if rng.Intn(2) == 0 {
+				member := fmt.Sprintf("https://pool%d-%d.com", p, rng.Intn(2))
+				sets = append(sets, fmt.Sprintf(`{"primary":"https://pool%d.com","associatedSites":[%q],"rationaleBySite":{%q:"brand"}}`, p, member, member))
+			}
+		}
+		list, err := core.ParseJSON([]byte(`{"sets":[` + strings.Join(sets, ",") + `]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lists[i] = list
 	}
-	c.put("eeee", "ffff", core.Diff{AddedSets: []string{"e"}}) // evicts (cccc,dddd)
-	if _, ok := c.get("cccc", "dddd"); ok {
-		t.Error("LRU entry survived past capacity")
+	st := NewStore(retain)
+	snaps := make([]*Snapshot, revisions) // latest snapshot per revision, retained or not
+	snaps[0] = mustAdd(t, st, lists[0], monthVersion("2023-01"))
+	base, _ := time.Parse("2006-01", "2023-01")
+	for step := 0; step < 300; step++ {
+		if rng.Intn(3) == 0 {
+			i := rng.Intn(revisions)
+			at := base.Add(time.Duration(step) * time.Hour)
+			snaps[i] = mustAdd(t, st, lists[i], core.Version{Source: "oracle", ObservedAt: at, AsOf: at})
+		} else {
+			a, b := rng.Intn(revisions), rng.Intn(revisions)
+			if snaps[a] == nil || snaps[b] == nil {
+				continue
+			}
+			got := st.Diff(snaps[a], snaps[b])
+			if want := core.DiffLists(lists[a], lists[b]); got.Empty() != want.Empty() || (!want.Empty() && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("step %d: Diff(rev%d, rev%d) = %+v, want %+v", step, a, b, got, want)
+			}
+		}
+		retained := make(map[string]bool)
+		for _, vi := range st.Versions() {
+			retained[vi.Version.Hash] = true
+		}
+		keys := memoKeys(st)
+		if len(keys) > retain*(retain-1) {
+			t.Fatalf("step %d: memo holds %d slots, want at most %d", step, len(keys), retain*(retain-1))
+		}
+		for _, k := range keys {
+			if !retained[k.from] || !retained[k.to] {
+				t.Fatalf("step %d: memo slot %.8s→%.8s names an unretained hash", step, k.from, k.to)
+			}
+		}
 	}
-	if _, ok := c.get("aaaa", "bbbb"); !ok {
-		t.Error("recently used entry was evicted")
+}
+
+// TestStoreDiffInversePairsConcurrently: callers racing on a cold pair
+// in both directions each get the exact diff for their direction, and
+// none waits on the other direction's computation (a slot that seeds its
+// inverse never calls into that slot's once).
+func TestStoreDiffInversePairsConcurrently(t *testing.T) {
+	st := NewStore(4)
+	a := mustAdd(t, st, listWithPrimary(t, "alpha"), monthVersion("2023-01"))
+	mustAdd(t, st, listWithPrimary(t, "beta"), monthVersion("2023-02"))
+	c := mustAdd(t, st, listWithPrimary(t, "gamma"), monthVersion("2023-03"))
+	pairs := [2][2]*Snapshot{{a, c}, {c, a}}
+	const callers = 32
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(p [2]*Snapshot) {
+			defer wg.Done()
+			<-start
+			if got, want := st.Diff(p[0], p[1]), core.DiffLists(p[0].list, p[1].list); !reflect.DeepEqual(got, want) {
+				t.Errorf("Diff(%.8s, %.8s) = %+v, want %+v", p[0].Hash(), p[1].Hash(), got, want)
+			}
+		}(pairs[i%2])
 	}
-	if c.evictions.Load() != 1 {
-		t.Errorf("evictions = %d, want 1", c.evictions.Load())
-	}
-	m := c.metrics()
-	if m.entries != 2 || m.capacity != 2 {
-		t.Errorf("metrics = %+v", m)
+	close(start)
+	wg.Wait()
+	if m := st.diffMetrics(); m.Computes > 2+2 { // two swap-time fills plus at most one per direction
+		t.Errorf("computes = %d, want at most one per direction", m.Computes)
 	}
 }
 
@@ -375,9 +488,8 @@ func TestStoreChain(t *testing.T) {
 	st := NewStore(4)
 	var vers []core.Version
 	for i, name := range []string{"a", "b", "c"} {
-		st.Add(listWithPrimary(t, name), monthVersion(fmt.Sprintf("2023-%02d", i+1)))
-		ver, _ := st.CurrentVersion()
-		vers = append(vers, ver)
+		mustAdd(t, st, listWithPrimary(t, name), monthVersion(fmt.Sprintf("2023-%02d", i+1)))
+		vers = append(vers, currentVersion(st))
 	}
 	chain, err := st.Chain(vers[0], vers[2])
 	if err != nil || len(chain) != 3 {
@@ -395,8 +507,8 @@ func TestStoreChain(t *testing.T) {
 		t.Errorf("inverted chain: err = %v, want an ordering error", err)
 	}
 	gone := vers[0]
-	st.Add(listWithPrimary(t, "d"), monthVersion("2023-04"))
-	st.Add(listWithPrimary(t, "e"), monthVersion("2023-05")) // evicts "a"
+	mustAdd(t, st, listWithPrimary(t, "d"), monthVersion("2023-04"))
+	mustAdd(t, st, listWithPrimary(t, "e"), monthVersion("2023-05")) // evicts "a"
 	if _, err = st.Chain(gone, vers[2]); !errors.Is(err, ErrVersionNotFound) {
 		t.Errorf("chain from evicted version: err = %v, want ErrVersionNotFound", err)
 	}
@@ -406,11 +518,11 @@ func TestStoreChain(t *testing.T) {
 // eviction bugfix: hammer /v1/diff (and /v1/churn) with every hash ever
 // served while a writer churns the store far past its capacity. Every
 // response must be a 200 or a clean 404 JSON envelope — never a 500,
-// never a non-JSON body — and afterwards the diff cache must reference
+// never a non-JSON body — and afterwards the diff memo must reference
 // only retained hashes.
 func TestDiffAcrossEvictionUnderTraffic(t *testing.T) {
 	st := NewStore(3)
-	st.Add(listWithPrimary(t, "seed"), monthVersion("2022-12"))
+	mustAdd(t, st, listWithPrimary(t, "seed"), monthVersion("2022-12"))
 	s := NewFromStore(st)
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
@@ -421,7 +533,7 @@ func TestDiffAcrossEvictionUnderTraffic(t *testing.T) {
 	snaps := make([]*Snapshot, revisions)
 	hashes := make([]string, revisions)
 	for i := range snaps {
-		snaps[i] = NewSnapshot(listWithPrimary(t, fmt.Sprintf("churn%02d", i)))
+		snaps[i] = mustBuild(t, listWithPrimary(t, fmt.Sprintf("churn%02d", i)))
 		hashes[i] = snaps[i].Hash()
 	}
 
@@ -491,34 +603,37 @@ func TestDiffAcrossEvictionUnderTraffic(t *testing.T) {
 	close(stop)
 	writer.Wait()
 
-	// Hygiene: after the dust settles the cache may reference only
+	// Hygiene: after the dust settles the memo may reference only
 	// retained hashes.
 	retained := make(map[string]bool)
 	for _, vi := range st.Versions() {
 		retained[vi.Version.Hash] = true
 	}
-	for _, k := range st.diffs.keys() {
+	for _, k := range memoKeys(st) {
 		if !retained[k.from] || !retained[k.to] {
-			t.Errorf("diff cache references unretained pair %v", k)
+			t.Errorf("diff memo references unretained pair %v", k)
 		}
 	}
 }
 
 // TestStoreDiffSingleflight: N concurrent Diff calls for the same cold
 // pair must run core.DiffLists exactly once — the rest wait on the
-// flight and share the winner's result. Run under -race this is also
-// the happens-before proof for the flight handoff. The pair is
+// slot's once and share the winner's result. Run under -race this is
+// also the happens-before proof for the slot handoff. The pair is
 // deliberately non-adjacent (a→c) so the swap-time precompute cannot
 // warm it first.
 func TestStoreDiffSingleflight(t *testing.T) {
 	st := NewStore(4)
-	a := st.Add(listWithPrimary(t, "alpha"), monthVersion("2023-01"))
-	st.Add(listWithPrimary(t, "beta"), monthVersion("2023-02"))
-	c := st.Add(listWithPrimary(t, "gamma"), monthVersion("2023-03"))
-	if _, ok := st.diffs.get(a.Hash(), c.Hash()); ok {
-		t.Fatal("a→c pair is already warm; the test needs a cold pair")
+	a := mustAdd(t, st, listWithPrimary(t, "alpha"), monthVersion("2023-01"))
+	mustAdd(t, st, listWithPrimary(t, "beta"), monthVersion("2023-02"))
+	c := mustAdd(t, st, listWithPrimary(t, "gamma"), monthVersion("2023-03"))
+	k := diffKey{from: a.Hash(), to: c.Hash()}
+	for _, have := range memoKeys(st) {
+		if have == k {
+			t.Fatal("a→c pair is already warm; the test needs a cold pair")
+		}
 	}
-	before := st.diffs.computes.Load()
+	before := st.diffMetrics()
 
 	const callers = 32
 	start := make(chan struct{})
@@ -535,7 +650,8 @@ func TestStoreDiffSingleflight(t *testing.T) {
 	close(start)
 	wg.Wait()
 
-	if got := st.diffs.computes.Load() - before; got != 1 {
+	after := st.diffMetrics()
+	if got := after.Computes - before.Computes; got != 1 {
 		t.Errorf("%d concurrent misses ran DiffLists %d times, want 1", callers, got)
 	}
 	want := core.DiffLists(a.list, c.list)
@@ -544,14 +660,8 @@ func TestStoreDiffSingleflight(t *testing.T) {
 			t.Errorf("caller %d got diff %+v, want %+v", i, d, want)
 		}
 	}
-	// The flight table must be empty afterwards and the pair warm.
-	st.flightMu.Lock()
-	inflight := len(st.flights)
-	st.flightMu.Unlock()
-	if inflight != 0 {
-		t.Errorf("%d flights still registered after all callers returned", inflight)
-	}
-	if _, ok := st.diffs.get(a.Hash(), c.Hash()); !ok {
-		t.Error("a→c pair is not cached after the singleflight compute")
+	// One caller registered the slot (a miss); every other one found it.
+	if misses, hits := after.Misses-before.Misses, after.Hits-before.Hits; misses != 1 || hits != callers-1 {
+		t.Errorf("misses=%d hits=%d, want 1 and %d", misses, hits, callers-1)
 	}
 }

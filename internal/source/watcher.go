@@ -72,8 +72,9 @@ func (w *Watcher) Refresh() {
 
 // Run polls until ctx is cancelled, calling deliver (on the Run
 // goroutine) for every list change. Consumers that must not block the
-// poll loop should hand off from deliver themselves; serve.Server.Swap
-// is cheap relative to any poll interval and is called directly.
+// poll loop should hand off from deliver themselves; serve.Server's
+// SwapDeliver is cheap relative to any poll interval and is called
+// directly.
 func (w *Watcher) Run(ctx context.Context, deliver func(Swap)) {
 	var tick <-chan time.Time
 	if w.interval > 0 {

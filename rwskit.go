@@ -41,9 +41,7 @@ import (
 	"context"
 	"sort"
 	"strings"
-	"time"
 
-	"rwskit/internal/amplify"
 	"rwskit/internal/analysis"
 	"rwskit/internal/browser"
 	"rwskit/internal/core"
@@ -52,7 +50,6 @@ import (
 	"rwskit/internal/domain"
 	"rwskit/internal/psl"
 	"rwskit/internal/serve"
-	"rwskit/internal/source"
 	"rwskit/internal/validate"
 	"rwskit/internal/wellknown"
 )
@@ -63,9 +60,6 @@ type List = core.List
 
 // Set is one Related Website Set.
 type Set = core.Set
-
-// Member is a site's membership record within a set.
-type Member = core.Member
 
 // Role identifies how a site participates in a set.
 type Role = core.Role
@@ -96,46 +90,9 @@ type Diff = core.Diff
 // DiffLists compares two list snapshots by set primary.
 func DiffLists(old, new *List) Diff { return core.DiffLists(old, new) }
 
-// ComposeDiffs combines the diffs old→mid and mid→new into old→new,
-// cancelling changes that were undone across the span. See
-// core.ComposeDiffs for the one caveat (a set removed and re-added).
-func ComposeDiffs(a, b Diff) Diff { return core.ComposeDiffs(a, b) }
-
-// ChurnReport digests a chronological chain of list snapshots: per-step
-// and cumulative add/remove/mutate counts, per-set lifecycles (born,
-// died, renamed), and a volatility ranking. rws-serve's /v1/churn
-// endpoint serves the same digest over its retained version chain.
-type ChurnReport = core.ChurnReport
-
-// ChurnStep is one transition of a ChurnReport.
-type ChurnStep = core.ChurnStep
-
-// SetLifecycle tracks one set primary across a churn window.
-type SetLifecycle = core.SetLifecycle
-
-// Churn builds a ChurnReport over a chronological snapshot chain.
-// adjacent, when non-nil, must hold DiffLists(lists[i], lists[i+1]) at
-// index i (callers with precomputed diffs pass them; nil recomputes).
-func Churn(lists []*List, adjacent []Diff) (ChurnReport, error) {
-	return core.Churn(lists, adjacent)
-}
-
 // Version identifies one list revision held by a version store: content
 // hash plus provenance (source, observed-at, as-of time).
 type Version = core.Version
-
-// CanonicalHost normalizes a site spelling to the canonical bare-host
-// form list lookups use: lowercased, scheme prefix, ":port" suffix,
-// trailing slash, and trailing root-label dot stripped. All of
-// "example.com", "HTTPS://EXAMPLE.COM:443/", and "example.com." answer
-// the same in SameSet, FindSet, and every rws-serve endpoint.
-func CanonicalHost(s string) string { return core.CanonicalHost(s) }
-
-// SuffixList is a compiled Public Suffix List.
-type SuffixList = psl.List
-
-// DefaultSuffixList returns the embedded Public Suffix List snapshot.
-func DefaultSuffixList() *SuffixList { return psl.Default() }
 
 // ETLDPlusOne returns the registrable domain (eTLD+1) of host under the
 // default suffix list — the Web's site-as-privacy-boundary unit.
@@ -156,12 +113,6 @@ func SLD(host string) (string, error) {
 // ValidationReport is the outcome of validating a proposed set.
 type ValidationReport = validate.Report
 
-// ValidationIssue is a single bot-comment-style validation failure.
-type ValidationIssue = validate.Issue
-
-// ValidationCode is a bot comment category (the Table 3 labels).
-type ValidationCode = validate.Code
-
 // Validator runs the RWS submission checks.
 type Validator = validate.Validator
 
@@ -179,15 +130,8 @@ func ValidateSetOffline(ctx context.Context, s *Set) ValidationReport {
 	return validate.New(psl.Default(), nil, nil).ValidateSet(ctx, s)
 }
 
-// WellKnownPath is the path every set member must serve its RWS membership
-// document on.
-const WellKnownPath = wellknown.Path
-
 // Browser is a simulated browsing profile with partitioned storage.
 type Browser = browser.Browser
-
-// Policy decides storage semantics for a vendor configuration.
-type Policy = browser.Policy
 
 // NewStrictBrowser returns a profile that always partitions third-party
 // storage and never grants access (Brave-like).
@@ -218,32 +162,11 @@ type EntitiesList = disconnect.List
 // against an ownership-based entities list.
 type OwnershipComparison = disconnect.Comparison
 
-// ParseEntitiesList parses the upstream Disconnect entities JSON format.
-func ParseEntitiesList(data []byte) (*EntitiesList, error) {
-	return disconnect.ParseJSON(data)
-}
-
 // CompareOwnership measures how much of the RWS relatedness relation is
 // backed by common ownership per the entities list — the paper's §5
 // "crucial difference".
 func CompareOwnership(entities *EntitiesList, rws *List) OwnershipComparison {
 	return disconnect.CompareWithRWS(entities, rws)
-}
-
-// GrantNotice is a user-visible indication that a privacy boundary was
-// relaxed — the browser-UI mechanism the paper's conclusion proposes.
-type GrantNotice = browser.Notice
-
-// IndicatingPolicy wraps a policy and records a GrantNotice for every
-// grant it issues.
-type IndicatingPolicy = browser.IndicatingPolicy
-
-// NewIndicatingRWSBrowser returns a Chrome-like RWS browser whose grants
-// are surfaced as user-visible notices, plus the policy wrapper holding
-// them.
-func NewIndicatingRWSBrowser(list *List) (*Browser, *IndicatingPolicy) {
-	p := &browser.IndicatingPolicy{Inner: browser.RWSPolicy{List: list}}
-	return browser.New(p), p
 }
 
 // Server answers RWS queries over HTTP (sameset incl. batch pairs, set,
@@ -253,11 +176,6 @@ func NewIndicatingRWSBrowser(list *List) (*Browser, *IndicatingPolicy) {
 // contract and cmd/rws-serve for the standalone binary.
 type Server = serve.Server
 
-// NewServer returns an http.Handler serving RWS queries against list,
-// precomputing the query plane (host index, per-role tables, partition
-// verdict table) once up front. Server.Swap hot-swaps it under traffic.
-func NewServer(list *List) *Server { return serve.New(list) }
-
 // ServerStore is a bounded version store of precomputed snapshots: the
 // current version serves the lock-free fast path, superseded versions
 // stay queryable by hash or as-of time, and diffs between any two
@@ -265,8 +183,8 @@ func NewServer(list *List) *Server { return serve.New(list) }
 type ServerStore = serve.Store
 
 // NewServerStore returns an empty version store retaining up to capacity
-// versions (capacity < 1 selects serve.DefaultRetain). Add at least one
-// version before serving from it.
+// versions (capacity < 1 selects serve.DefaultRetain). Install at least
+// one version with AddList before serving from it.
 func NewServerStore(capacity int) *ServerStore { return serve.NewStore(capacity) }
 
 // NewServerFromStore returns a Server answering queries from st, which
@@ -274,67 +192,8 @@ func NewServerStore(capacity int) *ServerStore { return serve.NewStore(capacity)
 // the monthly study-window snapshots) before taking traffic.
 func NewServerFromStore(st *ServerStore) *Server { return serve.NewFromStore(st) }
 
-// AmplifyConfig configures AmplifyList: the set count, the seed, and an
-// optional composition profile (nil samples the embedded snapshot's
-// empirical distributions).
-type AmplifyConfig = amplify.Config
-
-// AmplifyProfile holds the empirical per-set fan-out distributions an
-// amplified list is sampled from; derive one from any list with
-// amplify.ProfileOf.
-type AmplifyProfile = amplify.Profile
-
-// AmplifyList generates a deterministic synthetic RWS list at the
-// configured scale (10⁴–10⁶ sets), shaped like the real list: every set
-// passes the structural submission checks and aggregate composition
-// matches the embedded snapshot's distributions within sampling noise.
-// The same config reproduces the same list bit-for-bit.
-func AmplifyList(cfg AmplifyConfig) (*List, error) { return amplify.Generate(cfg) }
-
-// ListSource produces list revisions with change detection: Fetch returns
-// ErrListNotModified when the list is unchanged since the previous
-// successful Fetch. File and HTTP implementations ship today; see
-// OpenSource.
-type ListSource = source.Source
-
-// SourceMeta records the provenance of a fetched list revision (content
-// hash plus file stat or HTTP validators).
-type SourceMeta = source.Meta
-
-// SourceSwap is one list change delivered by a SourceWatcher: the new
-// list, its provenance, and a diff against the previous revision.
-type SourceSwap = source.Swap
-
-// SourceWatcher polls a ListSource on a ticker and delivers SourceSwaps;
-// Refresh forces an unconditional re-read (the SIGHUP path).
-type SourceWatcher = source.Watcher
-
-// ErrListNotModified is returned by ListSource.Fetch when the source's
-// content has not changed. It is the common case on a poll tick, not a
-// failure.
-var ErrListNotModified = source.ErrNotModified
-
-// OpenSource returns the ListSource for a list specifier: an http:// or
-// https:// URL polls upstream with conditional GETs (ETag /
-// If-Modified-Since), anything else reads a local file gated on
-// mtime/size. Both also gate on the list content hash.
-func OpenSource(spec string) ListSource { return source.Open(spec) }
-
-// NewSourceWatcher returns a SourceWatcher polling src every interval
-// (0: only Refresh triggers fetches), diffing the first swap against
-// initial. logf, if non-nil, receives fetch-failure log lines.
-func NewSourceWatcher(src ListSource, interval time.Duration, initial *List, logf func(format string, args ...any)) *SourceWatcher {
-	return source.NewWatcher(src, interval, initial, logf)
-}
-
 // Artifact is one regenerated table or figure.
 type Artifact = analysis.Artifact
-
-// Experiment is one runnable table/figure reproduction.
-type Experiment = analysis.Experiment
-
-// Experiments returns every reproduction experiment in paper order.
-func Experiments() []Experiment { return analysis.All() }
 
 // RunExperiments regenerates every table and figure with the given seed.
 func RunExperiments(ctx context.Context, seed int64) ([]*Artifact, error) {

@@ -2,39 +2,12 @@ package rwskit
 
 import (
 	"context"
-	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
-)
 
-// TestSourceFacade: the list-ingestion plane is reachable through the
-// public facade — OpenSource dispatches, Fetch gates on change, and the
-// watcher constructor wires a ListSource.
-func TestSourceFacade(t *testing.T) {
-	ctx := context.Background()
-	path := filepath.Join(t.TempDir(), "list.json")
-	const body = `{"sets":[{"primary":"https://a.com","associatedSites":["https://b.com"]}]}`
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var src ListSource = OpenSource(path)
-	list, meta, err := src.Fetch(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if list.NumSets() != 1 || meta.Hash == "" || meta.Location != path {
-		t.Errorf("fetch = %d sets, meta %+v", list.NumSets(), meta)
-	}
-	if _, _, err := src.Fetch(ctx); !errors.Is(err, ErrListNotModified) {
-		t.Errorf("unchanged fetch: err = %v, want ErrListNotModified", err)
-	}
-	if w := NewSourceWatcher(src, 0, list, nil); w == nil {
-		t.Error("NewSourceWatcher returned nil")
-	}
-}
+	"rwskit/internal/disconnect"
+)
 
 func TestSnapshotQueries(t *testing.T) {
 	list, err := Snapshot()
@@ -155,22 +128,12 @@ func TestRunExperimentByID(t *testing.T) {
 	}
 }
 
-func TestExperimentsListStable(t *testing.T) {
-	es := Experiments()
-	if len(es) != 12 {
-		t.Fatalf("experiments = %d, want 12", len(es))
-	}
-	if es[0].ID != "table1" || es[11].ID != "figure9" {
-		t.Errorf("order: first=%s last=%s", es[0].ID, es[11].ID)
-	}
-}
-
 func TestOwnershipComparisonFacade(t *testing.T) {
 	list, err := Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	entities, err := ParseEntitiesList([]byte(`{
+	entities, err := disconnect.ParseJSON([]byte(`{
 	  "entities": {
 	    "Bild": {"properties": ["bild.de", "autobild.de"], "resources": []}
 	  }
@@ -187,24 +150,21 @@ func TestOwnershipComparisonFacade(t *testing.T) {
 	}
 }
 
-func TestIndicatingRWSBrowserFacade(t *testing.T) {
+// TestCanonicalHostFacade: every legitimate spelling of a member host
+// answers the same through the List facade.
+func TestCanonicalHostFacade(t *testing.T) {
 	list, err := Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, p := NewIndicatingRWSBrowser(list)
-	b.VisitTop("bild.de").Embed("autobild.de").RequestStorageAccess()
-	if len(p.SilentGrants()) != 1 {
-		t.Errorf("silent grants = %d, want 1", len(p.SilentGrants()))
-	}
-}
-
-func TestCanonicalHostFacade(t *testing.T) {
 	for _, spelling := range []string{
 		"bild.de", "HTTPS://BILD.DE:443/", "http://bild.de", "bild.de.",
 	} {
-		if got := CanonicalHost(spelling); got != "bild.de" {
-			t.Errorf("CanonicalHost(%q) = %q, want bild.de", spelling, got)
+		if !list.SameSet(spelling, "autobild.de") {
+			t.Errorf("SameSet(%q, autobild.de) = false, want true", spelling)
+		}
+		if set, _, ok := list.FindSet(spelling); !ok || set.Primary != "bild.de" {
+			t.Errorf("FindSet(%q) = %v, %v, want the bild.de set", spelling, set, ok)
 		}
 	}
 }
@@ -214,15 +174,17 @@ func TestServerSnapshotFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := NewServer(list).Snapshot()
+	st := NewServerStore(0)
+	snap, err := st.AddList(list, Version{Source: "facade"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if snap.NumSets() != list.NumSets() || snap.Hash() != list.Hash() {
 		t.Errorf("snapshot = %d sets / %s, want %d / %s",
 			snap.NumSets(), snap.Hash(), list.NumSets(), list.Hash())
 	}
-	srv := NewServer(list)
-	srv.SwapSnapshot(snap)
-	if srv.Snapshot() != snap {
-		t.Error("SwapSnapshot should install the prebuilt snapshot")
+	if srv := NewServerFromStore(st); srv.Snapshot() != snap {
+		t.Error("the server should answer from the installed snapshot")
 	}
 	resp := snap.SameSet("https://bild.de:443", "autobild.de")
 	if !resp.SameSet || resp.Primary != "bild.de" {
@@ -244,9 +206,13 @@ func TestServerStoreFacade(t *testing.T) {
 	}
 	st := NewServerStore(4)
 	jan := time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)
-	st.Add(oldList, Version{Source: "timeline:2023-01", ObservedAt: jan, AsOf: jan})
+	if _, err := st.AddList(oldList, Version{Source: "timeline:2023-01", ObservedAt: jan, AsOf: jan}); err != nil {
+		t.Fatal(err)
+	}
 	mar := time.Date(2024, 3, 1, 0, 0, 0, 0, time.UTC)
-	st.Add(newList, Version{Source: "timeline:2024-03", ObservedAt: mar, AsOf: mar})
+	if _, err := st.AddList(newList, Version{Source: "timeline:2024-03", ObservedAt: mar, AsOf: mar}); err != nil {
+		t.Fatal(err)
+	}
 
 	if st.Len() != 2 || st.Cap() != 4 {
 		t.Errorf("store = %d/%d", st.Len(), st.Cap())
@@ -262,36 +228,5 @@ func TestServerStoreFacade(t *testing.T) {
 	infos := st.Versions()
 	if len(infos) != 2 || !infos[1].Current {
 		t.Errorf("Versions = %+v", infos)
-	}
-}
-
-// TestComposeDiffsFacade: composing the two legs of a three-revision
-// history matches the direct diff.
-func TestComposeDiffsFacade(t *testing.T) {
-	v1, _ := ParseList([]byte(`{"sets":[{"primary":"https://a.com"}]}`))
-	v2, _ := ParseList([]byte(`{"sets":[{"primary":"https://a.com"},{"primary":"https://b.com"}]}`))
-	v3, _ := ParseList([]byte(`{"sets":[{"primary":"https://a.com"},{"primary":"https://b.com"},{"primary":"https://c.com"}]}`))
-	composed := ComposeDiffs(DiffLists(v1, v2), DiffLists(v2, v3))
-	direct := DiffLists(v1, v3)
-	if len(composed.AddedSets) != 2 || composed.Summary() != direct.Summary() {
-		t.Errorf("composed = %+v, direct = %+v", composed, direct)
-	}
-}
-
-// TestChurnFacade: the churn digest over a three-revision history
-// reports the step counts, cumulative rollup, and lifecycles.
-func TestChurnFacade(t *testing.T) {
-	v1, _ := ParseList([]byte(`{"sets":[{"primary":"https://a.com"}]}`))
-	v2, _ := ParseList([]byte(`{"sets":[{"primary":"https://a.com"},{"primary":"https://b.com"}]}`))
-	v3, _ := ParseList([]byte(`{"sets":[{"primary":"https://a.com"},{"primary":"https://c.com"}]}`))
-	rep, err := Churn([]*List{v1, v2, v3}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Steps) != 2 || rep.SetsChurned != 2 || rep.SetsBorn != 2 || rep.SetsDied != 1 {
-		t.Errorf("churn = %+v, want 2 steps, 2 churned (b, c), 2 born, 1 died", rep)
-	}
-	if top := rep.TopVolatile(1); len(top) != 1 || top[0].Volatility == 0 {
-		t.Errorf("TopVolatile = %+v", top)
 	}
 }
