@@ -258,7 +258,12 @@ func newServer(cfg config, list *core.List, meta source.Meta) (*serve.Server, er
 			ver.AsOf = t
 		}
 	}
-	if cur := st.Current(); cur == nil || cur.Hash() != list.Hash() {
+	// Hash the boot list once: the source already did when it set
+	// meta.Hash, and AddList trusts ver.Hash instead of hashing again.
+	if ver.Hash == "" {
+		ver.Hash = list.Hash()
+	}
+	if cur := st.Current(); cur == nil || cur.Hash() != ver.Hash {
 		if _, err := st.AddList(list, ver); err != nil {
 			return nil, fmt.Errorf("boot list: %w", err)
 		}

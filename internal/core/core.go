@@ -36,9 +36,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"rwskit/internal/domain"
 )
@@ -443,15 +446,22 @@ func setFromJSON(js *jsonSet) (*Set, error) {
 
 // MarshalJSON serializes the list back to the upstream schema with
 // deterministic ordering: sets sorted by primary, members in stored order,
-// map keys sorted (encoding/json sorts map keys already).
+// map keys sorted. The bytes are exactly what encoding/json renders for
+// the schema structs, appended directly into one presized buffer.
 func (l *List) MarshalJSON() ([]byte, error) {
-	jl := jsonList{Sets: make([]jsonSet, 0, len(l.sets))}
-	ordered := append([]*Set(nil), l.sets...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Primary < ordered[j].Primary })
+	ordered := l.byPrimary()
+	n := len(`{"sets":[]}`)
 	for _, s := range ordered {
-		jl.Sets = append(jl.Sets, setToJSON(s))
+		n += setJSONSize(s) + 1
 	}
-	return json.Marshal(jl)
+	dst := append(make([]byte, 0, n), `{"sets":[`...)
+	for i, s := range ordered {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendSetJSON(dst, s)
+	}
+	return append(dst, "]}"...), nil
 }
 
 // MarshalJSONIndent is MarshalJSON with two-space indentation, matching the
@@ -470,55 +480,214 @@ func (l *List) MarshalJSONIndent() ([]byte, error) {
 
 // MarshalSetJSON serializes a single set in the upstream schema.
 func MarshalSetJSON(s *Set) ([]byte, error) {
-	return json.Marshal(setToJSON(s))
+	return appendSetJSON(make([]byte, 0, setJSONSize(s)), s), nil
 }
 
-func setToJSON(s *Set) jsonSet {
-	js := jsonSet{Contact: s.Contact, Primary: originOf(s.Primary)}
+// setJSONSize estimates the encoded size of one set: exact for ASCII
+// content that needs no escapes, and only a starting capacity otherwise.
+func setJSONSize(s *Set) int {
+	const origin = len(`"https://",`)
+	n := len(`{"contact":"","primary":"","associatedSites":[],"serviceSites":[],"rationaleBySite":{},"ccTLDs":{}}`) +
+		len(s.Contact) + len(s.Primary) + origin
 	for _, a := range s.Associated {
-		js.AssociatedSites = append(js.AssociatedSites, originOf(a))
+		n += len(a) + origin
 	}
 	for _, v := range s.Service {
-		js.ServiceSites = append(js.ServiceSites, originOf(v))
+		n += len(v) + origin
 	}
-	if len(s.CCTLDs) > 0 {
-		js.CCTLDs = make(map[string][]string, len(s.CCTLDs))
-		for base, aliases := range s.CCTLDs {
-			oa := make([]string, len(aliases))
-			for i, a := range aliases {
-				oa[i] = originOf(a)
-			}
-			js.CCTLDs[originOf(base)] = oa
+	for site, why := range s.RationaleBySite {
+		n += len(site) + origin + len(why) + len(`"":`)
+	}
+	for base, aliases := range s.CCTLDs {
+		n += len(base) + origin + len(`[]:`)
+		for _, a := range aliases {
+			n += len(a) + origin
 		}
+	}
+	return n
+}
+
+// appendSetJSON appends one set as encoding/json renders the upstream
+// schema: fields in schema order, empty optional fields omitted, every
+// host in origin form, map keys in sorted order.
+func appendSetJSON(dst []byte, s *Set) []byte {
+	dst = append(dst, '{')
+	if s.Contact != "" {
+		dst = append(dst, `"contact":`...)
+		dst = AppendJSONString(dst, s.Contact)
+		dst = append(dst, ',')
+	}
+	dst = append(dst, `"primary":`...)
+	dst = appendOrigin(dst, s.Primary)
+	if len(s.Associated) > 0 {
+		dst = append(dst, `,"associatedSites":`...)
+		dst = appendOrigins(dst, s.Associated)
+	}
+	if len(s.Service) > 0 {
+		dst = append(dst, `,"serviceSites":`...)
+		dst = appendOrigins(dst, s.Service)
 	}
 	if len(s.RationaleBySite) > 0 {
-		js.RationaleBySite = make(map[string]string, len(s.RationaleBySite))
-		for site, why := range s.RationaleBySite {
-			js.RationaleBySite[originOf(site)] = why
+		dst = append(dst, `,"rationaleBySite":{`...)
+		for i, site := range sortedStringKeys(s.RationaleBySite) {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendOrigin(dst, site)
+			dst = append(dst, ':')
+			dst = AppendJSONString(dst, s.RationaleBySite[site])
 		}
+		dst = append(dst, '}')
 	}
-	return js
+	if len(s.CCTLDs) > 0 {
+		dst = append(dst, `,"ccTLDs":{`...)
+		for i, base := range sortedKeys(s.CCTLDs) {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendOrigin(dst, base)
+			dst = append(dst, ':')
+			dst = appendOrigins(dst, s.CCTLDs[base])
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, '}')
+}
+
+// appendOrigin appends host in upstream origin form ("https://" + host)
+// as a JSON string.
+func appendOrigin(dst []byte, host string) []byte {
+	dst = append(dst, `"https://`...)
+	return append(appendJSONStringBody(dst, host), '"')
+}
+
+// appendOrigins appends hosts as a JSON array of origins; an empty slice
+// renders as [], as encoding/json renders an empty non-nil slice.
+func appendOrigins(dst []byte, hosts []string) []byte {
+	dst = append(dst, '[')
+	for i, h := range hosts {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendOrigin(dst, h)
+	}
+	return append(dst, ']')
+}
+
+// hexDigits feeds the \u00xx escapes, matching encoding/json's lowercase.
+const hexDigits = "0123456789abcdef"
+
+// jsonSafe marks the ASCII bytes encoding/json's HTML-escaping encoder
+// (the Marshal default) passes through verbatim inside a string.
+var jsonSafe = func() (t [utf8.RuneSelf]bool) {
+	for b := 0; b < utf8.RuneSelf; b++ {
+		t[b] = b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+	}
+	return
+}()
+
+// AppendJSONString appends the encoding/json encoding of s — including
+// the HTML escapes (<, >, & → \u003c, \u003e, \u0026) and the
+// invalid-UTF-8 and U+2028/U+2029 replacements — so hand-assembled JSON
+// is byte-identical to what json.Marshal would have produced. Held to
+// Marshal by TestAppendJSONStringMatchesMarshal.
+func AppendJSONString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	return append(appendJSONStringBody(dst, s), '"')
+}
+
+// appendJSONStringBody is AppendJSONString without the quotes.
+func appendJSONStringBody(dst []byte, s string) []byte {
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if jsonSafe[b] {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		if c == utf8.RuneError && size == 1 {
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
+			i += size
+			start = i
+			continue
+		}
+		if c == '\u2028' || c == '\u2029' {
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
+			i += size
+			start = i
+			continue
+		}
+		i += size
+	}
+	return append(dst, s[start:]...)
 }
 
 // Hash returns a hex SHA-256 digest of the list's semantic content: sets
 // ordered by primary, members in deterministic order, rationales by sorted
 // key. Two lists hash equal iff they describe the same sets, independent of
 // input formatting or set order — the cheap identity check reload/poll
-// loops use to gate a snapshot swap.
+// loops use to gate a snapshot swap. Each set's NUL-separated framing is
+// appended into one reused buffer and written to the digest once.
 func (l *List) Hash() string {
 	h := sha256.New()
-	ordered := append([]*Set(nil), l.sets...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Primary < ordered[j].Primary })
-	for _, s := range ordered {
-		fmt.Fprintf(h, "set\x00%s\x00%s\x00", s.Primary, s.Contact)
+	var buf []byte
+	for _, s := range l.byPrimary() {
+		buf = append(buf[:0], "set\x00"...)
+		buf = append(buf, s.Primary...)
+		buf = append(buf, 0)
+		buf = append(buf, s.Contact...)
+		buf = append(buf, 0)
 		for _, m := range s.Members() {
-			fmt.Fprintf(h, "m\x00%d\x00%s\x00%s\x00", int(m.Role), m.Site, m.AliasOf)
+			buf = append(buf, "m\x00"...)
+			buf = strconv.AppendInt(buf, int64(m.Role), 10)
+			buf = append(buf, 0)
+			buf = append(buf, m.Site...)
+			buf = append(buf, 0)
+			buf = append(buf, m.AliasOf...)
+			buf = append(buf, 0)
 		}
 		for _, site := range sortedStringKeys(s.RationaleBySite) {
-			fmt.Fprintf(h, "r\x00%s\x00%s\x00", site, s.RationaleBySite[site])
+			buf = append(buf, "r\x00"...)
+			buf = append(buf, site...)
+			buf = append(buf, 0)
+			buf = append(buf, s.RationaleBySite[site]...)
+			buf = append(buf, 0)
 		}
+		h.Write(buf)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// byPrimary returns a copy of the list's sets sorted by primary, the
+// order Hash and MarshalJSON walk.
+func (l *List) byPrimary() []*Set {
+	ordered := slices.Clone(l.sets)
+	slices.SortFunc(ordered, func(a, b *Set) int { return strings.Compare(a.Primary, b.Primary) })
+	return ordered
 }
 
 func sortedStringKeys(m map[string]string) []string {
@@ -833,9 +1002,6 @@ func isPort(s string) bool {
 	}
 	return true
 }
-
-// originOf renders a canonical host in upstream origin form.
-func originOf(host string) string { return "https://" + host }
 
 func sortedKeys(m map[string][]string) []string {
 	keys := make([]string, 0, len(m))

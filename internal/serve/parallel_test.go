@@ -19,7 +19,7 @@ import (
 func buildSerial(t testing.TB, list *core.List) *Snapshot {
 	t.Helper()
 	start := time.Now()
-	s := newSnapshot(list)
+	s := newSnapshot(list, list.Hash())
 	var tableBytes int64
 	for i, set := range s.sets {
 		for _, m := range set.Members() {
@@ -212,7 +212,7 @@ func TestParallelSnapshotMatchesSerial(t *testing.T) {
 	for name, list := range lists {
 		serial := buildSerial(t, list)
 		for _, workers := range []int{1, 2, 3, 8} {
-			par, err := buildSnapshot(list, workers, 0)
+			par, err := buildSnapshot(list, "", workers, 0)
 			if err != nil {
 				t.Fatalf("%s/workers=%d: parallel build: %v", name, workers, err)
 			}

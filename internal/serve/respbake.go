@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"unicode/utf8"
 
 	"rwskit/internal/browser"
 	"rwskit/internal/core"
@@ -85,74 +84,6 @@ func writeRawJSON(w http.ResponseWriter, status int, body []byte, pretty bool) {
 	}
 }
 
-// hexDigits feeds the \u00xx escapes, matching encoding/json's lowercase.
-const hexDigits = "0123456789abcdef"
-
-// jsonSafe marks the ASCII bytes encoding/json's HTML-escaping encoder
-// (the Marshal default) passes through verbatim inside a string.
-var jsonSafe = func() (t [utf8.RuneSelf]bool) {
-	for b := 0; b < utf8.RuneSelf; b++ {
-		t[b] = b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
-	}
-	return
-}()
-
-// appendJSONString appends the encoding/json encoding of s — including
-// the HTML escapes (<, >, & → <…) and the invalid-UTF-8 and
-// U+2028/U+2029 replacements — so prebaked fragments are byte-identical
-// to what json.Marshal would have produced. Held to Marshal by
-// TestAppendJSONStringMatchesMarshal.
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if jsonSafe[b] {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '\\', '"':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		if c == utf8.RuneError && size == 1 {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
-			i += size
-			start = i
-			continue
-		}
-		if c == '\u2028' || c == '\u2029' {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
-}
-
 // sameSetCrossTail closes a SameSetResponse for a pair that shares no
 // set: the Primary field is omitempty, so the tail is constant.
 var sameSetCrossTail = []byte(`,"same_set":false}`)
@@ -170,12 +101,12 @@ func appendMembers(dst []byte, ms []core.Member) []byte {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, `{"site":`...)
-		dst = appendJSONString(dst, m.Site)
+		dst = core.AppendJSONString(dst, m.Site)
 		dst = append(dst, `,"role":`...)
-		dst = appendJSONString(dst, m.Role.String())
+		dst = core.AppendJSONString(dst, m.Role.String())
 		if m.AliasOf != "" {
 			dst = append(dst, `,"alias_of":`...)
-			dst = appendJSONString(dst, m.AliasOf)
+			dst = core.AppendJSONString(dst, m.AliasOf)
 		}
 		dst = append(dst, '}')
 	}
@@ -191,7 +122,7 @@ func (s *Snapshot) bakeResponses() (int64, error) {
 		info := &s.policies[pid]
 		head := make([]byte, 0, len(info.name)+24)
 		head = append(head, `{"policy":`...)
-		head = appendJSONString(head, info.name)
+		head = core.AppendJSONString(head, info.name)
 		head = append(head, `,"top":`...)
 		s.respPartHead[pid] = head
 
@@ -257,7 +188,7 @@ func partitionTail(sameSet, partByDefault bool, d browser.Decision, granted bool
 	tail = append(tail, `,"partitioned_by_default":`...)
 	tail = strconv.AppendBool(tail, partByDefault)
 	tail = append(tail, `,"decision":`...)
-	tail = appendJSONString(tail, d.String())
+	tail = core.AppendJSONString(tail, d.String())
 	tail = append(tail, `,"granted":`...)
 	tail = strconv.AppendBool(tail, granted)
 	return append(tail, '}')
@@ -267,16 +198,16 @@ func partitionTail(sameSet, partByDefault bool, d browser.Decision, granted bool
 // the trailing newline, assembled from the echoed inputs and a tail.
 func (s *Snapshot) appendSameSetBody(dst []byte, a, b string) []byte {
 	dst = append(dst, `{"a":`...)
-	dst = appendJSONString(dst, a)
+	dst = core.AppendJSONString(dst, a)
 	dst = append(dst, `,"b":`...)
-	dst = appendJSONString(dst, b)
+	dst = core.AppendJSONString(dst, b)
 	ea, aok := s.lookup(core.CanonicalHost(a))
 	eb, bok := s.lookup(core.CanonicalHost(b))
 	if !aok || !bok || ea.set != eb.set {
 		return append(dst, sameSetCrossTail...)
 	}
 	dst = append(dst, `,"same_set":true,"primary":`...)
-	dst = appendJSONString(dst, ea.set.Primary)
+	dst = core.AppendJSONString(dst, ea.set.Primary)
 	return append(dst, '}')
 }
 
@@ -303,15 +234,15 @@ func (s *Snapshot) appendSameSetBatch(dst []byte, pairs [][2]string) []byte {
 // prebaked members array in whole.
 func (s *Snapshot) appendSet(dst []byte, site string) []byte {
 	dst = append(dst, `{"site":`...)
-	dst = appendJSONString(dst, site)
+	dst = core.AppendJSONString(dst, site)
 	e, ok := s.lookup(core.CanonicalHost(site))
 	if !ok {
 		return append(dst, setNotFoundTail...)
 	}
 	dst = append(dst, `,"found":true,"role":`...)
-	dst = appendJSONString(dst, e.role.String())
+	dst = core.AppendJSONString(dst, e.role.String())
 	dst = append(dst, `,"primary":`...)
-	dst = appendJSONString(dst, e.set.Primary)
+	dst = core.AppendJSONString(dst, e.set.Primary)
 	dst = append(dst, `,"members":`...)
 	dst = append(dst, s.respMembers[e.setIdx]...)
 	return append(dst, '}', '\n')
@@ -343,9 +274,9 @@ func (s *Snapshot) appendPartitionBody(dst []byte, pid policyID, top, embedded s
 		tail = partitionTail(false, info.partitionByDefault, v.Decision, v.Granted)
 	}
 	dst = append(dst, s.respPartHead[pid]...)
-	dst = appendJSONString(dst, top)
+	dst = core.AppendJSONString(dst, top)
 	dst = append(dst, `,"embedded":`...)
-	dst = appendJSONString(dst, embedded)
+	dst = core.AppendJSONString(dst, embedded)
 	return append(dst, tail...)
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -44,35 +43,6 @@ func indented(t *testing.T, body []byte) string {
 	return buf.String()
 }
 
-// TestAppendJSONStringMatchesMarshal holds the hand-rolled string
-// encoder to encoding/json byte-for-byte: ASCII, the HTML escapes, every
-// control character, multibyte runes, invalid UTF-8, U+2028/U+2029.
-func TestAppendJSONStringMatchesMarshal(t *testing.T) {
-	cases := []string{
-		"", "example.com", "a.example", "with space", "quote\"inside",
-		"back\\slash", "tab\tnewline\nret\r", "\x00\x01\x1f\x7f",
-		"<script>&amp;</script>", "über.de", "日本語.jp", "emoji 🎉 host",
-		" line sep", "bad\xff\xfeutf8", "\xc3", "mixed<&>\xe2\x80",
-	}
-	rng := rand.New(rand.NewSource(9))
-	for n := 0; n < 500; n++ {
-		b := make([]byte, rng.Intn(24))
-		for i := range b {
-			b[i] = byte(rng.Intn(256))
-		}
-		cases = append(cases, string(b))
-	}
-	for _, s := range cases {
-		want, err := json.Marshal(s)
-		if err != nil {
-			t.Fatalf("Marshal(%q): %v", s, err)
-		}
-		if got := appendJSONString(nil, s); string(got) != string(want) {
-			t.Errorf("appendJSONString(%q) = %s, want %s", s, got, want)
-		}
-	}
-}
-
 // prebakedTestLists is the golden-test corpus: the embedded real list
 // plus amplified lists, each built at several worker counts (the
 // "shardsN" names give the count), and the embedded list through the
@@ -90,7 +60,7 @@ func prebakedTestLists(t *testing.T) map[string]*Snapshot {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 3, 8} {
-			snap, err := buildSnapshot(list, workers, 0)
+			snap, err := buildSnapshot(list, "", workers, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +68,7 @@ func prebakedTestLists(t *testing.T) map[string]*Snapshot {
 		}
 	}
 	for _, workers := range []int{1, 4} {
-		snap, err := buildSnapshot(embedded, workers, 0)
+		snap, err := buildSnapshot(embedded, "", workers, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"io"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"rwskit/internal/amplify"
 	"rwskit/internal/core"
+	"rwskit/internal/source"
 )
 
 // scaleBenchList memoizes the amplified lists across benchmark
@@ -119,4 +121,36 @@ func BenchmarkStoreSwapUnderTraffic(b *testing.B) {
 			<-done
 		}
 	})
+}
+
+// BenchmarkSwapDeliver measures one 10⁴-set revision through
+// SwapDeliver with the hash a source supplies in its Meta: snapshot
+// build, install and the logged adjacent diff. The revisions alternate
+// between a list and the same list less 50 sets (0.5% churn), and
+// retain 1 evicts the superseded version at once, so every iteration
+// runs one fresh DiffLists. Report-only: no committed baseline gates it.
+func BenchmarkSwapDeliver(b *testing.B) {
+	listA := scaleBenchList(b, 10_000)
+	listB, err := core.NewList(listA.Sets()[50:])
+	if err != nil {
+		b.Fatal(err)
+	}
+	metaA := source.Meta{Location: "bench", Hash: listA.Hash()}
+	metaB := source.Meta{Location: "bench", Hash: listB.Hash()}
+	st := NewStore(1)
+	mustAdd(b, st, listA, metaA.Version())
+	deliver := NewFromStore(st).SwapDeliver(io.Discard)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sw := source.Swap{List: listB, Meta: metaB, Prev: listA}
+		if i%2 == 1 {
+			sw = source.Swap{List: listA, Meta: metaA, Prev: listB}
+		}
+		deliver(sw)
+	}
+	b.StopTimer()
+	if st.Swaps() != uint64(b.N) {
+		b.Fatalf("%d swaps installed for %d deliveries", st.Swaps(), b.N)
+	}
 }

@@ -179,11 +179,12 @@ func NewFromStore(st *Store) *Server {
 func (s *Server) Snapshot() *Snapshot { return s.store.Current() }
 
 // SwapDeliver returns a source.Watcher delivery callback that installs
-// each delivered revision into the version store (Meta → Version) and
-// logs the change to logw. The snapshot precompute runs on the watcher
-// goroutine, never on the request path. A revision the store refuses
-// (over its memory budget) is logged and left uninstalled: the last
-// snapshot keeps serving, and a follower reports the refusal as its
+// each delivered revision into the version store (Meta → Version, whose
+// Hash spares the build a re-hash) and logs to logw its diff from the
+// version served before the install. The snapshot precompute runs on
+// the watcher goroutine, never on the request path. A revision the store
+// refuses (over its memory budget) is logged and left uninstalled: the
+// last snapshot keeps serving, and a follower reports the refusal as its
 // replication last_error instead of recording a sync.
 func (s *Server) SwapDeliver(logw io.Writer) func(source.Swap) {
 	return func(sw source.Swap) {
@@ -194,9 +195,11 @@ func (s *Server) SwapDeliver(logw io.Writer) func(source.Swap) {
 		if ver.AsOf.IsZero() {
 			ver.AsOf = ver.ObservedAt
 		}
-		if _, err := s.store.AddList(sw.List, ver); err != nil {
+		prev := s.store.Current()
+		snap, err := s.store.AddList(sw.List, ver)
+		if err != nil {
 			fmt.Fprintf(logw, "serve: refused list from %s (%d sets, hash %.12s), still serving %.12s: %v\n",
-				sw.Meta.Location, sw.List.NumSets(), sw.Meta.Hash, s.Snapshot().hash, err)
+				sw.Meta.Location, sw.List.NumSets(), sw.Meta.Hash, prev.hash, err)
 			if sw.Meta.Follows() {
 				s.recordReplicationRefusal(err)
 			}
@@ -205,8 +208,11 @@ func (s *Server) SwapDeliver(logw io.Writer) func(source.Swap) {
 		if sw.Meta.Follows() {
 			s.RecordReplicationSwap(sw.Meta)
 		}
+		// The diff is taken after the install, from the version served
+		// before it: AddSnapshot has already filled that memo slot, so the
+		// new ETag is never held back by a diff.
 		fmt.Fprintf(logw, "serve: swapped list from %s (%d sets, hash %.12s): %s\n",
-			sw.Meta.Location, sw.List.NumSets(), sw.Meta.Hash, sw.Diff.Summary())
+			sw.Meta.Location, sw.List.NumSets(), snap.hash, s.store.Diff(prev, snap).Summary())
 	}
 }
 

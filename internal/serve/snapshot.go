@@ -86,7 +86,9 @@ type SnapshotOptions struct {
 // BuildInfo records how a snapshot was constructed — the wall-clock
 // build time and the memory estimate. Exposed via /v1/metrics.
 type BuildInfo struct {
-	// BuildNanos is the wall-clock construction time in nanoseconds.
+	// BuildNanos is the wall-clock construction time in nanoseconds. It
+	// includes hashing the list only when the builder was not handed the
+	// hash (BuildSnapshot, or AddList with an empty Version.Hash).
 	BuildNanos int64 `json:"build_nanos"`
 	// EstimatedBytes is the estimated footprint of the derived tables.
 	EstimatedBytes int64 `json:"estimated_bytes"`
@@ -168,21 +170,25 @@ type Snapshot struct {
 // BuildSnapshot precomputes the query plane for list under opts, with
 // one construction worker per GOMAXPROCS, clamped to [1, sets].
 func BuildSnapshot(list *core.List, opts SnapshotOptions) (*Snapshot, error) {
-	return buildSnapshot(list, runtime.GOMAXPROCS(0), opts.MemoryBudget)
+	return buildSnapshot(list, "", runtime.GOMAXPROCS(0), opts.MemoryBudget)
 }
 
-// buildSnapshot is BuildSnapshot with an explicit worker count.
-func buildSnapshot(list *core.List, workers int, budget int64) (*Snapshot, error) {
+// buildSnapshot is BuildSnapshot with an explicit worker count and the
+// list's content hash, computed here only when hash is empty.
+func buildSnapshot(list *core.List, hash string, workers int, budget int64) (*Snapshot, error) {
 	start := time.Now()
+	if hash == "" {
+		hash = list.Hash()
+	}
 	workers = max(1, min(workers, list.NumSets()))
-	s := newSnapshot(list)
+	s := newSnapshot(list, hash)
 	return s.finish(start, s.buildParallel(workers), budget)
 }
 
-// newSnapshot allocates a snapshot of list with its identity, policies
-// and empty tables, ready for a build pass to fill.
-func newSnapshot(list *core.List) *Snapshot {
-	hash := list.Hash()
+// newSnapshot allocates a snapshot of list, whose content hash is hash,
+// with its identity, policies and empty tables, ready for a build pass
+// to fill.
+func newSnapshot(list *core.List, hash string) *Snapshot {
 	s := &Snapshot{
 		list:        list,
 		hash:        hash,

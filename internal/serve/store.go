@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -123,8 +124,13 @@ func (st *Store) Swaps() uint64 { return st.swaps.Load() }
 // the caller, never on the request path. Construction can only fail when
 // the store is configured with a MemoryBudget; on error nothing is
 // installed and the previous current version keeps serving.
+//
+// A non-empty ver.Hash must equal list.Hash(): AddList trusts it and
+// hashes the list itself only when it is empty. A source's Meta.Version()
+// carries the hash the source already computed to gate the fetch, so a
+// delivered revision is hashed once.
 func (st *Store) AddList(list *core.List, ver core.Version) (*Snapshot, error) {
-	snap, err := BuildSnapshot(list, st.opts)
+	snap, err := buildSnapshot(list, ver.Hash, runtime.GOMAXPROCS(0), st.opts.MemoryBudget)
 	if err != nil {
 		return nil, err
 	}

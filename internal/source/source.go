@@ -14,7 +14,7 @@
 //
 // Two implementations ship today — FileSource and HTTPSource — and the
 // Watcher drives either on a ticker, delivering Swap events (new list +
-// provenance + core.DiffLists summary) to a consumer such as
+// provenance + the list it replaces) to a consumer such as
 // serve.Server. Future backends (object stores, git checkouts, sharded
 // fan-in) are just more Sources.
 package source

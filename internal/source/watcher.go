@@ -14,9 +14,12 @@ type Swap struct {
 	List *core.List
 	// Meta records where the revision came from and its validators.
 	Meta Meta
-	// Diff summarizes the change against the previously delivered (or
-	// initial) list.
-	Diff core.Diff
+	// Prev is the previously delivered list, or the watcher's initial
+	// list for the first swap (nil if there was none). The watcher
+	// computes no diff: a consumer that refused Prev still serves an
+	// older list, so a logged diff should start from what the consumer
+	// serves (serve.Server's SwapDeliver diffs after the install).
+	Prev *core.List
 	// Forced reports that a Refresh, not a poll tick, produced the swap.
 	Forced bool
 }
@@ -44,10 +47,9 @@ type Watcher struct {
 
 // NewWatcher returns a Watcher polling src every interval (0 disables
 // the ticker; only Refresh triggers fetches). initial is the list the
-// consumer is already serving, used to diff the first delivered swap;
-// nil means deliver the first revision with an empty diff. logf, if
-// non-nil, receives fetch-failure log lines (a failed poll keeps the
-// current list and is reported, not fatal).
+// consumer is already serving, delivered as the first swap's Prev (nil
+// if there is none). logf, if non-nil, receives fetch-failure log lines
+// (a failed poll keeps the current list and is reported, not fatal).
 func NewWatcher(src Source, interval time.Duration, initial *core.List, logf func(format string, args ...any)) *Watcher {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -103,12 +105,9 @@ func (w *Watcher) poll(ctx context.Context, deliver func(Swap), forced bool) {
 	list, meta, err := w.src.Fetch(ctx)
 	switch {
 	case err == nil:
-		var diff core.Diff
-		if w.cur != nil {
-			diff = core.DiffLists(w.cur, list)
-		}
+		prev := w.cur
 		w.cur = list
-		deliver(Swap{List: list, Meta: meta, Diff: diff, Forced: forced})
+		deliver(Swap{List: list, Meta: meta, Prev: prev, Forced: forced})
 	case errors.Is(err, ErrNotModified):
 		// Unchanged: nothing to deliver.
 	case ctx.Err() != nil:

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"rwskit/internal/core"
 	"rwskit/internal/serve"
 	"rwskit/internal/source"
 )
@@ -30,7 +31,7 @@ const twoSetJSON = `{"sets":[
 ]}`
 
 // TestWatcherDeliversFileSwaps: ticker-driven polling of a FileSource
-// delivers exactly the real changes, each with the right diff.
+// delivers exactly the real changes, each with the list it replaces.
 func TestWatcherDeliversFileSwaps(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "list.json")
 	if err := os.WriteFile(path, []byte(oneSetJSON), 0o644); err != nil {
@@ -66,8 +67,14 @@ func TestWatcherDeliversFileSwaps(t *testing.T) {
 		if sw.List.NumSets() != 2 || sw.Forced {
 			t.Errorf("swap = %d sets, forced=%v", sw.List.NumSets(), sw.Forced)
 		}
-		if sw.Diff.Summary() != "+sets 1 (c.com)" {
-			t.Errorf("diff summary = %q", sw.Diff.Summary())
+		if sw.Prev != initial {
+			t.Errorf("first swap's Prev is not the initial list")
+		}
+		if got := core.DiffLists(sw.Prev, sw.List).Summary(); got != "+sets 1 (c.com)" {
+			t.Errorf("diff summary = %q", got)
+		}
+		if sw.Meta.Hash != sw.List.Hash() {
+			t.Errorf("Meta.Hash = %.12s, list hashes to %.12s", sw.Meta.Hash, sw.List.Hash())
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("watcher never delivered the change")
