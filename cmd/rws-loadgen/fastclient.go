@@ -3,57 +3,42 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
-	"net/url"
+	"syscall"
 	"time"
 )
 
-// fastClient is a minimal HTTP/1.1 keep-alive GET client for -fast
-// runs. net/http costs tens of microseconds per request in goroutine
-// handoffs, header maps, and response plumbing; on a small box that
-// client-side overhead, not the server, caps the measured throughput.
-// This client holds one persistent connection, writes the request line
-// from a reused buffer, and discards the body in place — understanding
-// both Content-Length and chunked framing, since the serve plane now
-// lets net/http pick chunked encoding for bodies it doesn't buffer.
+// fastClient is a minimal HTTP/1.1 keep-alive GET client, the only
+// client on the measured path. net/http costs tens of microseconds per
+// request in goroutine handoffs, header maps, and response plumbing; on
+// a small box that client-side overhead, not the server, caps the
+// measured throughput. This client holds one persistent connection,
+// writes the request line from a reused buffer, and discards the body in
+// place — understanding both Content-Length and chunked framing, since
+// the serve plane lets net/http pick chunked encoding for bodies it
+// doesn't buffer.
 //
-// Each worker owns one fastClient; the type is not safe for concurrent
-// use.
+// Each worker owns one fastClient per target; the type is not safe for
+// concurrent use.
 type fastClient struct {
 	addr    string // dial target, host:port
 	host    string // Host header value
+	prefix  string // the target URL's path, prepended to every request path
 	timeout time.Duration
 	conn    net.Conn
 	br      *bufio.Reader
 	req     []byte
 }
 
-// fastTarget validates -fast's target URL once up front and returns the
-// dial address and Host header every worker's client will use.
-func fastTarget(target string) (addr, host string, err error) {
-	u, err := url.Parse(target)
-	if err != nil {
-		return "", "", err
-	}
-	if u.Scheme != "http" {
-		return "", "", fmt.Errorf("-fast speaks plain HTTP/1.1; target scheme %q needs net/http (drop -fast)", u.Scheme)
-	}
-	host = u.Host
-	addr = host
-	if u.Port() == "" {
-		addr += ":80"
-	}
-	return addr, host, nil
-}
-
-func newFastClient(addr, host string, timeout time.Duration) *fastClient {
-	return &fastClient{addr: addr, host: host, timeout: timeout}
+func newFastClient(t targetSpec, timeout time.Duration) *fastClient {
+	return &fastClient{addr: t.addr, host: t.host, prefix: t.prefix, timeout: timeout}
 }
 
 func (c *fastClient) close() {
-	if c == nil || c.conn == nil {
+	if c.conn == nil {
 		return
 	}
 	c.conn.Close()
@@ -61,14 +46,23 @@ func (c *fastClient) close() {
 	c.br = nil
 }
 
+// staleConn marks a failure showing that a reused keep-alive connection
+// was already dead when the request went out: the write failed, or the
+// peer closed or reset the connection before any response byte arrived.
+// Only such a request can be resent without the server seeing it twice.
+type staleConn struct{ error }
+
+func (e staleConn) Unwrap() error { return e.error }
+
 // get issues one GET and returns the response status, retrying once on
-// a fresh connection: a keep-alive peer may close an idle connection
-// between requests, which surfaces as an error on the stale socket, not
-// a server failure.
+// a fresh connection when a reused one turns out stale: a keep-alive
+// peer may close an idle connection between requests, which is not a
+// server failure. A timeout or any failure after the response began is
+// reported, never retried.
 func (c *fastClient) get(path string) (int, error) {
 	reused := c.conn != nil
 	status, err := c.roundTrip(path)
-	if err != nil && reused {
+	if reused && errors.As(err, new(staleConn)) {
 		c.close()
 		status, err = c.roundTrip(path)
 	}
@@ -90,12 +84,16 @@ func (c *fastClient) roundTrip(path string) (int, error) {
 	}
 	c.conn.SetDeadline(time.Now().Add(c.timeout))
 	c.req = append(c.req[:0], "GET "...)
+	c.req = append(c.req, c.prefix...)
 	c.req = append(c.req, path...)
 	c.req = append(c.req, " HTTP/1.1\r\nHost: "...)
 	c.req = append(c.req, c.host...)
 	c.req = append(c.req, "\r\n\r\n"...)
 	if _, err := c.conn.Write(c.req); err != nil {
-		return 0, err
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			return 0, err
+		}
+		return 0, staleConn{err}
 	}
 	return c.readResponse()
 }
@@ -115,10 +113,14 @@ func (c *fastClient) readLine() ([]byte, error) {
 }
 
 func (c *fastClient) readResponse() (int, error) {
-	line, err := c.readLine()
+	line, err := c.br.ReadSlice('\n')
 	if err != nil {
+		if len(line) == 0 && (err == io.EOF || errors.Is(err, syscall.ECONNRESET)) {
+			return 0, staleConn{err}
+		}
 		return 0, err
 	}
+	line = bytes.TrimSuffix(line[:len(line)-1], []byte("\r"))
 	// "HTTP/1.1 200 OK"
 	if len(line) < 12 || !bytes.HasPrefix(line, []byte("HTTP/1.")) {
 		return 0, fmt.Errorf("bad status line %q", line)
@@ -148,6 +150,10 @@ func (c *fastClient) readResponse() (int, error) {
 		v = bytes.TrimSpace(v)
 		switch {
 		case bytes.EqualFold(k, []byte("Content-Length")):
+			// At most 18 digits: the value cannot overflow an int64.
+			if len(v) == 0 || len(v) > 18 {
+				return 0, fmt.Errorf("bad Content-Length %q", v)
+			}
 			n := 0
 			for _, d := range v {
 				if d < '0' || d > '9' {

@@ -2,20 +2,19 @@
 // with two modes:
 //
 //   - Closed loop (default): N workers issue queries back-to-back over
-//     pooled connections, so the measured numbers reflect the server's
-//     query plane rather than TCP dial latency (PR 2's loopback
-//     benchmarks were dial-dominated; this is the ROADMAP's fix).
-//   - Open loop (-rate or -sweep): requests launch on a rate-driven
-//     arrival schedule (Poisson by default, -arrival fixed for even
-//     spacing) that does not wait for completions, and latency is
-//     measured from each request's intended send time — the wrk2-style
-//     correction for coordinated omission. -sweep steps the offered
-//     rate through a list of stages and reports the latency-under-load
-//     curve plus the knee (the highest sustained rate).
+//     persistent connections, so the measured numbers reflect the
+//     server's query plane rather than TCP dial latency. Latency runs
+//     from each request's actual send.
+//   - Open loop (-rate): requests launch on a rate-driven arrival
+//     schedule (Poisson by default, -arrival fixed for even spacing)
+//     that does not wait for completions, and latency is measured from
+//     each request's intended send time — the wrk2-style correction for
+//     coordinated omission.
 //
-// -fast swaps net/http for a minimal built-in HTTP/1.1 client (plain
-// http targets only), removing ~30µs/request of client-side overhead so
-// a single small load box can saturate the prebaked serving plane.
+// Both modes share one worker loop, one latency histogram, and one
+// minimal HTTP/1.1 client: one persistent connection per worker per
+// target, plain http:// targets only. Finding the rate a node sustains
+// is servebench's job (its rate search), not this tool's.
 //
 // -targets runs the same mix against several endpoints at once — a
 // leader plus its /v1/list followers — spreading requests round-robin
@@ -23,16 +22,14 @@
 // reporting per-target req/s and latency alongside the aggregate. The
 // spread is deterministic: each worker walks the weight-expanded target
 // ring from its own phase, so a seed pins the full (scenario, target)
-// sequence. Composes with -fast (one persistent connection per worker
-// per target) and with -rate/-sweep.
+// sequence.
 //
 // Usage:
 //
-//	rws-loadgen -target http://host:port [-workers 8] [-duration 10s]
+//	rws-loadgen -target http://host:port[/prefix] [-workers 8] [-duration 10s]
 //	            [-mix sameset=4,set=3,partition=2,batch=1] [-seed 1]
 //	            [-list file-or-url | -amplify N [-amplify-seed S]]
-//	            [-rate R | -sweep r1,r2,...] [-arrival poisson|fixed]
-//	            [-fast] [-batch 8] [-json]
+//	            [-rate R] [-arrival poisson|fixed] [-batch 8] [-json]
 //	rws-loadgen -targets http://leader:8080=2,http://f1:8081,http://f2:8082
 //	            [same flags]
 //
@@ -57,7 +54,8 @@
 // same flags issue the same request sequence. Half of each pair scenario
 // picks two members of one set (hitting the related/precomputed path),
 // half picks two hosts at random. The report gives req/s and
-// p50/p95/p99/max latency over every completed request.
+// p50/p90/p95/p99/p99.9/max latency over every completed request, and
+// the run exits nonzero if any request failed.
 package main
 
 import (
@@ -75,7 +73,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -122,9 +119,9 @@ var scenarioNames = [numScenarios]string{
 type targetSpec struct {
 	url    string
 	weight int
-	// addr and host are the -fast dial address and Host header,
-	// resolved once in newGenerator.
-	addr, host string
+	// addr, host and prefix are the dial address, Host header and base
+	// path every worker's client uses, resolved once in parseTargets.
+	addr, host, prefix string
 }
 
 type config struct {
@@ -143,8 +140,6 @@ type config struct {
 	jsonOut     bool
 	rate        float64
 	arrival     string
-	sweepRates  []float64
-	fast        bool
 }
 
 func parseFlags(args []string) (config, error) {
@@ -163,8 +158,6 @@ func parseFlags(args []string) (config, error) {
 	jsonOut := fs.Bool("json", false, "emit the report as JSON")
 	rate := fs.Float64("rate", 0, "open-loop offered rate in req/s across all workers (0 = closed loop)")
 	arrival := fs.String("arrival", "poisson", "open-loop arrival process: poisson or fixed")
-	sweep := fs.String("sweep", "", "comma-separated offered rates to sweep (req/s), one -duration stage each; implies open loop")
-	fast := fs.Bool("fast", false, "use the minimal built-in HTTP/1.1 client (plain http targets only)")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
 	}
@@ -176,7 +169,7 @@ func parseFlags(args []string) (config, error) {
 		duration: *duration, mix: *mix, seed: *seed, list: *list,
 		amplify: *amp, amplifySeed: *ampSeed,
 		batch: *batch, timeout: *timeout, jsonOut: *jsonOut,
-		rate: *rate, arrival: *arrival, fast: *fast,
+		rate: *rate, arrival: *arrival,
 	}
 	var err error
 	if cfg.targets, err = parseTargets(*target, *targets); err != nil {
@@ -208,15 +201,6 @@ func parseFlags(args []string) (config, error) {
 	if cfg.rate < 0 {
 		return config{}, errors.New("-rate must be >= 0")
 	}
-	if *sweep != "" {
-		if cfg.rate > 0 {
-			return config{}, errors.New("-sweep excludes -rate (the sweep sets its own rates)")
-		}
-		var err error
-		if cfg.sweepRates, err = parseSweep(*sweep); err != nil {
-			return config{}, err
-		}
-	}
 	if cfg.weights, err = parseMix(*mix); err != nil {
 		return config{}, err
 	}
@@ -230,15 +214,9 @@ func parseTargets(single, multi string) ([]targetSpec, error) {
 	if single != "" && multi != "" {
 		return nil, errors.New("-target and -targets are mutually exclusive")
 	}
-	if single == "" && multi == "" {
-		return nil, errors.New("-target or -targets is required")
-	}
 	if single != "" {
-		u := strings.TrimSuffix(single, "/")
-		if _, err := url.ParseRequestURI(u); err != nil {
-			return nil, fmt.Errorf("-target: %v", err)
-		}
-		return []targetSpec{{url: u, weight: 1}}, nil
+		t, err := newTarget(single, 1)
+		return []targetSpec{t}, err
 	}
 	var specs []targetSpec
 	for _, part := range strings.Split(multi, ",") {
@@ -246,48 +224,43 @@ func parseTargets(single, multi string) ([]targetSpec, error) {
 		if part == "" {
 			continue
 		}
-		spec := targetSpec{url: part, weight: 1}
+		weight := 1
 		if u, w, ok := strings.Cut(part, "="); ok {
 			n, err := strconv.Atoi(strings.TrimSpace(w))
 			if err != nil || n < 1 {
 				return nil, fmt.Errorf("-targets: bad weight in %q (want url=positive-int)", part)
 			}
-			spec.url, spec.weight = u, n
+			part, weight = strings.TrimSpace(u), n
 		}
-		spec.url = strings.TrimSuffix(strings.TrimSpace(spec.url), "/")
-		if _, err := url.ParseRequestURI(spec.url); err != nil {
-			return nil, fmt.Errorf("target %q: %v", spec.url, err)
+		t, err := newTarget(part, weight)
+		if err != nil {
+			return nil, err
 		}
-		specs = append(specs, spec)
+		specs = append(specs, t)
 	}
 	if len(specs) == 0 {
-		return nil, errors.New("-targets: no URLs given")
+		return nil, errors.New("-target or -targets is required")
 	}
 	return specs, nil
 }
 
-// parseSweep parses "-sweep 5000,10000,20000" into ascending offered
-// rates. Ascending order is required: the knee scan walks up the curve.
-func parseSweep(s string) ([]float64, error) {
-	var rates []float64
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		r, err := strconv.ParseFloat(part, 64)
-		if err != nil || r <= 0 {
-			return nil, fmt.Errorf("-sweep: bad rate %q (want a positive req/s number)", part)
-		}
-		if len(rates) > 0 && r <= rates[len(rates)-1] {
-			return nil, fmt.Errorf("-sweep: rates must be strictly ascending (%g after %g)", r, rates[len(rates)-1])
-		}
-		rates = append(rates, r)
+// newTarget validates one target URL and resolves what its clients
+// need: the dial address, the Host header, and the base path every
+// request path is appended to.
+func newTarget(raw string, weight int) (targetSpec, error) {
+	raw = strings.TrimSuffix(raw, "/")
+	u, err := url.Parse(raw)
+	if err != nil {
+		return targetSpec{}, fmt.Errorf("target %q: %v", raw, err)
 	}
-	if len(rates) == 0 {
-		return nil, errors.New("-sweep: no rates given")
+	if u.Scheme != "http" || u.Host == "" {
+		return targetSpec{}, fmt.Errorf("target %q: want http://host[:port][/path] (the client speaks plain HTTP/1.1)", raw)
 	}
-	return rates, nil
+	t := targetSpec{url: raw, weight: weight, addr: u.Host, host: u.Host, prefix: u.EscapedPath()}
+	if u.Port() == "" {
+		t.addr += ":80"
+	}
+	return t, nil
 }
 
 // parseMix parses "sameset=4,set=3,partition=2,batch=1". Omitted
@@ -393,31 +366,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err := gen.primeVersions(ctx); err != nil {
 		return err
 	}
-	if len(cfg.sweepRates) > 0 {
-		// Progress lines go to the report writer only in text mode, so
-		// -json output stays a single parseable document.
-		var progress io.Writer
-		if !cfg.jsonOut {
-			progress = out
-		}
-		swp, err := gen.runSweep(ctx, progress)
-		if err != nil {
-			return err
-		}
-		if cfg.jsonOut {
-			enc := json.NewEncoder(out)
-			enc.SetIndent("", "  ")
-			return enc.Encode(swp)
-		}
-		swp.write(out)
-		return nil
-	}
-	var rep Report
-	if cfg.rate > 0 {
-		rep, err = gen.runOpen(ctx, cfg.rate)
-	} else {
-		rep, err = gen.Run(ctx)
-	}
+	rep, err := gen.Run(ctx, cfg.rate)
 	if err != nil {
 		return err
 	}
@@ -473,7 +422,7 @@ func loadHosts(ctx context.Context, cfg config) (*core.List, error) {
 	return list, err
 }
 
-// generator runs the closed-loop workers.
+// generator runs the load workers.
 type generator struct {
 	cfg    config
 	hosts  []string   // every member host, sorted (deterministic)
@@ -485,7 +434,6 @@ type generator struct {
 	// sequence is deterministic per seed and the long-run share of each
 	// endpoint matches its weight.
 	targetPick []int
-	client     *http.Client
 
 	// hashes and asOfs are the target's retained versions, fetched once
 	// at startup when the mix includes a versioned scenario. Server
@@ -513,7 +461,9 @@ func (g *generator) primeVersions(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	resp, err := g.client.Do(req)
+	// A one-shot fetch off the measured path, so net/http's body and
+	// JSON handling cost nothing that matters.
+	resp, err := (&http.Client{Timeout: g.cfg.timeout}).Do(req)
 	if err != nil {
 		return fmt.Errorf("fetching %s/v1/versions for the asof/diff scenarios: %w", base, err)
 	}
@@ -570,198 +520,7 @@ func newGenerator(cfg config, list *core.List) (*generator, error) {
 			g.targetPick = append(g.targetPick, ti)
 		}
 	}
-	// Keep-alive pooling sized to the worker count, so a closed loop
-	// reuses one warm connection per worker instead of redialing.
-	g.client = &http.Client{
-		Timeout: cfg.timeout,
-		Transport: &http.Transport{
-			MaxIdleConns:        cfg.workers * 2,
-			MaxIdleConnsPerHost: cfg.workers * 2,
-			IdleConnTimeout:     90 * time.Second,
-			ForceAttemptHTTP2:   true,
-		},
-	}
-	if cfg.fast {
-		for ti := range g.cfg.targets {
-			t := &g.cfg.targets[ti]
-			var err error
-			if t.addr, t.host, err = fastTarget(t.url); err != nil {
-				return nil, err
-			}
-		}
-	}
 	return g, nil
-}
-
-// newWorkerClients returns worker-private fast clients, one per target,
-// or nil when the run uses net/http.
-func (g *generator) newWorkerClients() []*fastClient {
-	if !g.cfg.fast {
-		return nil
-	}
-	fcs := make([]*fastClient, len(g.cfg.targets))
-	for ti, t := range g.cfg.targets {
-		fcs[ti] = newFastClient(t.addr, t.host, g.cfg.timeout)
-	}
-	return fcs
-}
-
-func closeClients(fcs []*fastClient) {
-	for _, fc := range fcs {
-		fc.close()
-	}
-}
-
-// targetTally is one worker's per-target tally. The latency histogram
-// makes per-endpoint quantiles free to merge across workers.
-type targetTally struct {
-	requests uint64
-	errors   uint64
-	hist     latHist
-}
-
-// workerResult is one worker's tally.
-type workerResult struct {
-	latencies []time.Duration
-	requests  [numScenarios]uint64
-	errors    [numScenarios]uint64
-	tgt       []targetTally // indexed like cfg.targets
-}
-
-// Run generates load for cfg.duration and aggregates the report.
-func (g *generator) Run(ctx context.Context) (Report, error) {
-	ctx, cancel := context.WithTimeout(ctx, g.cfg.duration)
-	defer cancel()
-	results := make([]workerResult, g.cfg.workers)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < g.cfg.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			results[w] = g.worker(ctx, w)
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	rep := Report{
-		Target:        g.cfg.target,
-		Workers:       g.cfg.workers,
-		Mix:           g.cfg.mix,
-		Seed:          g.cfg.seed,
-		Mode:          "closed",
-		ElapsedMillis: elapsed.Milliseconds(),
-	}
-	var all []time.Duration
-	var scen [numScenarios]ScenarioStats
-	for id := range scen {
-		scen[id].Scenario = scenarioNames[id]
-	}
-	for _, res := range results {
-		all = append(all, res.latencies...)
-		for id := range scen {
-			scen[id].Requests += res.requests[id]
-			scen[id].Errors += res.errors[id]
-			rep.Requests += res.requests[id]
-			rep.Errors += res.errors[id]
-		}
-	}
-	for id := range scen {
-		if g.cfg.weights[id] > 0 {
-			rep.Scenarios = append(rep.Scenarios, scen[id])
-		}
-	}
-	perTarget := make([][]targetTally, len(results))
-	for i := range results {
-		perTarget[i] = results[i].tgt
-	}
-	rep.Targets = g.targetStats(perTarget, elapsed)
-	if rep.Requests == 0 {
-		return rep, errors.New("no requests completed (is the target up?)")
-	}
-	if secs := elapsed.Seconds(); secs > 0 {
-		rep.ReqPerSec = float64(rep.Requests) / secs
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	rep.P50Micros = percentile(all, 0.50).Microseconds()
-	rep.P90Micros = percentile(all, 0.90).Microseconds()
-	rep.P95Micros = percentile(all, 0.95).Microseconds()
-	rep.P99Micros = percentile(all, 0.99).Microseconds()
-	rep.P999Micros = percentile(all, 0.999).Microseconds()
-	rep.MaxMicros = all[len(all)-1].Microseconds()
-	return rep, nil
-}
-
-// targetStats folds per-worker target tallies into the report's
-// per-endpoint block; single-target runs omit it.
-func (g *generator) targetStats(perWorker [][]targetTally, elapsed time.Duration) []TargetStats {
-	if len(g.cfg.targets) < 2 {
-		return nil
-	}
-	stats := make([]TargetStats, len(g.cfg.targets))
-	hists := make([]latHist, len(g.cfg.targets))
-	for ti, t := range g.cfg.targets {
-		stats[ti].Target = t.url
-		stats[ti].Weight = t.weight
-	}
-	for _, tgt := range perWorker {
-		for ti := range tgt {
-			stats[ti].Requests += tgt[ti].requests
-			stats[ti].Errors += tgt[ti].errors
-			hists[ti].merge(&tgt[ti].hist)
-		}
-	}
-	secs := elapsed.Seconds()
-	for ti := range stats {
-		if secs > 0 {
-			stats[ti].ReqPerSec = float64(stats[ti].Requests) / secs
-		}
-		stats[ti].P50Micros = hists[ti].quantile(0.50).Microseconds()
-		stats[ti].P99Micros = hists[ti].quantile(0.99).Microseconds()
-	}
-	return stats
-}
-
-// percentile reads the p-quantile from an ascending-sorted slice.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
-}
-
-// worker issues requests back-to-back until ctx expires. Each worker
-// seeds its own PRNG from (seed, worker id), so the request sequence is
-// deterministic per run regardless of scheduling; the target ring is
-// walked by a counter (not the PRNG) from the worker's own phase, so
-// adding targets never perturbs the scenario draw.
-func (g *generator) worker(ctx context.Context, id int) workerResult {
-	rng := newWorkerRNG(g.cfg.seed, id)
-	fcs := g.newWorkerClients()
-	defer closeClients(fcs)
-	res := workerResult{tgt: make([]targetTally, len(g.cfg.targets))}
-	for n := 0; ctx.Err() == nil; n++ {
-		sc := g.pick[rng.Intn(len(g.pick))]
-		ti := g.targetPick[(id+n)%len(g.targetPick)]
-		start := time.Now()
-		ok := g.doWith(ctx, fcs, ti, sc, rng)
-		if ctx.Err() != nil && !ok {
-			break // the deadline killed this request mid-flight; don't count it
-		}
-		d := time.Since(start)
-		res.requests[sc]++
-		res.latencies = append(res.latencies, d)
-		t := &res.tgt[ti]
-		t.requests++
-		t.hist.record(d)
-		if !ok {
-			res.errors[sc]++
-			t.errors++
-		}
-	}
-	return res
 }
 
 // newWorkerRNG seeds worker id's PRNG from the run seed, so the request
@@ -833,26 +592,4 @@ func (g *generator) buildPath(sc scenarioID, rng *rand.Rand) string {
 		return fmt.Sprintf("/v1/churn?from=%s&to=%s", g.hashes[i][:12], g.hashes[j][:12])
 	}
 	return "/"
-}
-
-// doWith issues one request against target ti over its fast client (or
-// net/http when fcs is nil) and reports whether it completed with a 2xx.
-func (g *generator) doWith(ctx context.Context, fcs []*fastClient, ti int, sc scenarioID, rng *rand.Rand) bool {
-	path := g.buildPath(sc, rng)
-	if fcs != nil {
-		status, err := fcs[ti].get(path)
-		return err == nil && status < 300
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, g.cfg.targets[ti].url+path, nil)
-	if err != nil {
-		return false
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return false
-	}
-	// Drain so the connection returns to the keep-alive pool.
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode < 300
 }

@@ -81,8 +81,8 @@ func TestRunAgainstLiveServer(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatalf("report is not JSON: %v\n%s", err, out.String())
 	}
-	if rep.Requests == 0 || rep.ReqPerSec <= 0 {
-		t.Errorf("no load generated: %+v", rep)
+	if rep.Mode != "closed" || rep.Requests == 0 || rep.ReqPerSec <= 0 {
+		t.Errorf("no closed-loop load generated: %+v", rep)
 	}
 	if rep.Errors != 0 {
 		t.Errorf("%d errors against a healthy server: %+v", rep.Errors, rep)

@@ -1,14 +1,18 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,6 +21,16 @@ import (
 )
 
 // --- histogram ---
+
+// percentile reads the p-quantile from an ascending-sorted slice: the
+// exact oracle the histogram's quantiles are held to.
+func percentile(sorted []time.Duration, p float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(p * float64(len(sorted)-1))
+	return sorted[i]
+}
 
 // TestHistQuantileMatchesExact records a known sample and holds every
 // quantile to within the histogram's design error (2^-6 of the value)
@@ -103,57 +117,19 @@ func TestHistMerge(t *testing.T) {
 	}
 }
 
-// --- knee ---
-
-func TestKneeOf(t *testing.T) {
-	stage := func(offered, achieved float64, errs uint64) Report {
-		return Report{OfferedRate: offered, ReqPerSec: achieved, Requests: 1000, Errors: errs}
-	}
-	rate, reason := kneeOf([]Report{stage(100, 100, 0), stage(200, 199, 0), stage(400, 310, 0)})
-	if rate != 200 || !strings.Contains(reason, "achieved only 310") {
-		t.Errorf("knee = %g (%s), want 200", rate, reason)
-	}
-	// Errors unsustain a stage even at full throughput.
-	rate, reason = kneeOf([]Report{stage(100, 100, 0), stage(200, 200, 7)})
-	if rate != 100 || !strings.Contains(reason, "7 of 1000") {
-		t.Errorf("knee = %g (%s), want 100", rate, reason)
-	}
-	// All sustained: knee is the top rate, reason says so.
-	rate, reason = kneeOf([]Report{stage(100, 100, 0), stage(200, 200, 0)})
-	if rate != 200 || !strings.Contains(reason, "beyond the sweep") {
-		t.Errorf("knee = %g (%s), want 200", rate, reason)
-	}
-	// Nothing sustained.
-	if rate, _ = kneeOf([]Report{stage(100, 40, 0)}); rate != 0 {
-		t.Errorf("knee = %g, want 0", rate)
-	}
-}
-
 // --- flags ---
 
 func TestParseFlagsOpenLoop(t *testing.T) {
-	cfg, err := parseFlags([]string{"-target", "http://x", "-rate", "5000", "-arrival", "fixed", "-fast"})
+	cfg, err := parseFlags([]string{"-target", "http://x", "-rate", "5000", "-arrival", "fixed"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.rate != 5000 || cfg.arrival != "fixed" || !cfg.fast {
+	if cfg.rate != 5000 || cfg.arrival != "fixed" {
 		t.Errorf("parseFlags = %+v", cfg)
-	}
-	cfg, err = parseFlags([]string{"-target", "http://x", "-sweep", "100, 200,400"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cfg.sweepRates) != 3 || cfg.sweepRates[2] != 400 {
-		t.Errorf("sweepRates = %v", cfg.sweepRates)
 	}
 	for _, bad := range [][]string{
 		{"-target", "http://x", "-arrival", "uniform"},
 		{"-target", "http://x", "-rate", "-1"},
-		{"-target", "http://x", "-rate", "100", "-sweep", "200"},
-		{"-target", "http://x", "-sweep", "100,bogus"},
-		{"-target", "http://x", "-sweep", "400,200"}, // not ascending
-		{"-target", "http://x", "-sweep", "0"},
-		{"-target", "http://x", "-sweep", ","},
 	} {
 		if _, err := parseFlags(bad); err == nil {
 			t.Errorf("parseFlags(%v) should fail", bad)
@@ -165,7 +141,8 @@ func TestParseFlagsOpenLoop(t *testing.T) {
 
 // fastTestServer exercises every framing the client must parse: a
 // small Content-Length body, a body large enough that net/http switches
-// to chunked encoding, an error status, and a Connection: close reply.
+// to chunked encoding, an error status, a Connection: close reply, and
+// raw replies whose Content-Length the client must refuse.
 func fastTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
@@ -183,6 +160,23 @@ func fastTestServer(t *testing.T) *httptest.Server {
 		w.Header().Set("Connection", "close")
 		w.Write([]byte("bye"))
 	})
+	raw := func(resp string) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			conn, buf, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer conn.Close()
+			buf.WriteString(resp)
+			buf.Flush()
+		}
+	}
+	// An empty value would frame a 0-byte body and leave "{}" in front
+	// of the next response.
+	mux.HandleFunc("/cl-empty", raw("HTTP/1.1 200 OK\r\nContent-Length: \r\n\r\n{}"))
+	// 2^64: twenty digits, which wrap to 0 in an int64.
+	mux.HandleFunc("/cl-overflow", raw("HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551616\r\n\r\n"))
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return ts
@@ -190,22 +184,30 @@ func fastTestServer(t *testing.T) *httptest.Server {
 
 func TestFastClient(t *testing.T) {
 	ts := fastTestServer(t)
-	addr, host, err := fastTarget(ts.URL)
+	targets, err := parseTargets(ts.URL, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newFastClient(addr, host, 2*time.Second)
+	c := newFastClient(targets[0], 2*time.Second)
 	defer c.close()
 	// Interleave framings on one connection: the client must leave the
-	// stream positioned at the next response every time.
+	// stream positioned at the next response every time. A row with
+	// status 0 must fail; the client then redials for the next row.
 	for i := 0; i < 3; i++ {
 		for _, q := range []struct {
 			path   string
 			status int
 		}{
 			{"/small", 200}, {"/big", 200}, {"/missing", 404}, {"/small", 200},
+			{"/cl-empty", 0}, {"/small", 200}, {"/cl-overflow", 0},
 		} {
 			status, err := c.get(q.path)
+			if q.status == 0 {
+				if err == nil {
+					t.Fatalf("round %d %s: status %d, want a framing error", i, q.path, status)
+				}
+				continue
+			}
 			if err != nil {
 				t.Fatalf("round %d %s: %v", i, q.path, err)
 			}
@@ -226,9 +228,99 @@ func TestFastClient(t *testing.T) {
 		t.Fatalf("redial after close: %d, %v", status, err)
 	}
 
-	// https targets need net/http.
-	if _, _, err := fastTarget("https://example.com"); err == nil {
-		t.Error("fastTarget should reject https")
+	// The client speaks plain HTTP/1.1 only.
+	if _, err := parseTargets("https://example.com", ""); err == nil || !strings.Contains(err.Error(), "plain HTTP/1.1") {
+		t.Errorf("parseTargets(https) = %v, want a scheme error", err)
+	}
+}
+
+// rawServer answers every request on a plain TCP listener with a
+// 2-byte 200, after calling hook with the request's 1-based count across
+// all connections. It returns the target URL and the request counter.
+func rawServer(t *testing.T, hook func(n int32, conn net.Conn)) (string, *atomic.Int32) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var requests atomic.Int32
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				for {
+					if _, err := http.ReadRequest(br); err != nil {
+						return
+					}
+					hook(requests.Add(1), conn)
+					if _, err := io.WriteString(conn, "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return "http://" + ln.Addr().String(), &requests
+}
+
+// TestFastClientTimeoutNotRetried: a request that timed out after it was
+// written may already be running on the server, so it is reported as an
+// error and never resent.
+func TestFastClientTimeoutNotRetried(t *testing.T) {
+	stall := make(chan struct{})
+	url, requests := rawServer(t, func(n int32, _ net.Conn) {
+		if n == 2 {
+			<-stall // hold request 2 past the client's timeout
+		}
+	})
+	defer close(stall)
+	targets, err := parseTargets(url, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newFastClient(targets[0], 200*time.Millisecond)
+	defer c.close()
+	if status, err := c.get("/one"); err != nil || status != 200 {
+		t.Fatalf("first get: %d, %v", status, err)
+	}
+	if status, err := c.get("/two"); err == nil {
+		t.Errorf("stalled get: status %d, want a timeout error", status)
+	}
+	if n := requests.Load(); n != 2 {
+		t.Errorf("server saw %d requests for 2 gets, want 2", n)
+	}
+}
+
+// TestFastClientRetriesStaleConn: a keep-alive connection the server
+// closed while idle is redialed once, and the request reaches the server
+// exactly once.
+func TestFastClientRetriesStaleConn(t *testing.T) {
+	url, requests := rawServer(t, func(n int32, conn net.Conn) {
+		if n == 1 {
+			// Answer request 1, then close the connection silently.
+			io.WriteString(conn, "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
+			conn.Close()
+		}
+	})
+	targets, err := parseTargets(url, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newFastClient(targets[0], 2*time.Second)
+	defer c.close()
+	for _, path := range []string{"/one", "/two"} {
+		if status, err := c.get(path); err != nil || status != 200 {
+			t.Fatalf("get %s: %d, %v", path, status, err)
+		}
+	}
+	if n := requests.Load(); n != 2 {
+		t.Errorf("server saw %d requests for 2 gets, want 2", n)
 	}
 }
 
@@ -297,15 +389,18 @@ func TestOpenLoopRun(t *testing.T) {
 	}
 }
 
-// TestOpenLoopFast is the same drive through the built-in HTTP/1.1
-// client, covering the chunked paths the big batch responses take.
-func TestOpenLoopFast(t *testing.T) {
-	ts := liveTarget(t)
+// TestTargetBasePath: a target URL's path is the base every request
+// path is appended to, so a node mounted under a prefix answers.
+func TestTargetBasePath(t *testing.T) {
+	list, err := dataset.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(http.StripPrefix("/prefix", serve.New(list)))
+	defer ts.Close()
 	var out bytes.Buffer
-	err := run(context.Background(), []string{
-		"-target", ts.URL, "-workers", "2", "-duration", "300ms",
-		"-rate", "400", "-fast", "-json", "-batch", "100",
-		"-mix", "sameset=2,set=2,partition=1,batch=1",
+	err = run(context.Background(), []string{
+		"-target", ts.URL + "/prefix", "-workers", "1", "-duration", "200ms", "-json",
 	}, &out)
 	if err != nil {
 		t.Fatalf("run: %v (output %q)", err, out.String())
@@ -315,16 +410,20 @@ func TestOpenLoopFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Requests == 0 || rep.Errors != 0 {
-		t.Errorf("fast open loop: %+v", rep)
+		t.Errorf("prefixed target: %+v", rep)
 	}
 }
 
-// TestClosedLoopFast: -fast works in the default closed loop too.
-func TestClosedLoopFast(t *testing.T) {
-	ts := liveTarget(t)
+// TestMultiTargetRun drives an open loop over two weighted live targets
+// with 100-pair batches: the report carries a per-target block whose
+// counts sum to the aggregate and follow the 2:1 weights.
+func TestMultiTargetRun(t *testing.T) {
+	a, b := liveTarget(t), liveTarget(t)
 	var out bytes.Buffer
 	err := run(context.Background(), []string{
-		"-target", ts.URL, "-workers", "2", "-duration", "200ms", "-fast", "-json",
+		"-targets", a.URL + "=2," + b.URL, "-workers", "2", "-duration", "300ms",
+		"-rate", "400", "-json", "-batch", "100",
+		"-mix", "sameset=2,set=2,partition=1,batch=1",
 	}, &out)
 	if err != nil {
 		t.Fatalf("run: %v (output %q)", err, out.String())
@@ -333,44 +432,19 @@ func TestClosedLoopFast(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Mode != "closed" || rep.Requests == 0 || rep.Errors != 0 {
-		t.Errorf("fast closed loop: %+v", rep)
+	if rep.Requests == 0 || rep.Errors != 0 || len(rep.Targets) != 2 {
+		t.Fatalf("multi-target run: %+v", rep)
 	}
-}
-
-// TestSweepRun steps two offered rates and checks the sweep report
-// shape: both stages present, a knee, and a single JSON document.
-func TestSweepRun(t *testing.T) {
-	ts := liveTarget(t)
-	var out bytes.Buffer
-	err := run(context.Background(), []string{
-		"-target", ts.URL, "-workers", "2", "-duration", "250ms",
-		"-sweep", "200,400", "-json",
-	}, &out)
-	if err != nil {
-		t.Fatalf("run: %v (output %q)", err, out.String())
+	first, second := rep.Targets[0], rep.Targets[1]
+	if first.Target != a.URL || first.Weight != 2 || second.Target != b.URL || second.Weight != 1 {
+		t.Errorf("targets = %+v", rep.Targets)
 	}
-	var swp SweepReport
-	if err := json.Unmarshal(out.Bytes(), &swp); err != nil {
-		t.Fatalf("sweep report is not one JSON document: %v\n%s", err, out.String())
+	if first.Requests+second.Requests != rep.Requests {
+		t.Errorf("target counts %d+%d, want %d", first.Requests, second.Requests, rep.Requests)
 	}
-	if len(swp.Stages) != 2 || swp.Stages[0].OfferedRate != 200 || swp.Stages[1].OfferedRate != 400 {
-		t.Fatalf("stages = %+v", swp.Stages)
-	}
-	if swp.KneeReason == "" || swp.MaxThroughput <= 0 {
-		t.Errorf("sweep summary incomplete: %+v", swp)
-	}
-	// Text mode renders the curve and the knee line.
-	out.Reset()
-	err = run(context.Background(), []string{
-		"-target", ts.URL, "-workers", "2", "-duration", "150ms", "-sweep", "100,200",
-	}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"OFFERED", "ACHIEVED", "knee", "max rate"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("sweep text missing %q:\n%s", want, out.String())
-		}
+	// Each worker walks the ring [a a b] by counter, so per worker the
+	// split is exact to within one request.
+	if d := int64(first.Requests) - 2*int64(second.Requests); d < -4 || d > 4 {
+		t.Errorf("split %d:%d does not follow the 2:1 weights", first.Requests, second.Requests)
 	}
 }
