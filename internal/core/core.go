@@ -42,8 +42,6 @@ import (
 	"strings"
 	"time"
 	"unicode/utf8"
-
-	"rwskit/internal/domain"
 )
 
 // Role identifies how a site participates in a set.
@@ -186,21 +184,51 @@ var (
 // the upstream invariant that sets are disjoint: no site may appear in more
 // than one set, or twice within one set.
 func NewList(sets []*Set) (*List, error) {
-	l := &List{index: make(map[string]membership)}
+	sites := 0
+	for _, s := range sets {
+		if s != nil {
+			sites += s.Size()
+		}
+	}
+	l := &List{sets: make([]*Set, 0, len(sets)), index: make(map[string]membership, sites)}
 	for i, s := range sets {
 		if s == nil {
 			return nil, fmt.Errorf("%w at index %d", ErrNilSet, i)
 		}
-		for _, m := range s.Members() {
-			if prev, ok := l.index[m.Site]; ok {
-				return nil, fmt.Errorf("%w: %q in set %q and set %q",
-					ErrDuplicateSite, m.Site, prev.set.Primary, s.Primary)
+		if err := l.indexMember(s, s.Primary, RolePrimary, ""); err != nil {
+			return nil, err
+		}
+		for _, a := range s.Associated {
+			if err := l.indexMember(s, a, RoleAssociated, ""); err != nil {
+				return nil, err
 			}
-			l.index[m.Site] = membership{set: s, role: m.Role, aliasOf: m.AliasOf}
+		}
+		for _, v := range s.Service {
+			if err := l.indexMember(s, v, RoleService, ""); err != nil {
+				return nil, err
+			}
+		}
+		for _, base := range sortedKeys(s.CCTLDs) {
+			for _, alias := range s.CCTLDs[base] {
+				if err := l.indexMember(s, alias, RoleCCTLD, base); err != nil {
+					return nil, err
+				}
+			}
 		}
 		l.sets = append(l.sets, s)
 	}
 	return l, nil
+}
+
+// indexMember adds one member of s to the index, refusing a site some
+// set already holds.
+func (l *List) indexMember(s *Set, site string, role Role, aliasOf string) error {
+	if prev, ok := l.index[site]; ok {
+		return fmt.Errorf("%w: %q in set %q and set %q",
+			ErrDuplicateSite, site, prev.set.Primary, s.Primary)
+	}
+	l.index[site] = membership{set: s, role: role, aliasOf: aliasOf}
+	return nil
 }
 
 // Sets returns the list's sets in order. The slice is shared; callers must
@@ -343,105 +371,6 @@ func (l *List) SubsetPairs(role Role) [][2]string {
 		}
 	}
 	return out
-}
-
-// jsonList mirrors the upstream related_website_sets.JSON schema.
-type jsonList struct {
-	Sets []jsonSet `json:"sets"`
-}
-
-type jsonSet struct {
-	Contact         string              `json:"contact,omitempty"`
-	Primary         string              `json:"primary"`
-	AssociatedSites []string            `json:"associatedSites,omitempty"`
-	ServiceSites    []string            `json:"serviceSites,omitempty"`
-	RationaleBySite map[string]string   `json:"rationaleBySite,omitempty"`
-	CCTLDs          map[string][]string `json:"ccTLDs,omitempty"`
-}
-
-// ParseJSON parses data in the upstream related_website_sets.JSON schema:
-// origins are canonicalized ("https://example.com" -> "example.com"),
-// non-https origins are rejected, and the disjointness invariant is
-// enforced. Unknown top-level JSON fields are rejected to catch schema
-// drift.
-func ParseJSON(data []byte) (*List, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var jl jsonList
-	if err := dec.Decode(&jl); err != nil {
-		return nil, fmt.Errorf("core: parsing list JSON: %w", err)
-	}
-	sets := make([]*Set, 0, len(jl.Sets))
-	for i := range jl.Sets {
-		s, err := setFromJSON(&jl.Sets[i])
-		if err != nil {
-			return nil, fmt.Errorf("core: set %d: %w", i, err)
-		}
-		sets = append(sets, s)
-	}
-	return NewList(sets)
-}
-
-// ParseSetJSON parses a single set object (the payload of an RWS pull
-// request) in the upstream schema.
-func ParseSetJSON(data []byte) (*Set, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var js jsonSet
-	if err := dec.Decode(&js); err != nil {
-		return nil, fmt.Errorf("core: parsing set JSON: %w", err)
-	}
-	return setFromJSON(&js)
-}
-
-func setFromJSON(js *jsonSet) (*Set, error) {
-	s := &Set{Contact: js.Contact}
-	p, err := canonicalOrigin(js.Primary)
-	if err != nil {
-		return nil, fmt.Errorf("primary: %w", err)
-	}
-	s.Primary = p
-	for _, a := range js.AssociatedSites {
-		c, err := canonicalOrigin(a)
-		if err != nil {
-			return nil, fmt.Errorf("associatedSites: %w", err)
-		}
-		s.Associated = append(s.Associated, c)
-	}
-	for _, v := range js.ServiceSites {
-		c, err := canonicalOrigin(v)
-		if err != nil {
-			return nil, fmt.Errorf("serviceSites: %w", err)
-		}
-		s.Service = append(s.Service, c)
-	}
-	if len(js.CCTLDs) > 0 {
-		s.CCTLDs = make(map[string][]string, len(js.CCTLDs))
-		for base, aliases := range js.CCTLDs {
-			cb, err := canonicalOrigin(base)
-			if err != nil {
-				return nil, fmt.Errorf("ccTLDs key: %w", err)
-			}
-			for _, alias := range aliases {
-				ca, err := canonicalOrigin(alias)
-				if err != nil {
-					return nil, fmt.Errorf("ccTLDs[%s]: %w", base, err)
-				}
-				s.CCTLDs[cb] = append(s.CCTLDs[cb], ca)
-			}
-		}
-	}
-	if len(js.RationaleBySite) > 0 {
-		s.RationaleBySite = make(map[string]string, len(js.RationaleBySite))
-		for site, why := range js.RationaleBySite {
-			c, err := canonicalOrigin(site)
-			if err != nil {
-				return nil, fmt.Errorf("rationaleBySite key: %w", err)
-			}
-			s.RationaleBySite[c] = why
-		}
-	}
-	return s, nil
 }
 
 // MarshalJSON serializes the list back to the upstream schema with
@@ -917,16 +846,6 @@ func siteSet(s *Set) map[string]bool {
 	return m
 }
 
-// canonicalOrigin parses an upstream origin string ("https://example.com")
-// into the canonical bare-host form used internally.
-func canonicalOrigin(s string) (string, error) {
-	o, err := domain.ParseHTTPSOrigin(s)
-	if err != nil {
-		return "", err
-	}
-	return o.Host(), nil
-}
-
 // CanonicalHost normalizes a site spelling to the canonical bare-host form
 // list lookups use: lowercased, scheme prefix ("https://" or "http://"),
 // URL suffixes (path, ?query, #fragment), userinfo ("user:pass@"),
@@ -935,7 +854,7 @@ func canonicalOrigin(s string) (string, error) {
 // "HTTPS://EXAMPLE.COM:443/", "https://example.com/login?next=/#top",
 // "user@example.com", and "example.com." canonicalize to "example.com",
 // so lookup functions answer the same for every legitimate spelling of a
-// host. List parsing (canonicalOrigin) stays strict and is unaffected.
+// host. List parsing (ParseJSON) stays strict and is unaffected.
 //
 //rws:hotpath
 func CanonicalHost(s string) string { return canonicalHost(s) }

@@ -285,3 +285,20 @@ func BenchmarkListMarshalJSON(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 	}
 }
+
+func BenchmarkParseJSON(b *testing.B) {
+	body, err := benchList(b).MarshalJSON()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l, err := core.ParseJSON(body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = l
+	}
+}

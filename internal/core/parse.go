@@ -1,0 +1,493 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"unicode/utf8"
+
+	"rwskit/internal/domain"
+)
+
+// ParseJSON parses data in the upstream related_website_sets.JSON schema:
+// origins are canonicalized ("https://example.com" -> "example.com"),
+// non-https origins are rejected, and the disjointness invariant is
+// enforced. To catch schema drift the parser takes exactly the schema's
+// spelling: the body must be one object holding a "sets" array (an empty
+// one is fine), and unknown, case-folded or duplicate keys, null values,
+// invalid UTF-8, unpaired surrogate escapes and bytes after the object
+// are all errors.
+//
+// One scanner walks the body once and writes straight into each Set.
+// Every string a Set keeps is a substring of one per-set allocation, so
+// the returned list does not pin data.
+func ParseJSON(data []byte) (*List, error) {
+	sc := scanner{data: data}
+	var sets []*Set
+	sawSets := false
+	more, err := sc.first('{', '}')
+	for more && err == nil {
+		var key []byte
+		if key, err = sc.key(); err != nil {
+			break
+		}
+		switch {
+		case string(key) != "sets":
+			err = sc.errorf("unknown field %q", key)
+		case sawSets:
+			err = sc.errorf(`duplicate field "sets"`)
+		default:
+			sawSets = true
+			if sets, err = sc.sets(); err != nil {
+				return nil, err
+			}
+			more, err = sc.next('}')
+		}
+	}
+	if err == nil && !sawSets {
+		err = errors.New(`missing "sets" array`)
+	}
+	if err == nil {
+		err = sc.end()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: parsing list JSON: %w", err)
+	}
+	return NewList(sets)
+}
+
+// ParseSetJSON parses a single set object (the payload of an RWS pull
+// request) in the upstream schema, as strictly as ParseJSON parses each
+// of a list's sets.
+func ParseSetJSON(data []byte) (*Set, error) {
+	sc := scanner{data: data}
+	s, err := sc.set()
+	if err == nil {
+		err = sc.end()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: parsing set JSON: %w", err)
+	}
+	return s, nil
+}
+
+// sets scans the "sets" array. An error inside a set names the set.
+func (sc *scanner) sets() ([]*Set, error) {
+	var sets []*Set
+	more, err := sc.first('[', ']')
+	for more && err == nil {
+		var s *Set
+		if s, err = sc.set(); err != nil {
+			return nil, fmt.Errorf("core: set %d: %w", len(sets), err)
+		}
+		sets = append(sets, s)
+		more, err = sc.next(']')
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: parsing list JSON: %w", err)
+	}
+	return sets, nil
+}
+
+// Set fields, in schema order; the bit 1<<f marks field f as seen.
+const (
+	fieldContact = iota
+	fieldPrimary
+	fieldAssociated
+	fieldService
+	fieldRationale
+	fieldCCTLDs
+)
+
+var fieldNames = [...]string{"contact", "primary", "associatedSites", "serviceSites", "rationaleBySite", "ccTLDs"}
+
+// A span is one string of the set being scanned, decoded into
+// scanner.buf[start:end]. Map entries are a key span followed by the
+// value's spans.
+type span struct {
+	kind       spanKind
+	start, end int
+}
+
+type spanKind uint8
+
+const (
+	spanContact spanKind = iota
+	spanPrimary
+	spanAssociated
+	spanService
+	spanRationaleKey
+	spanRationale
+	spanCCTLDKey
+	spanCCTLD
+)
+
+// scanner reads the list schema from data. Its syntax errors carry the
+// byte offset they were found at.
+type scanner struct {
+	data []byte
+	pos  int
+	// buf and spans hold the decoded strings of the set being scanned;
+	// both are reused from set to set.
+	buf   []byte
+	spans []span
+	// count tallies the spans of each kind in the set being scanned.
+	count [spanCCTLD + 1]int
+}
+
+// errorf reports a syntax error at the cursor.
+func (sc *scanner) errorf(format string, args ...any) error {
+	return fmt.Errorf("syntax error at byte %d: %s", sc.pos, fmt.Sprintf(format, args...))
+}
+
+func (sc *scanner) skipSpace() {
+	for sc.pos < len(sc.data) {
+		switch sc.data[sc.pos] {
+		case ' ', '\t', '\n', '\r':
+			sc.pos++
+		default:
+			return
+		}
+	}
+}
+
+// expect skips whitespace and consumes c.
+func (sc *scanner) expect(c byte) error {
+	sc.skipSpace()
+	if sc.pos >= len(sc.data) {
+		return sc.errorf("unexpected end of input, want %q", c)
+	}
+	if sc.data[sc.pos] != c {
+		return sc.errorf("found %q, want %q", sc.data[sc.pos], c)
+	}
+	sc.pos++
+	return nil
+}
+
+// end requires nothing but whitespace after the top-level value.
+func (sc *scanner) end() error {
+	sc.skipSpace()
+	if sc.pos < len(sc.data) {
+		return sc.errorf("unexpected %q after top-level value", sc.data[sc.pos])
+	}
+	return nil
+}
+
+// first consumes the open byte of an array or object and reports
+// whether an element follows (false: the close byte was consumed too).
+// The caller scans each element, then calls next.
+func (sc *scanner) first(open, close byte) (bool, error) {
+	if err := sc.expect(open); err != nil {
+		return false, err
+	}
+	sc.skipSpace()
+	if sc.pos < len(sc.data) && sc.data[sc.pos] == close {
+		sc.pos++
+		return false, nil
+	}
+	return true, nil
+}
+
+// next consumes the ',' before another element (true) or the close byte
+// (false).
+func (sc *scanner) next(close byte) (bool, error) {
+	sc.skipSpace()
+	if sc.pos >= len(sc.data) {
+		return false, sc.errorf("unexpected end of input, want ',' or %q", close)
+	}
+	switch sc.data[sc.pos] {
+	case ',':
+		sc.pos++
+		return true, nil
+	case close:
+		sc.pos++
+		return false, nil
+	}
+	return false, sc.errorf("found %q, want ',' or %q", sc.data[sc.pos], close)
+}
+
+// key scans an object key and its colon, returning the decoded key. The
+// bytes are only valid until the next string is scanned.
+func (sc *scanner) key() ([]byte, error) {
+	start := len(sc.buf)
+	if err := sc.str(); err != nil {
+		return nil, err
+	}
+	key := sc.buf[start:]
+	sc.buf = sc.buf[:start]
+	return key, sc.expect(':')
+}
+
+// add scans a string into buf and records it as a span of kind k.
+func (sc *scanner) add(k spanKind) error {
+	start := len(sc.buf)
+	if err := sc.str(); err != nil {
+		return err
+	}
+	sc.spans = append(sc.spans, span{kind: k, start: start, end: len(sc.buf)})
+	sc.count[k]++
+	return nil
+}
+
+// addAll scans an array of strings as spans of kind k.
+func (sc *scanner) addAll(k spanKind) error {
+	more, err := sc.first('[', ']')
+	for more && err == nil {
+		if err = sc.add(k); err == nil {
+			more, err = sc.next(']')
+		}
+	}
+	return err
+}
+
+// set scans one set object and builds the Set from its spans.
+func (sc *scanner) set() (*Set, error) {
+	sc.buf, sc.spans, sc.count = sc.buf[:0], sc.spans[:0], [len(sc.count)]int{}
+	var seen uint
+	more, err := sc.first('{', '}')
+	for more && err == nil {
+		var key []byte
+		if key, err = sc.key(); err != nil {
+			break
+		}
+		f := 0
+		for f < len(fieldNames) && fieldNames[f] != string(key) {
+			f++
+		}
+		if f == len(fieldNames) {
+			return nil, sc.errorf("unknown field %q", key)
+		}
+		if seen&(1<<f) != 0 {
+			return nil, sc.errorf("duplicate field %q", key)
+		}
+		seen |= 1 << f
+		if err := sc.field(f); err != nil {
+			return nil, fmt.Errorf("%s: %w", fieldNames[f], err)
+		}
+		more, err = sc.next('}')
+	}
+	if err != nil {
+		return nil, err
+	}
+	return sc.build()
+}
+
+// field scans the value of set field f into spans.
+func (sc *scanner) field(f int) error {
+	switch f {
+	case fieldContact:
+		return sc.add(spanContact)
+	case fieldPrimary:
+		return sc.add(spanPrimary)
+	case fieldAssociated:
+		return sc.addAll(spanAssociated)
+	case fieldService:
+		return sc.addAll(spanService)
+	}
+	// rationaleBySite and ccTLDs are objects keyed by origin.
+	key := spanRationaleKey
+	if f == fieldCCTLDs {
+		key = spanCCTLDKey
+	}
+	more, err := sc.first('{', '}')
+	for more && err == nil {
+		if err = sc.add(key); err != nil {
+			break
+		}
+		if err = sc.expect(':'); err != nil {
+			break
+		}
+		if f == fieldCCTLDs {
+			err = sc.addAll(spanCCTLD)
+		} else {
+			err = sc.add(spanRationale)
+		}
+		if err == nil {
+			more, err = sc.next('}')
+		}
+	}
+	return err
+}
+
+// spanNames names each span kind's field in errors.
+var spanNames = [...]string{"contact", "primary", "associatedSites", "serviceSites",
+	"rationaleBySite key", "rationaleBySite", "ccTLDs key", "ccTLDs"}
+
+// build turns the scanned spans into a Set. All of the set's strings are
+// substrings of one allocation, and its slices and maps are sized from
+// the span counts. A map key that canonicalizes to one already present is
+// an error, as is a raw duplicate key.
+func (sc *scanner) build() (*Set, error) {
+	if sc.count[spanPrimary] == 0 {
+		return nil, fmt.Errorf("primary: %w", domain.ErrEmpty)
+	}
+	arena := string(sc.buf)
+	s := &Set{}
+	if n := sc.count[spanAssociated]; n > 0 {
+		s.Associated = make([]string, 0, n)
+	}
+	if n := sc.count[spanService]; n > 0 {
+		s.Service = make([]string, 0, n)
+	}
+	if n := sc.count[spanRationaleKey]; n > 0 {
+		s.RationaleBySite = make(map[string]string, n)
+	}
+	if n := sc.count[spanCCTLDKey]; n > 0 {
+		s.CCTLDs = make(map[string][]string, n)
+	}
+	var key, rawKey string // the map entry being filled
+	for _, sp := range sc.spans {
+		raw := arena[sp.start:sp.end]
+		switch sp.kind {
+		case spanContact:
+			s.Contact = raw
+			continue
+		case spanRationale:
+			s.RationaleBySite[key] = raw
+			continue
+		}
+		o, err := domain.ParseHTTPSOrigin(raw)
+		if err != nil {
+			if sp.kind == spanCCTLD {
+				return nil, fmt.Errorf("ccTLDs[%s]: %w", rawKey, err)
+			}
+			return nil, fmt.Errorf("%s: %w", spanNames[sp.kind], err)
+		}
+		host := o.Host()
+		switch sp.kind {
+		case spanPrimary:
+			s.Primary = host
+		case spanAssociated:
+			s.Associated = append(s.Associated, host)
+		case spanService:
+			s.Service = append(s.Service, host)
+		case spanRationaleKey:
+			if _, dup := s.RationaleBySite[host]; dup {
+				return nil, fmt.Errorf("rationaleBySite: duplicate key %q", raw)
+			}
+			key = host
+		case spanCCTLDKey:
+			if _, dup := s.CCTLDs[host]; dup {
+				return nil, fmt.Errorf("ccTLDs: duplicate key %q", raw)
+			}
+			key, rawKey = host, raw
+			s.CCTLDs[key] = nil // marks the key seen until its aliases arrive
+		case spanCCTLD:
+			s.CCTLDs[key] = append(s.CCTLDs[key], host)
+		}
+	}
+	// A key with no aliases names no member: drop it, or MarshalJSON
+	// would emit it as an empty array.
+	for base, aliases := range s.CCTLDs {
+		if len(aliases) == 0 {
+			delete(s.CCTLDs, base)
+		}
+	}
+	return s, nil
+}
+
+// str scans the JSON string at the cursor and appends its decoded bytes
+// to buf. Raw control bytes, invalid UTF-8, unknown escapes and unpaired
+// surrogates are errors.
+func (sc *scanner) str() error {
+	if err := sc.expect('"'); err != nil {
+		return err
+	}
+	start := sc.pos
+	for sc.pos < len(sc.data) {
+		c := sc.data[sc.pos]
+		switch {
+		case c == '"':
+			sc.buf = append(sc.buf, sc.data[start:sc.pos]...)
+			sc.pos++
+			return nil
+		case c == '\\':
+			sc.buf = append(sc.buf, sc.data[start:sc.pos]...)
+			if err := sc.escape(); err != nil {
+				return err
+			}
+			start = sc.pos
+		case c < 0x20:
+			return sc.errorf("control character %q in string", c)
+		case c < utf8.RuneSelf:
+			sc.pos++
+		default:
+			r, size := utf8.DecodeRune(sc.data[sc.pos:])
+			if r == utf8.RuneError && size == 1 {
+				return sc.errorf("invalid UTF-8 in string")
+			}
+			sc.pos += size
+		}
+	}
+	return sc.errorf("unterminated string")
+}
+
+// escape decodes the escape sequence at the cursor (a backslash) into
+// buf. A \uXXXX high surrogate must be followed by a \uXXXX low one.
+func (sc *scanner) escape() error {
+	if sc.pos+1 >= len(sc.data) {
+		return sc.errorf("unterminated escape")
+	}
+	c := sc.data[sc.pos+1]
+	var b byte
+	switch c {
+	case '"', '\\', '/':
+		b = c
+	case 'b':
+		b = '\b'
+	case 'f':
+		b = '\f'
+	case 'n':
+		b = '\n'
+	case 'r':
+		b = '\r'
+	case 't':
+		b = '\t'
+	case 'u':
+		r, err := sc.hex4()
+		if err != nil {
+			return err
+		}
+		if utf16IsSurrogate(r) {
+			if r >= 0xDC00 {
+				return sc.errorf("unpaired surrogate \\u%04x", r)
+			}
+			lo, err := sc.hex4()
+			if err != nil || lo < 0xDC00 || lo > 0xDFFF {
+				return sc.errorf("unpaired surrogate \\u%04x", r)
+			}
+			r = 0x10000 + (r-0xD800)<<10 + (lo - 0xDC00)
+		}
+		sc.buf = utf8.AppendRune(sc.buf, r)
+		return nil
+	default:
+		return sc.errorf("invalid escape \\%c", c)
+	}
+	sc.buf = append(sc.buf, b)
+	sc.pos += 2
+	return nil
+}
+
+// hex4 decodes a \uXXXX escape at the cursor.
+func (sc *scanner) hex4() (rune, error) {
+	if sc.pos+6 > len(sc.data) || sc.data[sc.pos] != '\\' || sc.data[sc.pos+1] != 'u' {
+		return 0, sc.errorf("want \\uXXXX")
+	}
+	var r rune
+	for _, c := range sc.data[sc.pos+2 : sc.pos+6] {
+		switch {
+		case c >= '0' && c <= '9':
+			c -= '0'
+		case c >= 'a' && c <= 'f':
+			c -= 'a' - 10
+		case c >= 'A' && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return 0, sc.errorf("invalid \\u escape")
+		}
+		r = r<<4 | rune(c)
+	}
+	sc.pos += 6
+	return r, nil
+}
+
+func utf16IsSurrogate(r rune) bool { return r >= 0xD800 && r < 0xE000 }

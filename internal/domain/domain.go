@@ -9,7 +9,6 @@ package domain
 import (
 	"errors"
 	"fmt"
-	"net/url"
 	"strings"
 
 	"rwskit/internal/psl"
@@ -29,7 +28,13 @@ var (
 // not start or end with '-', total length at most 253. It does not consult
 // the PSL; use Site for registrable-domain semantics.
 func Normalize(d string) (string, error) {
-	d = strings.ToLower(strings.TrimSpace(d))
+	return ldhHost(strings.ToLower(strings.TrimSpace(d)))
+}
+
+// ldhHost is Normalize without the trim and the Unicode lowercasing: it
+// strips one trailing dot, validates the labels, and lowercases the
+// ASCII letters, allocating only if there are uppercase ones.
+func ldhHost(d string) (string, error) {
 	d = strings.TrimSuffix(d, ".")
 	if d == "" {
 		return "", ErrEmpty
@@ -37,12 +42,14 @@ func Normalize(d string) (string, error) {
 	if len(d) > 253 {
 		return "", ErrTooLong
 	}
-	for _, label := range strings.Split(d, ".") {
+	for rest, more := d, true; more; {
+		var label string
+		label, rest, more = strings.Cut(rest, ".")
 		if err := checkLabel(label); err != nil {
 			return "", fmt.Errorf("%w: %q in %q", ErrBadLabel, label, d)
 		}
 	}
-	return d, nil
+	return strings.ToLower(d), nil
 }
 
 func checkLabel(label string) error {
@@ -58,7 +65,7 @@ func checkLabel(label string) error {
 		case c >= 'a' && c <= 'z':
 		case c >= '0' && c <= '9':
 		case c == '-':
-		case c >= 'A' && c <= 'Z': // caller lowercases first, but be safe
+		case c >= 'A' && c <= 'Z': // ldhHost lowercases after the check
 		default:
 			return ErrBadLabel
 		}
@@ -178,35 +185,49 @@ type HTTPSOrigin struct {
 }
 
 // ParseHTTPSOrigin parses s as an https origin. It accepts bare domains
-// ("example.com") as shorthand and rejects any explicit non-https scheme,
-// userinfo, port, path, query, or fragment.
+// ("example.com") as shorthand, any case of the scheme, one trailing "/"
+// and a trailing root dot, and rejects any other scheme, userinfo, port
+// (even an empty one), path, query, or fragment (even an empty "?" or
+// "#"). The host must be an ASCII LDH name, checked as Normalize checks
+// it. One pass, no allocation unless the host needs lowercasing.
 func ParseHTTPSOrigin(s string) (HTTPSOrigin, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return HTTPSOrigin{}, ErrEmpty
 	}
-	if !strings.Contains(s, "://") {
+	i := strings.Index(s, "://")
+	if i < 0 {
 		norm, err := Normalize(s)
 		if err != nil {
 			return HTTPSOrigin{}, err
 		}
 		return HTTPSOrigin{host: norm}, nil
 	}
-	u, err := url.Parse(s)
-	if err != nil {
-		return HTTPSOrigin{}, fmt.Errorf("domain: parsing origin %q: %w", s, err)
-	}
-	if u.Scheme != "https" {
+	if !isHTTPS(s[:i]) {
 		return HTTPSOrigin{}, fmt.Errorf("%w: %q", ErrNotHTTPS, s)
 	}
-	if u.User != nil || u.Port() != "" || (u.Path != "" && u.Path != "/") || u.RawQuery != "" || u.Fragment != "" {
-		return HTTPSOrigin{}, fmt.Errorf("domain: origin %q must be scheme and host only", s)
-	}
-	norm, err := Normalize(u.Hostname())
+	host := strings.TrimSuffix(s[i+len("://"):], "/")
+	norm, err := ldhHost(host)
 	if err != nil {
+		if strings.ContainsAny(host, "@:/?#") {
+			return HTTPSOrigin{}, fmt.Errorf("domain: origin %q must be scheme and host only", s)
+		}
 		return HTTPSOrigin{}, err
 	}
 	return HTTPSOrigin{host: norm}, nil
+}
+
+// isHTTPS reports whether scheme is "https" in any ASCII case.
+func isHTTPS(scheme string) bool {
+	if len(scheme) != len("https") {
+		return false
+	}
+	for i := 0; i < len(scheme); i++ {
+		if scheme[i]|0x20 != "https"[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Host returns the origin's host.

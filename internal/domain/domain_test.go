@@ -2,6 +2,8 @@ package domain
 
 import (
 	"errors"
+	"fmt"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -176,49 +178,142 @@ func TestIsCCTLDVariantZeroSite(t *testing.T) {
 	}
 }
 
-func TestParseHTTPSOrigin(t *testing.T) {
-	ok := []struct {
-		in   string
-		host string
-	}{
-		{"https://example.com", "example.com"},
-		{"https://Example.COM", "example.com"},
-		{"https://example.com/", "example.com"},
-		{"example.com", "example.com"},
+// parseHTTPSOriginOracle is ParseHTTPSOrigin as first written, on
+// net/url. The one-pass parser must never accept a spelling it rejects,
+// nor canonicalize one to a different host.
+func parseHTTPSOriginOracle(s string) (HTTPSOrigin, error) {
+	s = strings.TrimSpace(s)
+	if s == "" {
+		return HTTPSOrigin{}, ErrEmpty
 	}
-	for _, tc := range ok {
-		o, err := ParseHTTPSOrigin(tc.in)
+	if !strings.Contains(s, "://") {
+		norm, err := Normalize(s)
 		if err != nil {
-			t.Errorf("ParseHTTPSOrigin(%q) error: %v", tc.in, err)
-			continue
+			return HTTPSOrigin{}, err
 		}
-		if o.Host() != tc.host {
-			t.Errorf("ParseHTTPSOrigin(%q).Host() = %q, want %q", tc.in, o.Host(), tc.host)
+		return HTTPSOrigin{host: norm}, nil
+	}
+	u, err := url.Parse(s)
+	if err != nil {
+		return HTTPSOrigin{}, fmt.Errorf("domain: parsing origin %q: %w", s, err)
+	}
+	if u.Scheme != "https" {
+		return HTTPSOrigin{}, fmt.Errorf("%w: %q", ErrNotHTTPS, s)
+	}
+	if u.User != nil || u.Port() != "" || (u.Path != "" && u.Path != "/") || u.RawQuery != "" || u.Fragment != "" {
+		return HTTPSOrigin{}, fmt.Errorf("domain: origin %q must be scheme and host only", s)
+	}
+	norm, err := Normalize(u.Hostname())
+	if err != nil {
+		return HTTPSOrigin{}, err
+	}
+	return HTTPSOrigin{host: norm}, nil
+}
+
+// originRows pins ParseHTTPSOrigin's result on each spelling next to
+// the net/url oracle's: old and want are the canonical host, or "" for
+// an error. The rows where they differ are the spellings the one-pass
+// parser rejects on purpose.
+var originRows = []struct {
+	in, old, want string
+}{
+	{"https://example.com", "example.com", "example.com"},
+	{"https://Example.COM", "example.com", "example.com"},
+	{"HTTPS://example.com", "example.com", "example.com"},
+	{"hTtPs://example.com", "example.com", "example.com"},
+	{"https://example.com/", "example.com", "example.com"},
+	{"https://example.com.", "example.com", "example.com"},
+	{"https://example.com./", "example.com", "example.com"},
+	{"  https://example.com/ \t", "example.com", "example.com"},
+	{"example.com", "example.com", "example.com"},
+	{"Example.COM.", "example.com", "example.com"},
+	{"xn--bcher-kva.de", "xn--bcher-kva.de", "xn--bcher-kva.de"},
+	{"http://example.com", "", ""},
+	{"ftp://example.com", "", ""},
+	{"https:/example.com", "", ""},
+	{"https//example.com", "", ""},
+	{"https://example.com:8443", "", ""},
+	{"https://user@example.com", "", ""},
+	{"https://example.com/path", "", ""},
+	{"https://example.com//", "", ""},
+	{"https://example.com?q=1", "", ""},
+	{"https://example.com#frag", "", ""},
+	{"https://example.com..", "", ""},
+	{"https://exa mple.com", "", ""},
+	{"https:// example.com", "", ""},
+	{"https://exam%70le.com", "", ""},
+	{"https://", "", ""},
+	{"https:///", "", ""},
+	{"", "", ""},
+	{"https://bad..dot.com", "", ""},
+	{"https://-bad.com", "", ""},
+	{"example.com/x://y", "", ""},
+	// Spellings net/url let through although they are not scheme and
+	// host only: an empty port, query or fragment, a bracketed name,
+	// and non-ASCII that Unicode lowercasing or trimming turned into an
+	// ASCII host.
+	{"https://example.com:", "example.com", ""},
+	{"https://example.com:/", "example.com", ""},
+	{"https://example.com?", "example.com", ""},
+	{"https://example.com/?", "example.com", ""},
+	{"https://example.com#", "example.com", ""},
+	{"https://example.com/#", "example.com", ""},
+	{"https://[example.com]", "example.com", ""},
+	{"https://\u212aelvin.com", "kelvin.com", ""},
+	{"https://\u00a0example.com", "example.com", ""},
+}
+
+func TestParseHTTPSOrigin(t *testing.T) {
+	host := func(o HTTPSOrigin, err error) string {
+		if err != nil {
+			return ""
 		}
-		if o.String() != "https://"+tc.host {
-			t.Errorf("String() = %q", o.String())
+		return o.Host()
+	}
+	for _, row := range originRows {
+		if got := host(parseHTTPSOriginOracle(row.in)); got != row.old {
+			t.Errorf("oracle(%q) = %q, want %q", row.in, got, row.old)
+		}
+		o, err := ParseHTTPSOrigin(row.in)
+		if got := host(o, err); got != row.want {
+			t.Errorf("ParseHTTPSOrigin(%q) = %q (err %v), want %q", row.in, got, err, row.want)
+		}
+		if err == nil && o.String() != "https://"+row.want {
+			t.Errorf("ParseHTTPSOrigin(%q).String() = %q", row.in, o.String())
 		}
 	}
-	bad := []string{
-		"http://example.com",
-		"ftp://example.com",
-		"https://example.com:8443",
-		"https://user@example.com",
-		"https://example.com/path",
-		"https://example.com?q=1",
-		"https://example.com#frag",
-		"",
-		"https://bad..dot.com",
-	}
-	for _, in := range bad {
-		if _, err := ParseHTTPSOrigin(in); err == nil {
-			t.Errorf("ParseHTTPSOrigin(%q) succeeded, want error", in)
-		}
+	if _, err := ParseHTTPSOrigin("http://example.com"); !errors.Is(err, ErrNotHTTPS) {
+		t.Errorf("http origin: err = %v, want ErrNotHTTPS", err)
 	}
 	var zero HTTPSOrigin
 	if !zero.IsZero() {
 		t.Error("zero origin should report IsZero")
 	}
+}
+
+// FuzzParseHTTPSOrigin holds the one-pass parser to the net/url oracle:
+// whatever it accepts, the oracle accepts as the same host; whatever the
+// oracle accepts and it rejects, it accepts in canonical "https://host"
+// form, so a rejection is only ever about spelling.
+func FuzzParseHTTPSOrigin(f *testing.F) {
+	for _, row := range originRows {
+		f.Add(row.in)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseHTTPSOrigin(s)
+		want, oerr := parseHTTPSOriginOracle(s)
+		switch {
+		case err == nil && oerr != nil:
+			t.Fatalf("ParseHTTPSOrigin(%q) = %q, oracle rejects: %v", s, got.Host(), oerr)
+		case err == nil && got != want:
+			t.Fatalf("ParseHTTPSOrigin(%q) = %q, oracle %q", s, got.Host(), want.Host())
+		case err != nil && oerr == nil:
+			back, err := ParseHTTPSOrigin(want.String())
+			if err != nil || back != want {
+				t.Fatalf("ParseHTTPSOrigin(%q) rejects the oracle's canonical form of %q: %v", want.String(), s, err)
+			}
+		}
+	})
 }
 
 func BenchmarkSiteOf(b *testing.B) {

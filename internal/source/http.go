@@ -1,6 +1,7 @@
 package source
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -198,7 +199,7 @@ func (h *HTTPSource) fetchOnce(ctx context.Context) (*core.List, Meta, error) {
 	if resp.ContentLength > h.cfg.MaxBody {
 		return nil, Meta{}, fmt.Errorf("source: %s: body of %d bytes exceeds limit %d", h.url, resp.ContentLength, h.cfg.MaxBody)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, h.cfg.MaxBody+1))
+	data, err := readBody(resp, h.cfg.MaxBody)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, Meta{}, ctx.Err()
@@ -239,6 +240,21 @@ func (h *HTTPSource) fetchOnce(ctx context.Context) (*core.List, Meta, error) {
 		}
 	}
 	return list, meta, nil
+}
+
+// readBody reads at most maxBody+1 bytes of resp's body, so the caller
+// can tell an oversized body from one that fits. A known Content-Length
+// (already checked against maxBody) sizes the buffer once, rather than
+// growing it from 512 bytes and copying a multi-megabyte list twice over.
+func readBody(resp *http.Response, maxBody int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if resp.ContentLength >= 0 {
+		// ReadFrom wants bytes.MinRead free before each read, including
+		// the one that sees EOF.
+		buf.Grow(int(resp.ContentLength) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(io.LimitReader(resp.Body, maxBody+1))
+	return buf.Bytes(), err
 }
 
 // parseRetryAfter parses a Retry-After header value: delta-seconds or an

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -238,6 +239,39 @@ func TestHTTPSourceBodyLimit(t *testing.T) {
 	_, _, err := src.Fetch(ctx)
 	if err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Errorf("err = %v, want a body-limit failure", err)
+	}
+}
+
+// TestReadBody: a known Content-Length sizes the buffer once instead of
+// growing it, and a body that disagrees with its announced length is
+// still read up to the limit, so the caller's MaxBody check sees it.
+func TestReadBody(t *testing.T) {
+	body := strings.Repeat("x", 1<<20)
+	read := func(contentLength, limit int64) ([]byte, error) {
+		resp := &http.Response{Body: io.NopCloser(strings.NewReader(body)), ContentLength: contentLength}
+		return readBody(resp, limit)
+	}
+	cases := []struct {
+		name                 string
+		contentLength, limit int64
+		want                 int
+	}{
+		{"announced", 1 << 20, 2 << 20, 1 << 20},
+		{"unknown", -1, 2 << 20, 1 << 20},
+		{"longer than announced", 100, 2 << 20, 1 << 20},
+		{"shorter than announced", 3 << 20, 4 << 20, 1 << 20},
+		{"over the limit", 1 << 20, 1000, 1001},
+	}
+	for _, tc := range cases {
+		got, err := read(tc.contentLength, tc.limit)
+		if err != nil || len(got) != tc.want {
+			t.Errorf("%s: read %d bytes, err %v; want %d", tc.name, len(got), err, tc.want)
+		}
+	}
+	sized := testing.AllocsPerRun(5, func() { read(1<<20, 2<<20) })
+	grown := testing.AllocsPerRun(5, func() { read(-1, 2<<20) })
+	if sized >= grown || sized > 5 {
+		t.Errorf("announced body: %v allocs per read, unknown length: %v; want one buffer allocation", sized, grown)
 	}
 }
 

@@ -468,3 +468,69 @@ func TestWatcherOnPoll(t *testing.T) {
 		t.Fatal("Run did not return after cancel")
 	}
 }
+
+// TestWatcherIgnoresEmptyBodies: an upstream serving a body with no
+// "sets" array (null, {}, {"sets":null}) is broken, not empty. The fetch
+// fails, and the watcher keeps the list it has instead of swapping to
+// one where nothing is related.
+func TestWatcherIgnoresEmptyBodies(t *testing.T) {
+	var mu sync.Mutex
+	body := oneSetJSON
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		fmt.Fprint(w, body)
+	}))
+	defer ts.Close()
+	serveBody := func(b string) {
+		mu.Lock()
+		body = b
+		mu.Unlock()
+	}
+	src := source.NewHTTPSource(ts.URL, source.HTTPConfig{Attempts: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	initial, _, err := src.Fetch(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	polls := make(chan error, 16)
+	w := source.NewWatcher(src, 0, initial, nil)
+	w.OnPoll = func(err error) { polls <- err }
+	swaps := make(chan source.Swap, 16)
+	go w.Run(ctx, func(sw source.Swap) { swaps <- sw })
+
+	for _, b := range []string{"null", "{}", `{"sets":null}`, " null \n"} {
+		serveBody(b)
+		if _, _, err := src.Fetch(ctx); err == nil {
+			t.Errorf("Fetch of %q succeeded, want an error", b)
+		}
+		w.Refresh()
+		select {
+		case err := <-polls:
+			if err == nil || errors.Is(err, source.ErrNotModified) {
+				t.Errorf("poll of %q: err = %v, want a parse failure", b, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("poll of %q never finished", b)
+		}
+		select {
+		case sw := <-swaps:
+			t.Fatalf("body %q delivered a swap with %d sets", b, sw.List.NumSets())
+		default:
+		}
+	}
+
+	// An explicitly empty array is a real (if unusual) list.
+	serveBody(`{"sets":[]}`)
+	w.Refresh()
+	select {
+	case sw := <-swaps:
+		if sw.List.NumSets() != 0 || sw.Prev != initial {
+			t.Errorf("empty list swap: %d sets, prev %p, want 0 sets after %p", sw.List.NumSets(), sw.Prev, initial)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal(`{"sets":[]} was never delivered`)
+	}
+}
