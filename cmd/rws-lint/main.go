@@ -1,26 +1,24 @@
 // Command rws-lint is the repo's invariant multichecker: it runs the
-// internal/lint analyzer suite — lockguard, hotpath, determinism,
-// jsonenvelope, atomicptr, plus the interprocedural lockorder,
-// goroleak, and ctxflow analyzers — over the module and exits nonzero
-// on any finding. CI runs it as a hard gate; run it locally with:
+// internal/lint analyzer suite — lockguard and hotpath, plus the
+// interprocedural lockorder, goroleak, and ctxflow analyzers — over the
+// module and exits nonzero on any finding. CI runs it as a hard gate;
+// run it locally with:
 //
 //	go run ./cmd/rws-lint ./...
 //
 // Usage:
 //
-//	rws-lint [-list] [-json] [-allocgate] [pattern ...]
+//	rws-lint [-list] [-allocgate] [pattern ...]
 //
 // Patterns are "./..." (every package in the enclosing module, the
 // default), module import paths ("rwskit/internal/serve"), or plain
 // directories (./internal/serve, or a fixture directory under
 // testdata). The default suite is pure standard library: no x/tools,
 // no network, no build cache beyond parsing GOROOT sources for type
-// information. -json emits the findings as a JSON array (file, line,
-// col, analyzer, message) instead of text. -allocgate runs the
-// compiler escape-analysis gate instead of the in-process analyzers:
-// it shells out to go build -gcflags=-m=2 and fails if any
-// //rws:hotpath or //rws:allocfree function heap-allocates (see
-// internal/lint/allocgate.go).
+// information. -allocgate runs the compiler escape-analysis gate
+// instead of the in-process analyzers: it shells out to go build
+// -gcflags=-m=2 and fails if any //rws:hotpath or //rws:allocfree
+// function heap-allocates (see internal/lint/allocgate.go).
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load/type errors.
 package main
@@ -42,7 +40,6 @@ func run(args []string, out, errw io.Writer) int {
 	fs := flag.NewFlagSet("rws-lint", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	jsonOut := fs.Bool("json", false, "emit the findings as a JSON array")
 	allocgate := fs.Bool("allocgate", false, "run the compiler escape-analysis gate instead of the in-process analyzers")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -73,20 +70,11 @@ func run(args []string, out, errw io.Writer) int {
 		fmt.Fprintln(errw, "rws-lint:", err)
 		return 2
 	}
-	if *jsonOut {
-		if err := lint.EncodeJSON(out, diags); err != nil {
-			fmt.Fprintln(errw, "rws-lint:", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(out, d)
-		}
+	for _, d := range diags {
+		fmt.Fprintln(out, d)
 	}
 	if len(diags) > 0 {
-		if !*jsonOut {
-			fmt.Fprintf(out, "rws-lint: %d finding(s)\n", len(diags))
-		}
+		fmt.Fprintf(out, "rws-lint: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0

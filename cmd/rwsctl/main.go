@@ -11,7 +11,6 @@
 //	rwsctl versions -server URL           list the versions a running rws-serve retains
 //	rwsctl churn -server URL [FROM [TO]]  churn rollup over the retained version chain
 //	rwsctl serve [-addr :8080] [-list file]  serve the list as the rws-serve HTTP API
-//	rwsctl lint [-json] [pattern ...]     run the in-tree invariant suite (cmd/rws-lint)
 //
 // Without -list, the embedded reconstruction of the 26 March 2024 snapshot
 // is used. The -server verbs talk to rws-serve's version plane
@@ -33,7 +32,6 @@ import (
 	"time"
 
 	"rwskit"
-	"rwskit/internal/lint"
 	"rwskit/internal/serve"
 )
 
@@ -46,7 +44,7 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: rwsctl <stats|related|find|validate|diff|versions|churn|serve|lint> [args]")
+		return fmt.Errorf("usage: rwsctl <stats|related|find|validate|diff|versions|churn|serve> [args]")
 	}
 	cmd, rest := args[0], args[1:]
 	switch cmd {
@@ -66,49 +64,9 @@ func run(args []string, out io.Writer) error {
 		return cmdChurn(rest, out)
 	case "serve":
 		return cmdServe(rest, out)
-	case "lint":
-		return cmdLint(rest, out)
 	default:
 		return fmt.Errorf("unknown subcommand %q", cmd)
 	}
-}
-
-// cmdLint is the passthrough verb for the in-tree invariant suite (see
-// cmd/rws-lint): it runs every analyzer over the enclosing module (or
-// the given patterns) and fails on any finding, so a checkout with only
-// rwsctl built still has the lint gate one verb away. -json emits the
-// findings in rws-lint's machine-readable array form.
-func cmdLint(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("lint", flag.ContinueOnError)
-	jsonOut := fs.Bool("json", false, "emit the findings as a JSON array")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	cwd, err := os.Getwd()
-	if err != nil {
-		return err
-	}
-	diags, err := lint.LintPatterns(cwd, patterns)
-	if err != nil {
-		return err
-	}
-	if *jsonOut {
-		if err := lint.EncodeJSON(out, diags); err != nil {
-			return err
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(out, d)
-		}
-	}
-	if len(diags) > 0 {
-		return fmt.Errorf("%d lint finding(s)", len(diags))
-	}
-	return nil
 }
 
 func loadList(path string) (*rwskit.List, error) {

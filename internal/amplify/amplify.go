@@ -24,11 +24,8 @@
 // member).
 //
 // A (seed, scale) pair must always produce the identical list — the
-// property CI's amplifier-determinism gate diffs after the fact and
-// rws-lint's determinism analyzer enforces at the source level via the
-// directive below.
-//
-//rws:deterministic
+// property TestGenerateDeterministicPerSeed and CI's
+// amplifier-determinism step check.
 package amplify
 
 import (

@@ -12,11 +12,7 @@
 // build their inputs in parallel.
 //
 // Rendered artifacts must be byte-identical run to run — the property
-// the CI artifact-regeneration diff checks after the fact and rws-lint's
-// determinism analyzer enforces at the source level via the directive
-// below.
-//
-//rws:deterministic
+// TestArtifactsDeterministic checks.
 package analysis
 
 import (

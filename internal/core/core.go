@@ -23,10 +23,8 @@
 // semantics live in rwskit/internal/browser.
 //
 // Identical input lists must produce byte-identical stats, diffs, and
-// serializations (machine-checked by rws-lint's determinism analyzer via
-// the directive below).
-//
-//rws:deterministic
+// serializations (TestEncodersMatchOracles holds the encoders to their
+// sorted oracles).
 package core
 
 import (

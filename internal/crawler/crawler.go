@@ -192,21 +192,18 @@ func (c *Crawler) CrawlAll(ctx context.Context, reqs []Request) []*Page {
 			}
 		}()
 	}
+	// Once the context is done, every request not yet handed to a
+	// worker is marked cancelled; the select may still hand one over if
+	// a worker is idle at that moment, and Fetch then reports the error.
 	for i := range reqs {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			// Mark the remaining requests as cancelled.
-			for j := i; j < len(reqs); j++ {
-				if results[j] == nil {
-					results[j] = &Page{Host: reqs[j].Host, Path: reqs[j].Path, Err: ctx.Err()}
-				}
+		if ctx.Err() == nil {
+			select {
+			case jobs <- i:
+				continue
+			case <-ctx.Done():
 			}
-			i = len(reqs)
 		}
-		if ctx.Err() != nil {
-			break
-		}
+		results[i] = &Page{Host: reqs[i].Host, Path: reqs[i].Path, Err: ctx.Err()}
 	}
 	close(jobs)
 	wg.Wait()

@@ -147,7 +147,7 @@ func gateDiagnostics(prog *Program, modRoot string, facts []escapeFact) []Diagno
 			}
 			switch f.Kind {
 			case "escape", "moved":
-				if !g.strict && lineEscaped(g.pkg, file, f.Line, "coldpath") {
+				if _, cold := g.pkg.directiveAt(token.Position{Filename: file, Line: f.Line}, "coldpath"); cold && !g.strict {
 					continue // audited slow-path allocation in a hotpath function
 				}
 				contract := "//rws:hotpath"
@@ -163,20 +163,6 @@ func gateDiagnostics(prog *Program, modRoot string, facts []escapeFact) []Diagno
 		}
 	}
 	return diags
-}
-
-// lineEscaped is the directive lookup by raw file:line (the compiler's
-// coordinates, not a token.Pos).
-func lineEscaped(pkg *Package, file string, line int, directive string) bool {
-	lines := pkg.lineDirectives[file]
-	for _, l := range []int{line, line - 1} {
-		for _, d := range lines[l] {
-			if d.name == directive {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // collectGated lists every //rws:hotpath and //rws:allocfree function

@@ -47,9 +47,10 @@ func itoa(n int) string {
 }
 
 // TestAllocGateFixture runs the real compiler over the allocgate
-// fixture: the strict //rws:allocfree escape and the unaudited
-// //rws:hotpath escape must be reported, the clean and
-// coldpath-audited functions must not.
+// fixture: the strict //rws:allocfree escape and every unaudited
+// //rws:hotpath escape — make, new, fmt and encoding/json, the bans the
+// hotpath analyzer leaves to this pass — must be reported, the clean
+// and coldpath-audited functions must not.
 func TestAllocGateFixture(t *testing.T) {
 	diags, err := AllocGatePatterns(".", []string{filepath.Join("testdata", "src", "allocgate")})
 	if err != nil {
@@ -66,8 +67,10 @@ func TestAllocGateFixture(t *testing.T) {
 	if !find("//rws:allocfree function Escapes has a heap allocation") {
 		t.Errorf("missing the Escapes finding; got %v", diags)
 	}
-	if !find("//rws:hotpath function HotEscapes has a heap allocation") {
-		t.Errorf("missing the HotEscapes finding; got %v", diags)
+	for _, fn := range []string{"HotMake", "HotNew", "HotFmt", "HotJSON"} {
+		if !find("//rws:hotpath function " + fn + " has a heap allocation") {
+			t.Errorf("missing the %s finding; got %v", fn, diags)
+		}
 	}
 	if find("Clean") {
 		t.Errorf("Clean must stay clean; got %v", diags)

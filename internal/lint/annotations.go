@@ -34,7 +34,7 @@ type guardSpec struct {
 }
 
 // Annotations is the program-wide contract registry: which functions
-// are hotpath/envelope/lock-asserting, and which fields are guarded.
+// are hotpath/allocfree/lock-asserting, and which fields are guarded.
 // Collected once over every strictly-loaded package so cross-package
 // facts (a hotpath callee in internal/core, say) resolve without
 // per-analyzer plumbing.
@@ -42,7 +42,6 @@ type Annotations struct {
 	Hotpath   map[types.Object]bool
 	AllocFree map[types.Object]bool
 	Locked    map[types.Object]string
-	Envelope  map[types.Object]bool
 	Guarded   map[types.Object]guardSpec
 }
 
@@ -55,7 +54,6 @@ func collectAnnotations(prog *Program) *Annotations {
 		Hotpath:   make(map[types.Object]bool),
 		AllocFree: make(map[types.Object]bool),
 		Locked:    make(map[types.Object]string),
-		Envelope:  make(map[types.Object]bool),
 		Guarded:   make(map[types.Object]guardSpec),
 	}
 	for _, pkg := range prog.Pkgs {
@@ -77,7 +75,7 @@ func collectAnnotations(prog *Program) *Annotations {
 	return ann
 }
 
-// collectFunc records //rws:hotpath, //rws:envelope, and //rws:locked
+// collectFunc records //rws:hotpath, //rws:allocfree, and //rws:locked
 // from a function's doc comment.
 func (ann *Annotations) collectFunc(pkg *Package, d *ast.FuncDecl) {
 	if d.Doc == nil {
@@ -97,8 +95,6 @@ func (ann *Annotations) collectFunc(pkg *Package, d *ast.FuncDecl) {
 			ann.Hotpath[obj] = true
 		case "allocfree":
 			ann.AllocFree[obj] = true
-		case "envelope":
-			ann.Envelope[obj] = true
 		case "locked":
 			if m[2] != "" {
 				ann.Locked[obj] = m[2]

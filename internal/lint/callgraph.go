@@ -136,7 +136,7 @@ func (g *CallGraph) CalleesAt(prog *Program, pkg *Package, call *ast.CallExpr) (
 			if iface, ok := sig.Recv().Type().Underlying().(*types.Interface); ok {
 				// Interface dispatch: over-approximate by method-set
 				// matching over every analyzed receiver type.
-				if pkg.escaped(prog.Fset, call.Pos(), "coldpath") {
+				if _, cold := pkg.directiveAt(prog.Fset.Position(call.Pos()), "coldpath"); cold {
 					return nil, true
 				}
 				return analyzed(g.methodsImplementing(fn.Name(), iface)...), true
@@ -165,7 +165,8 @@ func (g *CallGraph) CalleesAt(prog *Program, pkg *Package, call *ast.CallExpr) (
 		return nil, false
 	}
 	sig, ok := tv.Type.Underlying().(*types.Signature)
-	if !ok || pkg.escaped(prog.Fset, call.Pos(), "coldpath") {
+	_, cold := pkg.directiveAt(prog.Fset.Position(call.Pos()), "coldpath")
+	if !ok || cold {
 		return nil, true
 	}
 	return analyzed(g.funcsMatching(sig)...), true
@@ -213,13 +214,6 @@ func (g *CallGraph) funcsMatching(sig *types.Signature) []*types.Func {
 // plain functions of the same shape.
 func bareSignature(sig *types.Signature) *types.Signature {
 	return types.NewSignatureType(nil, nil, nil, sig.Params(), sig.Results(), sig.Variadic())
-}
-
-// escaped is the Package-level form of Pass.Escaped, for use while the
-// graph is built (before any Pass exists).
-func (p *Package) escaped(fset *token.FileSet, pos token.Pos, directive string) bool {
-	_, ok := p.escapedArg(fset, pos, directive)
-	return ok
 }
 
 // Reachable walks the graph breadth-first from roots and returns, for

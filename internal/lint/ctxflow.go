@@ -104,7 +104,7 @@ func checkCtxRoots(pass *Pass, pkg *Package, fn *types.Func, fd *ast.FuncDecl, p
 		}
 		// Program-level pass: resolve the escape against the file's own
 		// package, not the package the pass nominally runs on.
-		if pkg.escaped(pass.Prog.Fset, call.Pos(), "ctxok") {
+		if _, ok := pkg.directiveAt(pass.Prog.Fset.Position(call.Pos()), "ctxok"); ok {
 			return true
 		}
 		root := RootOf(parent, fn)

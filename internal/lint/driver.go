@@ -1,16 +1,14 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 )
 
-// LintPatterns is the shared driver entry point behind cmd/rws-lint and
-// `rwsctl lint`: it resolves patterns ("./..." for the whole module, a
+// LintPatterns is the driver entry point behind cmd/rws-lint: it
+// resolves patterns ("./..." for the whole module, a
 // module import path, or a plain directory), loads the matched packages
 // rooted at the module containing dir, and runs the full analyzer suite.
 func LintPatterns(dir string, patterns []string) ([]Diagnostic, error) {
@@ -77,33 +75,4 @@ func resolveAndLoad(dir string, patterns []string) (*Loader, *Program, error) {
 		return nil, nil, fmt.Errorf("no packages matched")
 	}
 	return loader, prog, nil
-}
-
-// JSONDiagnostic is the -json wire form of one finding: everything an
-// editor or CI annotator needs to place it.
-type JSONDiagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// EncodeJSON writes diags as a JSON array — always an array, [] when
-// clean — for machine consumers (rwsctl lint -json, the GitHub Actions
-// problem-matcher feed).
-func EncodeJSON(w io.Writer, diags []Diagnostic) error {
-	out := make([]JSONDiagnostic, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, JSONDiagnostic{
-			File:     d.Pos.Filename,
-			Line:     d.Pos.Line,
-			Col:      d.Pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

@@ -22,11 +22,11 @@ func checkFixture(t *testing.T, dir string, az *Analyzer) {
 // and diagnostics disagree: running the WRONG analyzer over a fixture
 // must leave every want unmatched.
 func TestFixtureHarness(t *testing.T) {
-	fx, err := CheckFixtureDirs(".", []string{filepath.Join("testdata", "src", "lockguard")}, AtomicPtr)
+	fx, err := CheckFixtureDirs(".", []string{filepath.Join("testdata", "src", "lockguard")}, GoroLeak)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(fx.Missing) == 0 {
-		t.Fatal("running atomicptr over the lockguard fixture matched its wants; the harness is not checking anything")
+		t.Fatal("running goroleak over the lockguard fixture matched its wants; the harness is not checking anything")
 	}
 }

@@ -35,7 +35,7 @@ func runGoroLeak(pass *Pass) {
 }
 
 func checkGoStmt(pass *Pass, g *ast.GoStmt) {
-	if reason, ok := pass.EscapedArg(g.Pos(), "leakok"); ok {
+	if reason, ok := pass.Pkg.directiveAt(pass.Prog.Fset.Position(g.Pos()), "leakok"); ok {
 		if strings.TrimSpace(reason) == "" {
 			pass.Reportf(g.Pos(), "//rws:leakok needs a reason: say why this goroutine cannot leak")
 		}

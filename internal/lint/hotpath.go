@@ -9,14 +9,18 @@ import (
 // HotPath enforces `//rws:hotpath` function annotations: the ~176ns
 // 0-alloc request path (Snapshot lookups, the partition/sameset table
 // walk, Store.Current, CanonicalHost) must not regress into allocation
-// or nondeterminism. Inside a hotpath function the analyzer bans:
+// or nondeterminism. A heap escape in the function's own body is the
+// allocgate pass's to report (rws-lint -allocgate reads it from the
+// compiler); this analyzer bans what the compiler's escape report does
+// not show. Inside a hotpath function it bans:
 //
-//   - calls into fmt, encoding/json, sort, math/rand, and reflect
-//     (allocation and/or nondeterminism),
+//   - calls into sort, math/rand, and reflect (nondeterminism, and
+//     work the escape report does not see),
 //   - time.Now / time.Since / time.After (wall-clock reads),
 //   - taking any mutex (the hot path is lock-free by construction),
 //   - ranging over a map (iteration order leaks into output),
-//   - append and the defer statement (per-request allocation),
+//   - append, defer, and go (runtime allocation and per-call cost
+//     the escape report does not show),
 //   - module-internal calls to functions NOT annotated //rws:hotpath.
 //
 // A call line annotated //rws:coldpath is an audited exit to the slow
@@ -30,12 +34,10 @@ var HotPath = &Analyzer{
 
 // hotpathBannedPkgs are packages no hotpath function may call into at all.
 var hotpathBannedPkgs = map[string]string{
-	"fmt":           "allocates on every call",
-	"encoding/json": "reflection-driven and allocating",
-	"sort":          "allocates and has no place in a per-request lookup",
-	"math/rand":     "nondeterministic",
-	"math/rand/v2":  "nondeterministic",
-	"reflect":       "reflection on the request path",
+	"sort":         "has no place in a per-request lookup",
+	"math/rand":    "nondeterministic",
+	"math/rand/v2": "nondeterministic",
+	"reflect":      "reflection on the request path",
 }
 
 // hotpathBannedFuncs are individually banned functions from otherwise
@@ -89,15 +91,14 @@ func checkHotCall(pass *Pass, fn *types.Func, call *ast.CallExpr, modPrefix stri
 	if tv, ok := pass.Pkg.Info.Types[call.Fun]; ok && tv.IsType() {
 		return
 	}
-	// Builtins: append allocates; everything else (len, cap, copy,
-	// panic on the failure path) is fine.
+	// Builtins: append may grow its slice inside the runtime, which the
+	// escape report never shows; a make or new that escapes is
+	// allocgate's to report, and everything else (len, cap, copy, panic
+	// on the failure path) is fine.
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := pass.Pkg.Info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "append":
+			if b.Name() == "append" {
 				pass.Reportf(call.Pos(), "hotpath function %s calls append (per-request allocation)", fn.Name())
-			case "make", "new":
-				pass.Reportf(call.Pos(), "hotpath function %s calls %s (per-request allocation)", fn.Name(), b.Name())
 			}
 			return
 		}

@@ -1,9 +1,9 @@
-// Package lint is rwskit's in-tree static-analysis suite: a set of
-// analyzers that machine-check the serve plane's concurrency, hot-path,
-// determinism, and JSON-envelope contracts — the implicit invariants
-// behind every correctness incident the repo has had (the PR 5
-// diffCache race, the PR 6 CanonicalHost non-idempotence, the 0-alloc
-// partition path guarded only by benchmarks).
+// Package lint is rwskit's in-tree static-analysis suite: analyzers
+// that machine-check the serve plane's lock, hot-path, goroutine and
+// context contracts — the defects that no test, go vet or the compiler
+// escape gate catches on their own (an unlocked guarded read, a lock
+// inversion, a clock read or lock on the request path, a goroutine with
+// no way to stop, a request context dropped below a handler).
 //
 // The suite is built on nothing but the standard library (go/parser +
 // go/types); the container ships no golang.org/x/tools, so the package
@@ -18,24 +18,13 @@
 //	//                    goroutine (confinement).
 //	//rws:locked mu       on a function: asserts the caller holds mu
 //	//                    (the *Locked helper convention).
-//	//rws:hotpath         on a function: zero-allocation request path —
-//	//                    no fmt/json/time.Now/sort, no map ranging, no
-//	//                    append, no locks, and module-internal calls
-//	//                    only to other hotpath functions.
+//	//rws:hotpath         on a function: request path — no locks, no
+//	//                    wall clock, no math/rand, no map ranging, no
+//	//                    append/defer/go, and module-internal calls
+//	//                    only to other hotpath functions; the
+//	//                    allocgate pass holds it free of heap escapes.
 //	//rws:coldpath        on a call line inside a hotpath function: an
 //	//                    audited exit to the slow path.
-//	//rws:deterministic   in a package's comments: no global math/rand,
-//	//                    no time.Now, no map-range building an output
-//	//                    slice without a later sort.
-//	//rws:sorted          on a map-range line: the audited exception.
-//	//rws:jsonapi         in a package's comments: HTTP handlers emit
-//	//                    errors via the envelope helpers only.
-//	//rws:envelope        on a function: it IS the envelope plumbing;
-//	//                    raw ResponseWriter access is audited here.
-//	//rws:lockorder a<b   anywhere in a package's comments: the intended
-//	//                    global lock order — lock a is acquired before
-//	//                    lock b, never the reverse. Locks are named
-//	//                    pkg.Type.field.
 //	//rws:leakok reason   on a go-statement line: the goroutine is an
 //	//                    audited exception to the provable-termination
 //	//                    rule; the reason is mandatory.
@@ -76,15 +65,9 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
-	// directives is the set of package-level rws directives
-	// (//rws:deterministic, //rws:jsonapi) found in any file's comments.
-	directives map[string]bool
 	// lineDirectives records //rws:* escape comments by file and line,
 	// for the same-line / preceding-line suppression lookup.
 	lineDirectives map[string]map[int][]lineDirective
-	// lockOrders are the //rws:lockorder a<b declarations found in this
-	// package's comments, in source order.
-	lockOrders []lockOrderDecl
 }
 
 // lineDirective is one //rws:* comment resolved to its line: the bare
@@ -92,12 +75,6 @@ type Package struct {
 type lineDirective struct {
 	name string
 	arg  string
-}
-
-// lockOrderDecl is one //rws:lockorder declaration, unparsed.
-type lockOrderDecl struct {
-	Spec string
-	Pos  token.Pos
 }
 
 // Program is the full analyzed tree plus the cross-package annotation
@@ -151,21 +128,18 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // above it — carries the named //rws:* directive, the audited local
 // suppression mechanism.
 func (p *Pass) Escaped(pos token.Pos, directive string) bool {
-	_, ok := p.Pkg.escapedArg(p.Prog.Fset, pos, directive)
+	_, ok := p.Pkg.directiveAt(p.Prog.Fset.Position(pos), directive)
 	return ok
 }
 
-// EscapedArg is Escaped returning the directive's argument text as well
-// (the //rws:leakok reason, say). ok distinguishes a bare directive from
-// no directive at all.
-func (p *Pass) EscapedArg(pos token.Pos, directive string) (arg string, ok bool) {
-	return p.Pkg.escapedArg(p.Prog.Fset, pos, directive)
-}
-
-func (p *Package) escapedArg(fset *token.FileSet, pos token.Pos, directive string) (string, bool) {
-	position := fset.Position(pos)
-	lines := p.lineDirectives[position.Filename]
-	for _, line := range []int{position.Line, position.Line - 1} {
+// directiveAt looks the named //rws:* directive up on the line of at or
+// the line directly above it, returning its argument text (the
+// //rws:leakok reason, say); ok distinguishes a bare directive from no
+// directive at all. It takes a resolved position so the allocgate pass
+// can ask with the compiler's file:line coordinates.
+func (p *Package) directiveAt(at token.Position, directive string) (arg string, ok bool) {
+	lines := p.lineDirectives[at.Filename]
+	for _, line := range []int{at.Line, at.Line - 1} {
 		for _, d := range lines[line] {
 			if d.name == directive {
 				return d.arg, true
@@ -175,8 +149,8 @@ func (p *Package) escapedArg(fset *token.FileSet, pos token.Pos, directive strin
 	return "", false
 }
 
-// All returns the full analyzer suite, in reporting order. The first
-// five are the PR 7 single-function analyzers; lockorder, goroleak, and
+// All returns the full analyzer suite, in reporting order. lockguard
+// and hotpath check one function at a time; lockorder, goroleak, and
 // ctxflow are the interprocedural layer built on the call graph. The
 // allocgate pass is not listed here — it shells out to the Go compiler
 // and runs through AllocGatePatterns (rws-lint -allocgate) instead of
@@ -185,9 +159,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		LockGuard,
 		HotPath,
-		Determinism,
-		JSONEnvelope,
-		AtomicPtr,
 		LockOrder,
 		GoroLeak,
 		CtxFlow,
@@ -222,7 +193,7 @@ func (prog *Program) Run(analyzers []*Analyzer) []Diagnostic {
 
 // directiveRe matches one //rws:* directive comment line, capturing the
 // directive name and its optional argument (which may be several words:
-// a //rws:leakok reason, a //rws:lockorder chain).
+// a //rws:leakok reason).
 var directiveRe = regexp.MustCompile(`^//rws:([a-z]+)(?:\s+(.+?))?\s*$`)
 
 // directiveMatch matches one comment against directiveRe, first cutting
@@ -235,10 +206,8 @@ func directiveMatch(text string) []string {
 	return directiveRe.FindStringSubmatch(text)
 }
 
-// scanDirectives records the package-level and per-line directives of
-// every file.
+// scanDirectives records the per-line directives of every file.
 func (p *Package) scanDirectives(fset *token.FileSet) {
-	p.directives = make(map[string]bool)
 	p.lineDirectives = make(map[string]map[int][]lineDirective)
 	for _, f := range p.Files {
 		filename := fset.Position(f.Pos()).Filename
@@ -247,12 +216,6 @@ func (p *Package) scanDirectives(fset *token.FileSet) {
 				m := directiveMatch(c.Text)
 				if m == nil {
 					continue
-				}
-				switch m[1] {
-				case "deterministic", "jsonapi":
-					p.directives[m[1]] = true
-				case "lockorder":
-					p.lockOrders = append(p.lockOrders, lockOrderDecl{Spec: m[2], Pos: c.Pos()})
 				}
 				lines := p.lineDirectives[filename]
 				if lines == nil {
@@ -265,10 +228,6 @@ func (p *Package) scanDirectives(fset *token.FileSet) {
 		}
 	}
 }
-
-// HasDirective reports whether the package opted into a package-level
-// contract (deterministic, jsonapi).
-func (p *Package) HasDirective(name string) bool { return p.directives[name] }
 
 // exprKey renders an expression to a stable string, the key the
 // lockguard analyzer uses to match a lock call's receiver against a
@@ -362,17 +321,6 @@ func receiverNamed(fn *types.Func) *types.Named {
 		return nil
 	}
 	return namedOrPointee(sig.Recv().Type())
-}
-
-// enclosingFuncs returns, for one file, a lookup from any position to
-// the top-level FuncDecl containing it.
-func declAt(file *ast.File, pos token.Pos) *ast.FuncDecl {
-	for _, decl := range file.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Pos() <= pos && pos <= fd.End() {
-			return fd
-		}
-	}
-	return nil
 }
 
 // qualifiedName renders obj as pkgpath.Name or pkgpath.Recv.Name for

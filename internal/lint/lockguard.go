@@ -13,22 +13,14 @@ import (
 // annotated `//rws:locked X` assert their caller holds X and are
 // treated as holding it for their whole body; the *Locked helper
 // convention (Store.evictLocked) becomes machine-checked instead of
-// nominal. This is the analyzer that kills the PR 5 diffCache.get race
-// class: a guarded value read after the unlock now fails the build.
+// nominal. A guarded value read after the unlock fails the build; no
+// test or go vet catches that read unless a race test happens to hit
+// it.
 var LockGuard = &Analyzer{
 	Name: "lockguard",
 	Doc:  "guarded struct fields are only accessed with their lock held (or inside their owning goroutine)",
 	Run:  runLockGuard,
 }
-
-// lockState orders how much of a guard is held.
-type lockState int
-
-const (
-	lockNone lockState = iota
-	lockRead
-	lockWrite
-)
 
 func runLockGuard(pass *Pass) {
 	// Report unresolvable guard annotations once, where they are declared.
@@ -43,232 +35,24 @@ func runLockGuard(pass *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			sc := &lockScanner{pass: pass, fd: fd, held: make(map[string]lockState)}
-			if fn, ok := pass.Pkg.Info.Defs[fd.Name].(*types.Func); ok {
-				sc.fn = fn
-				sc.lockedGuard = pass.Prog.Ann.Locked[fn]
-			}
-			sc.stmts(fd.Body.List)
+			fn, _ := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
+			// //rws:locked X: fn holds X (on every base) for its whole body.
+			locked := pass.Prog.Ann.Locked[fn]
+			w := &lockWalker{info: pass.Pkg.Info, held: make(map[string]heldLock)}
+			w.onAccess = func(sel *ast.SelectorExpr, write bool) { checkGuarded(pass, w, fn, locked, sel, write) }
+			w.stmts(fd.Body.List)
 		}
 	}
 }
 
-// lockScanner walks one function body in source order, tracking which
-// guards are held on which base expressions. The scan is linear — a
-// lock taken inside a branch counts as held until its unlock is seen —
-// which matches how every locked region in this codebase is written
-// (lock/defer-unlock, or lock → touch → unlock straight-line) and
-// errs loudly rather than silently on exotic shapes.
-type lockScanner struct {
-	pass *Pass
-	fd   *ast.FuncDecl
-	fn   *types.Func
-	// held maps "<base>.<guard>" (e.g. "st.mu") to the current state.
-	held map[string]lockState
-	// lockedGuard is the //rws:locked assertion: this function holds
-	// the named guard (on every base) for its whole body.
-	lockedGuard string
-}
-
-func (s *lockScanner) stmts(list []ast.Stmt) {
-	for _, st := range list {
-		s.stmt(st)
-	}
-}
-
-func (s *lockScanner) stmt(st ast.Stmt) {
-	switch st := st.(type) {
-	case nil:
-	case *ast.BlockStmt:
-		s.stmts(st.List)
-	case *ast.ExprStmt:
-		if s.lockCall(st.X, false) {
-			return
-		}
-		s.read(st.X)
-	case *ast.DeferStmt:
-		if s.lockCall(st.Call, true) {
-			return
-		}
-		s.read(st.Call)
-	case *ast.GoStmt:
-		// The goroutine body is checked with the lock state at its
-		// definition point; a goroutine that outlives the locked region
-		// is beyond a linear scan and must manage its own locking.
-		s.read(st.Call)
-	case *ast.AssignStmt:
-		for _, rhs := range st.Rhs {
-			s.read(rhs)
-		}
-		for _, lhs := range st.Lhs {
-			s.write(lhs)
-		}
-	case *ast.IncDecStmt:
-		s.write(st.X)
-	case *ast.IfStmt:
-		s.stmt(st.Init)
-		s.read(st.Cond)
-		s.stmt(st.Body)
-		s.stmt(st.Else)
-	case *ast.ForStmt:
-		s.stmt(st.Init)
-		if st.Cond != nil {
-			s.read(st.Cond)
-		}
-		s.stmt(st.Post)
-		s.stmt(st.Body)
-	case *ast.RangeStmt:
-		s.read(st.X)
-		if st.Key != nil {
-			s.write(st.Key)
-		}
-		if st.Value != nil {
-			s.write(st.Value)
-		}
-		s.stmt(st.Body)
-	case *ast.SwitchStmt:
-		s.stmt(st.Init)
-		if st.Tag != nil {
-			s.read(st.Tag)
-		}
-		s.stmt(st.Body)
-	case *ast.TypeSwitchStmt:
-		s.stmt(st.Init)
-		s.stmt(st.Assign)
-		s.stmt(st.Body)
-	case *ast.SelectStmt:
-		s.stmt(st.Body)
-	case *ast.CaseClause:
-		for _, e := range st.List {
-			s.read(e)
-		}
-		s.stmts(st.Body)
-	case *ast.CommClause:
-		s.stmt(st.Comm)
-		s.stmts(st.Body)
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			s.read(e)
-		}
-	case *ast.SendStmt:
-		s.read(st.Chan)
-		s.read(st.Value)
-	case *ast.LabeledStmt:
-		s.stmt(st.Stmt)
-	case *ast.DeclStmt:
-		s.read(st)
-	case *ast.BranchStmt, *ast.EmptyStmt:
-	default:
-		s.read(st)
-	}
-}
-
-// lockCall recognizes <base>.<guard>.Lock/RLock/Unlock/RUnlock calls
-// and updates the held state; deferred unlocks keep the guard held to
-// the end of the function (the defer fires at return).
-func (s *lockScanner) lockCall(e ast.Expr, deferred bool) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := s.pass.Pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok {
-		return false
-	}
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil || sig.Recv() == nil || !isMutexType(sig.Recv().Type()) {
-		return false
-	}
-	// The receiver must itself be a field selection (<base>.<guard>) for
-	// the base-keyed discipline; a bare local mutex is not a field guard.
-	recv, ok := sel.X.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	key := exprKey(recv.X) + "." + recv.Sel.Name
-	switch sel.Sel.Name {
-	case "Lock":
-		s.held[key] = lockWrite
-	case "RLock":
-		s.held[key] = lockRead
-	case "Unlock", "RUnlock":
-		if !deferred {
-			s.held[key] = lockNone
-		}
-	default:
-		return false
-	}
-	return true
-}
-
-// read walks an expression, checking every guarded-field selection as a
-// read and handling the builtins that mutate through an argument.
-func (s *lockScanner) read(n ast.Node) {
-	ast.Inspect(n, func(node ast.Node) bool {
-		switch node := node.(type) {
-		case *ast.CallExpr:
-			// delete(m, k) writes its map argument.
-			if id, ok := node.Fun.(*ast.Ident); ok {
-				if b, ok := s.pass.Pkg.Info.Uses[id].(*types.Builtin); ok && b.Name() == "delete" && len(node.Args) == 2 {
-					s.write(node.Args[0])
-					s.read(node.Args[1])
-					return false
-				}
-			}
-			// A nested mutex call inside a larger expression still
-			// changes state (rare, but cheap to honor in order).
-			if s.lockCall(node, false) {
-				return false
-			}
-		case *ast.UnaryExpr:
-			// &x.f lets the field escape the lock's scope: treat as a write.
-			if node.Op.String() == "&" {
-				if sel, ok := node.X.(*ast.SelectorExpr); ok {
-					s.access(sel, true)
-					s.read(sel.X)
-					return false
-				}
-			}
-		case *ast.SelectorExpr:
-			s.access(node, false)
-		}
-		return true
-	})
-}
-
-// write records a write access on the root selector of an assignable
-// expression, reading everything else it touches.
-func (s *lockScanner) write(e ast.Expr) {
-	switch e := e.(type) {
-	case *ast.ParenExpr:
-		s.write(e.X)
-	case *ast.IndexExpr:
-		s.write(e.X)
-		s.read(e.Index)
-	case *ast.StarExpr:
-		s.read(e.X)
-	case *ast.SelectorExpr:
-		s.access(e, true)
-		s.read(e.X)
-	case *ast.Ident:
-	default:
-		if e != nil {
-			s.read(e)
-		}
-	}
-}
-
-// access checks one guarded-field selection against the current state.
-func (s *lockScanner) access(sel *ast.SelectorExpr, isWrite bool) {
-	obj := s.pass.Pkg.Info.Uses[sel.Sel]
+// checkGuarded checks one field selection inside fn against the locks
+// the walker holds there and the guard fn is annotated as holding.
+func checkGuarded(pass *Pass, w *lockWalker, fn *types.Func, locked string, sel *ast.SelectorExpr, write bool) {
+	obj := pass.Pkg.Info.Uses[sel.Sel]
 	if obj == nil {
 		return
 	}
-	spec, guarded := s.pass.Prog.Ann.Guarded[obj]
+	spec, guarded := pass.Prog.Ann.Guarded[obj]
 	if !guarded {
 		return
 	}
@@ -276,40 +60,37 @@ func (s *lockScanner) access(sel *ast.SelectorExpr, isWrite bool) {
 	case guardInvalid:
 		return // the bad annotation is reported separately
 	case guardOwner:
-		if s.lockedGuard == spec.Name || s.isOwnerMethod(spec) {
+		if locked == spec.Name || isOwnerMethod(fn, spec) {
 			return
 		}
-		pass := s.pass
 		pass.Reportf(sel.Sel.Pos(), "%s is confined to %s: access it only from %s or a function annotated //rws:locked %s",
 			obj.Name(), spec.Name, spec.Name, spec.Name)
 	case guardMutex:
-		state := s.held[exprKey(sel.X)+"."+spec.Name]
-		if s.lockedGuard == spec.Name {
+		state := w.held[exprKey(sel.X)+"."+spec.Name].state
+		if locked == spec.Name {
 			state = lockWrite
 		}
-		need := lockRead
-		verb := "read of"
-		if isWrite {
-			need = lockWrite
-			verb = "write to"
+		need, verb := lockRead, "read of"
+		if write {
+			need, verb = lockWrite, "write to"
 		}
 		if state >= need {
 			return
 		}
-		if isWrite && state == lockRead {
-			s.pass.Reportf(sel.Sel.Pos(), "write to %s (guarded by %s) while holding only the read lock", obj.Name(), spec.Name)
+		if write && state == lockRead {
+			pass.Reportf(sel.Sel.Pos(), "write to %s (guarded by %s) while holding only the read lock", obj.Name(), spec.Name)
 			return
 		}
-		s.pass.Reportf(sel.Sel.Pos(), "%s %s (guarded by %s) without holding %s.%s", verb, obj.Name(), spec.Name, exprKey(sel.X), spec.Name)
+		pass.Reportf(sel.Sel.Pos(), "%s %s (guarded by %s) without holding %s.%s", verb, obj.Name(), spec.Name, exprKey(sel.X), spec.Name)
 	}
 }
 
-// isOwnerMethod reports whether the function being scanned is the
-// confinement owner named by spec, on the type that declares the field.
-func (s *lockScanner) isOwnerMethod(spec guardSpec) bool {
-	if s.fn == nil || s.fn.Name() != spec.Name {
+// isOwnerMethod reports whether fn is the confinement owner named by
+// spec, on the type that declares the field.
+func isOwnerMethod(fn *types.Func, spec guardSpec) bool {
+	if fn == nil || fn.Name() != spec.Name {
 		return false
 	}
-	recv := receiverNamed(s.fn)
+	recv := receiverNamed(fn)
 	return recv != nil && spec.Owner != nil && recv.Obj() == spec.Owner.Obj()
 }

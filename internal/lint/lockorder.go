@@ -4,7 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -13,22 +13,11 @@ import (
 // through any call chain the call graph admits — and reports every
 // cycle as a potential deadlock. Locks are identified at type
 // granularity as pkg.Type.field (serve.Store.mu), the level at which a
-// global order is meaningful; //rws:lockorder a<b declarations state
-// the intended order, and an observed inversion names the edge that
-// breaks it even before the reverse edge exists to close a cycle.
+// global order is meaningful.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "the module's lock-acquisition graph is acyclic and matches the declared //rws:lockorder order",
+	Doc:  "the module's lock-acquisition graph is acyclic",
 	Run:  runLockOrder,
-}
-
-// lockID names one lock at type granularity: pkgbase.Type.field.
-type lockID string
-
-// lockAcq is one acquisition: which lock, where.
-type lockAcq struct {
-	id  lockID
-	pos token.Pos
 }
 
 // lockGraph is the observed acquired-while-held relation, keeping the
@@ -51,6 +40,13 @@ func (g *lockGraph) add(from, to lockID, pos token.Pos) {
 	}
 }
 
+// lockedCall is one call made while locks are held.
+type lockedCall struct {
+	held   []lockID
+	callee *types.Func
+	pos    token.Pos
+}
+
 func runLockOrder(pass *Pass) {
 	prog := pass.Prog
 	// Whole-program analysis: run once, on the first package's pass.
@@ -59,17 +55,11 @@ func runLockOrder(pass *Pass) {
 	}
 	g := prog.CallGraph()
 
-	// Pass 1: linear scan of every function — direct acquisitions,
-	// direct held-while-acquired edges, and the call sites reached with
-	// locks held.
+	// Pass 1: walk every function — direct acquisitions, direct
+	// held-while-acquired edges, and the calls made with locks held.
 	order := &lockGraph{}
-	direct := make(map[*types.Func][]lockAcq)
-	type callSite struct {
-		held   []lockID
-		callee *types.Func
-		pos    token.Pos
-	}
-	var sites []callSite
+	acquires := make(map[*types.Func]map[lockID]bool)
+	var sites []lockedCall
 	for _, pkg := range prog.Pkgs {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
@@ -81,38 +71,44 @@ func runLockOrder(pass *Pass) {
 				if !ok {
 					continue
 				}
-				sc := &orderScanner{
-					pass:  pass,
-					pkg:   pkg,
-					graph: g,
-					fn:    fn,
-					held:  make(map[string]lockAcq),
-					order: order,
+				direct := make(map[lockID]bool)
+				w := &lockWalker{info: pkg.Info, held: make(map[string]heldLock)}
+				seedLockedEntry(w, prog.Ann.Locked[fn], fd, fn)
+				w.onLock = func(call *ast.CallExpr, key string, id lockID) bool {
+					if id == "" {
+						return true
+					}
+					if prev, ok := w.held[key]; ok {
+						pass.Reportf(call.Pos(), "acquires %s while already holding it (acquired at %s): guaranteed self-deadlock", id, pass.describePos(prev.pos))
+						return false
+					}
+					for _, h := range heldIDs(w.held) {
+						order.add(h, id, call.Pos())
+					}
+					direct[id] = true
+					return true
 				}
-				sc.seedLockedEntry(fd, fn)
-				sc.stmts(fd.Body.List)
-				direct[fn] = sc.acquires
-				for _, cs := range sc.sites {
-					sites = append(sites, callSite{held: cs.held, callee: cs.callee, pos: cs.pos})
+				w.onCall = func(call *ast.CallExpr) {
+					held := heldIDs(w.held)
+					if len(held) == 0 {
+						return
+					}
+					callees, _ := g.CalleesAt(prog, pkg, call)
+					for _, callee := range callees {
+						sites = append(sites, lockedCall{held: held, callee: callee, pos: call.Pos()})
+					}
 				}
+				w.stmts(fd.Body.List)
+				acquires[fn] = direct
 			}
 		}
 	}
 
 	// Pass 2: fixpoint over the call graph — the full set of locks each
 	// function may acquire, transitively.
-	acquires := make(map[*types.Func]map[lockID]bool)
-	for fn, acqs := range direct {
-		set := make(map[lockID]bool)
-		for _, a := range acqs {
-			set[a.id] = true
-		}
-		acquires[fn] = set
-	}
 	for changed := true; changed; {
 		changed = false
-		for fn := range direct {
-			set := acquires[fn]
+		for fn, set := range acquires {
 			for _, e := range g.Edges[fn] {
 				for id := range acquires[e.Callee] {
 					if !set[id] {
@@ -134,43 +130,12 @@ func runLockOrder(pass *Pass) {
 		}
 	}
 
-	declared, declaredOK := collectDeclaredOrder(pass)
-	if declaredOK {
-		reportOrderViolations(pass, order, declared)
-	}
 	reportCycles(pass, order)
-}
-
-// orderScanner walks one function body in source order, the same linear
-// discipline as lockguard: a lock is held from its Lock call to its
-// Unlock (deferred unlocks hold to function end).
-type orderScanner struct {
-	pass  *Pass
-	pkg   *Package
-	graph *CallGraph
-	fn    *types.Func
-	// held maps the syntactic base key ("st.mu") to the acquisition, so
-	// release matches the same expression that locked.
-	held map[string]lockAcq
-	// entry marks base keys held at entry (//rws:locked): edge sources,
-	// but not acquisitions of this function.
-	entry map[string]bool
-	// acquires collects this function's direct acquisitions.
-	acquires []lockAcq
-	// sites collects calls made while at least one lock is held.
-	sites []struct {
-		held   []lockID
-		callee *types.Func
-		pos    token.Pos
-	}
-	order *lockGraph
 }
 
 // seedLockedEntry marks the //rws:locked guard as held for the whole
 // body when the guard resolves to a mutex field of the receiver type.
-func (s *orderScanner) seedLockedEntry(fd *ast.FuncDecl, fn *types.Func) {
-	s.entry = make(map[string]bool)
-	guard := s.pass.Prog.Ann.Locked[fn]
+func seedLockedEntry(w *lockWalker, guard string, fd *ast.FuncDecl, fn *types.Func) {
 	if guard == "" {
 		return
 	}
@@ -182,9 +147,7 @@ func (s *orderScanner) seedLockedEntry(fd *ast.FuncDecl, fn *types.Func) {
 	if fd.Recv != nil && len(fd.Recv.List) > 0 && len(fd.Recv.List[0].Names) > 0 {
 		base = fd.Recv.List[0].Names[0].Name
 	}
-	key := base + "." + guard
-	s.held[key] = lockAcq{id: lockIDOf(recv, guard), pos: fd.Pos()}
-	s.entry[key] = true
+	w.held[base+"."+guard] = heldLock{id: lockIDOf(recv, guard), state: lockWrite, pos: fd.Pos(), entry: true}
 }
 
 // hasMutexField reports whether named's struct declares a mutex field
@@ -202,262 +165,16 @@ func hasMutexField(named *types.Named, field string) bool {
 	return false
 }
 
-// lockIDOf renders the type-granular lock name: pkgbase.Type.field.
-func lockIDOf(owner *types.Named, field string) lockID {
-	path := owner.Obj().Pkg().Path()
-	base := path[strings.LastIndexByte(path, '/')+1:]
-	return lockID(base + "." + owner.Obj().Name() + "." + field)
-}
-
-func (s *orderScanner) stmts(list []ast.Stmt) {
-	for _, st := range list {
-		s.stmt(st)
+// heldIDs snapshots the identities of the held locks, sorted.
+func heldIDs(held map[string]heldLock) []lockID {
+	out := make([]lockID, 0, len(held))
+	for _, h := range held {
+		if h.id != "" {
+			out = append(out, h.id)
+		}
 	}
-}
-
-func (s *orderScanner) stmt(st ast.Stmt) {
-	switch st := st.(type) {
-	case nil:
-	case *ast.BlockStmt:
-		s.stmts(st.List)
-	case *ast.ExprStmt:
-		s.expr(st.X, false)
-	case *ast.DeferStmt:
-		s.expr(st.Call, true)
-	case *ast.GoStmt:
-		// The goroutine body is scanned with the spawn-point lock state,
-		// the same approximation lockguard makes.
-		s.expr(st.Call, false)
-	case *ast.AssignStmt:
-		for _, rhs := range st.Rhs {
-			s.expr(rhs, false)
-		}
-		for _, lhs := range st.Lhs {
-			s.expr(lhs, false)
-		}
-	case *ast.IncDecStmt:
-		s.expr(st.X, false)
-	case *ast.IfStmt:
-		s.stmt(st.Init)
-		s.expr(st.Cond, false)
-		s.stmt(st.Body)
-		s.stmt(st.Else)
-	case *ast.ForStmt:
-		s.stmt(st.Init)
-		if st.Cond != nil {
-			s.expr(st.Cond, false)
-		}
-		s.stmt(st.Post)
-		s.stmt(st.Body)
-	case *ast.RangeStmt:
-		s.expr(st.X, false)
-		s.stmt(st.Body)
-	case *ast.SwitchStmt:
-		s.stmt(st.Init)
-		if st.Tag != nil {
-			s.expr(st.Tag, false)
-		}
-		s.stmt(st.Body)
-	case *ast.TypeSwitchStmt:
-		s.stmt(st.Init)
-		s.stmt(st.Assign)
-		s.stmt(st.Body)
-	case *ast.SelectStmt:
-		s.stmt(st.Body)
-	case *ast.CaseClause:
-		for _, e := range st.List {
-			s.expr(e, false)
-		}
-		s.stmts(st.Body)
-	case *ast.CommClause:
-		s.stmt(st.Comm)
-		s.stmts(st.Body)
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			s.expr(e, false)
-		}
-	case *ast.SendStmt:
-		s.expr(st.Chan, false)
-		s.expr(st.Value, false)
-	case *ast.LabeledStmt:
-		s.stmt(st.Stmt)
-	case *ast.DeclStmt:
-		s.expr(st, false)
-	case *ast.BranchStmt, *ast.EmptyStmt:
-	default:
-		s.expr(st, false)
-	}
-}
-
-// expr visits every call inside n in pre-order: mutex Lock/Unlock calls
-// update the held state, everything else resolvable through the call
-// graph becomes a call site under the current held set.
-func (s *orderScanner) expr(n ast.Node, deferred bool) {
-	ast.Inspect(n, func(node ast.Node) bool {
-		call, ok := node.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if s.lockCall(call, deferred) {
-			return false
-		}
-		if len(s.held) > 0 {
-			callees, _ := s.graph.CalleesAt(s.pass.Prog, s.pkg, call)
-			if len(callees) > 0 {
-				held := s.heldIDs()
-				for _, callee := range callees {
-					s.sites = append(s.sites, struct {
-						held   []lockID
-						callee *types.Func
-						pos    token.Pos
-					}{held: held, callee: callee, pos: call.Pos()})
-				}
-			}
-		}
-		return true
-	})
-}
-
-// heldIDs snapshots the currently held lock identities.
-func (s *orderScanner) heldIDs() []lockID {
-	out := make([]lockID, 0, len(s.held))
-	for _, a := range s.held {
-		out = append(out, a.id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
-}
-
-// lockCall recognizes <base>.<field>.Lock/RLock/Unlock/RUnlock and
-// updates the held state, recording acquisition edges and direct
-// self-deadlocks along the way. Returns true for any mutex method call,
-// identified or not, so it is never treated as an ordinary call site.
-func (s *orderScanner) lockCall(call *ast.CallExpr, deferred bool) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := s.pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok {
-		return false
-	}
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil || sig.Recv() == nil || !isMutexType(sig.Recv().Type()) {
-		return false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return false
-	}
-	// The receiver must be a field selection (<base>.<field>) to have a
-	// type-granular identity; a bare local mutex stays anonymous.
-	recv, ok := sel.X.(*ast.SelectorExpr)
-	if !ok {
-		return true
-	}
-	owner := namedOrPointee(s.pkg.Info.TypeOf(recv.X))
-	if owner == nil || owner.Obj().Pkg() == nil {
-		return true
-	}
-	key := exprKey(recv.X) + "." + recv.Sel.Name
-	id := lockIDOf(owner, recv.Sel.Name)
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		if prev, ok := s.held[key]; ok && !deferred {
-			s.pass.Reportf(call.Pos(), "acquires %s while already holding it (acquired at %s): guaranteed self-deadlock", prev.id, s.pass.describePos(prev.pos))
-			return true
-		}
-		for _, h := range s.heldIDs() {
-			s.order.add(h, id, call.Pos())
-		}
-		s.acquires = append(s.acquires, lockAcq{id: id, pos: call.Pos()})
-		s.held[key] = lockAcq{id: id, pos: call.Pos()}
-	case "Unlock", "RUnlock":
-		if !deferred && !s.entry[key] {
-			delete(s.held, key)
-		}
-	}
-	return true
-}
-
-// collectDeclaredOrder parses every //rws:lockorder declaration into a
-// transitively closed before-relation. Returns ok=false only when no
-// well-formed declaration exists (violation checking is skipped, cycle
-// detection still runs).
-func collectDeclaredOrder(pass *Pass) (map[lockID]map[lockID]token.Pos, bool) {
-	prog := pass.Prog
-	before := make(map[lockID]map[lockID]token.Pos)
-	addDecl := func(a, b lockID, pos token.Pos) {
-		m := before[a]
-		if m == nil {
-			m = make(map[lockID]token.Pos)
-			before[a] = m
-		}
-		if _, ok := m[b]; !ok {
-			m[b] = pos
-		}
-	}
-	any := false
-	for _, pkg := range prog.Pkgs {
-		for _, d := range pkg.lockOrders {
-			names := strings.Split(d.Spec, "<")
-			ok := len(names) >= 2
-			for i, n := range names {
-				names[i] = strings.TrimSpace(n)
-				if names[i] == "" || strings.ContainsAny(names[i], " \t") {
-					ok = false
-				}
-			}
-			if !ok {
-				pass.Reportf(d.Pos, "malformed //rws:lockorder %q: want a chain like serve.Store.mu<serve.diffCache.mu", d.Spec)
-				continue
-			}
-			any = true
-			for i := 0; i+1 < len(names); i++ {
-				addDecl(lockID(names[i]), lockID(names[i+1]), d.Pos)
-			}
-		}
-	}
-	if !any {
-		return nil, false
-	}
-	// Transitive closure, then contradiction check: a<b and b<a declared
-	// (possibly through chains) is an error in the declarations.
-	for changed := true; changed; {
-		changed = false
-		for a, m := range before {
-			for b := range m {
-				for c, pos := range before[b] {
-					if _, ok := before[a][c]; !ok {
-						addDecl(a, c, pos)
-						changed = true
-					}
-				}
-			}
-		}
-	}
-	for a, m := range before {
-		for b, pos := range m {
-			if _, rev := before[b][a]; rev && a < b {
-				pass.Reportf(pos, "//rws:lockorder declarations conflict: both %s < %s and %s < %s are declared", a, b, b, a)
-			}
-		}
-	}
-	return before, true
-}
-
-// reportOrderViolations flags every observed edge that inverts the
-// declared order, naming the breaking acquisition.
-func reportOrderViolations(pass *Pass, order *lockGraph, before map[lockID]map[lockID]token.Pos) {
-	for _, from := range sortedLockIDs(order.edges) {
-		tos := order.edges[from]
-		for _, to := range sortedLockIDKeys(tos) {
-			if _, declared := before[to][from]; declared {
-				pass.Reportf(tos[to], "acquires %s while holding %s: violates declared lock order %s < %s", to, from, to, from)
-			}
-		}
-	}
 }
 
 // reportCycles runs a DFS over the observed graph and reports each
@@ -474,7 +191,7 @@ func reportCycles(pass *Pass, order *lockGraph) {
 	visit = func(id lockID) {
 		color[id] = gray
 		path = append(path, id)
-		for _, to := range sortedLockIDKeys(order.edges[id]) {
+		for _, to := range sortedLockIDs(order.edges[id]) {
 			switch color[to] {
 			case white:
 				visit(to)
@@ -505,20 +222,12 @@ func reportCycles(pass *Pass, order *lockGraph) {
 	}
 }
 
-func sortedLockIDs(m map[lockID]map[lockID]token.Pos) []lockID {
+// sortedLockIDs returns the keys of m in order.
+func sortedLockIDs[V any](m map[lockID]V) []lockID {
 	out := make([]lockID, 0, len(m))
 	for id := range m {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sortedLockIDKeys(m map[lockID]token.Pos) []lockID {
-	out := make([]lockID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

@@ -1,7 +1,5 @@
 // Package clean is the driver test's all-green input: annotated code
 // that honors every contract, so rws-lint must exit zero on it.
-//
-//rws:lockorder clean.registry.mu<clean.cache.mu
 package clean
 
 import (
@@ -35,7 +33,8 @@ type registry struct {
 	caches []*cache // guarded by mu
 }
 
-// Refresh acquires in the declared order: registry.mu before cache.mu.
+// Refresh acquires registry.mu before cache.mu, the only order the
+// package uses.
 func (r *registry) Refresh(k string, v int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

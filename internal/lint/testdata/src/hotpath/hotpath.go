@@ -1,10 +1,12 @@
 // Package hotpath exercises the hotpath analyzer: banned packages and
-// functions, locks, structural bans (defer, go, map range, append,
-// make), unprovable call targets, and the //rws:coldpath audited exit.
+// functions, locks, structural bans (defer, go, map range, append),
+// unprovable call targets, and the //rws:coldpath audited exit. Heap
+// escapes (fmt, encoding/json, make, new) are the allocgate fixture's.
 package hotpath
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"time"
@@ -31,12 +33,12 @@ func helperCold(k string) string { return fmt.Sprintf("%q", k) }
 
 //rws:hotpath
 func badCalls(t *table, k string) string {
-	t.mu.Lock()                 // want `hotpath function badCalls takes a lock \(Mutex\.Lock\): the hot path is lock-free`
-	out := fmt.Sprintf("%s", k) // want `calls fmt\.Sprintf: allocates on every call`
-	_ = time.Now()              // want `calls time\.Now: reads the wall clock per request`
-	_ = helperCold(k)           // want `calls fixture/hotpath\.helperCold, which is not annotated //rws:hotpath`
-	t.mu.Unlock()               // want `takes a lock \(Mutex\.Unlock\)`
-	return out
+	t.mu.Lock()       // want `hotpath function badCalls takes a lock \(Mutex\.Lock\): the hot path is lock-free`
+	_ = rand.Intn(4)  // want `calls math/rand\.Intn: nondeterministic`
+	_ = time.Now()    // want `calls time\.Now: reads the wall clock per request`
+	_ = helperCold(k) // want `calls fixture/hotpath\.helperCold, which is not annotated //rws:hotpath`
+	t.mu.Unlock()     // want `takes a lock \(Mutex\.Unlock\)`
+	return k
 }
 
 //rws:hotpath
@@ -46,9 +48,9 @@ func badStructure(t *table) int {
 	for k := range t.m { // want `ranges over a map \(nondeterministic order on the request path\)`
 		n += len(k)
 	}
-	s := make([]int, 0, 4) // want `calls make \(per-request allocation\)`
-	s = append(s, n)       // want `calls append \(per-request allocation\)`
-	go helperHot("y")      // want `spawns a goroutine`
+	var s []int
+	s = append(s, n)  // want `calls append \(per-request allocation\)`
+	go helperHot("y") // want `spawns a goroutine`
 	return n + len(s)
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"time"
 )
 
 type box struct {
@@ -17,8 +18,14 @@ type box struct {
 
 func ReadBox(b *box) int { return b.v }
 
+// Format heap-allocates (allocgate's finding) and Stamp reads the clock
+// (hotpath's).
+//
 //rws:hotpath
 func Format(v int) string { return fmt.Sprintf("%d", v) }
+
+//rws:hotpath
+func Stamp() int64 { return time.Now().UnixNano() }
 
 type left struct{ mu sync.Mutex }
 type right struct{ mu sync.Mutex }

@@ -1,8 +1,6 @@
-// Package lockorder exercises the lockorder analyzer: declared-order
-// violations, direct and call-chain-induced cycles, //rws:locked entry
-// seeding, self-deadlock, and malformed declarations.
-//
-//rws:lockorder lockorder.A.mu<lockorder.B.mu
+// Package lockorder exercises the lockorder analyzer: direct and
+// call-chain-induced cycles, //rws:locked entry seeding, and
+// self-deadlock.
 package lockorder
 
 import "sync"
@@ -10,7 +8,7 @@ import "sync"
 type A struct{ mu sync.Mutex }
 type B struct{ mu sync.Mutex }
 
-// good follows the declared order: A before B.
+// good takes A before B.
 func good(a *A, b *B) {
 	a.mu.Lock()
 	b.mu.Lock()
@@ -18,11 +16,10 @@ func good(a *A, b *B) {
 	a.mu.Unlock()
 }
 
-// bad inverts it, which both violates the declaration and closes the
-// A→B→A cycle with good.
+// bad takes B before A, which closes the A→B→A cycle with good.
 func bad(a *A, b *B) {
 	b.mu.Lock()
-	a.mu.Lock() // want `acquires lockorder\.A\.mu while holding lockorder\.B\.mu: violates declared lock order lockorder\.A\.mu < lockorder\.B\.mu` `lock-order cycle \(potential deadlock\): lockorder\.A\.mu -> lockorder\.B\.mu -> lockorder\.A\.mu`
+	a.mu.Lock() // want `lock-order cycle \(potential deadlock\): lockorder\.A\.mu -> lockorder\.B\.mu -> lockorder\.A\.mu`
 	a.mu.Unlock()
 	b.mu.Unlock()
 }
@@ -76,5 +73,3 @@ func relock(s *S) {
 	s.mu.Lock() // want `acquires lockorder\.S\.mu while already holding it \(acquired at lockorder\.go:\d+\): guaranteed self-deadlock`
 	s.mu.Unlock()
 }
-
-//rws:lockorder b0rked // want `malformed //rws:lockorder "b0rked": want a chain like serve\.Store\.mu<serve\.diffCache\.mu`

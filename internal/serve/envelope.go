@@ -37,16 +37,12 @@ const (
 
 // writeError writes the JSON error envelope: a human-readable message
 // plus the machine-readable code.
-//
-//rws:envelope
 func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...), Code: code}, false)
 }
 
 // writeNotModified answers a conditional request whose validator still
 // matches: 304, no body, headers already set by the caller.
-//
-//rws:envelope
 func writeNotModified(w http.ResponseWriter) {
 	w.WriteHeader(http.StatusNotModified)
 }

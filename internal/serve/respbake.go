@@ -63,8 +63,6 @@ var contentTypeJSON = []string{"application/json; charset=utf-8"}
 // net/http (it infers the exact length for buffered bodies), because
 // Header().Set plus strconv.Itoa would cost two allocations per response
 // on an otherwise zero-alloc path.
-//
-//rws:envelope
 func writeRawJSON(w http.ResponseWriter, status int, body []byte, pretty bool) {
 	var buf *bytes.Buffer
 	if pretty {

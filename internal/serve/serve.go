@@ -50,10 +50,9 @@
 // (respbake.go), write.
 //
 // The package is a JSON API end to end: every response body, success or
-// error, goes through the envelope helpers (machine-checked by rws-lint's
-// jsonenvelope analyzer via the directive below).
-//
-//rws:jsonapi
+// error, goes through the envelope helpers (TestNotFoundJSON,
+// TestErrorEnvelopeCodes, TestBadRequests and TestChurnErrors hold each
+// error path to it).
 package serve
 
 import (
@@ -234,8 +233,6 @@ var statusWriterPool = sync.Pool{New: func() any { return new(statusWriter) }}
 
 // WriteHeader records then forwards the status; as middleware plumbing
 // it is part of the envelope implementation.
-//
-//rws:envelope
 func (w *statusWriter) WriteHeader(status int) {
 	w.status = status
 	w.ResponseWriter.WriteHeader(status)
@@ -275,8 +272,6 @@ type errorBody struct {
 // before any byte reaches the wire, so an encode failure surfaces as a
 // 500 JSON envelope instead of a truncated 200. Write errors after that
 // mean the client went away; there is nothing left to surface to it.
-//
-//rws:envelope
 func writeJSON(w http.ResponseWriter, status int, v any, pretty bool) {
 	buf := jsonBufPool.Get().(*bytes.Buffer)
 	buf.Reset()

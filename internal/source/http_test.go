@@ -268,10 +268,14 @@ func TestReadBody(t *testing.T) {
 			t.Errorf("%s: read %d bytes, err %v; want %d", tc.name, len(got), err, tc.want)
 		}
 	}
+	// Growing a 1MB body from bytes.MinRead takes a dozen doublings; a
+	// sized buffer skips them. The counts are compared with each other,
+	// not with a constant: the race runtime adds allocations to both
+	// (4 vs 16 without it, 5–6 vs 31–33 with it).
 	sized := testing.AllocsPerRun(5, func() { read(1<<20, 2<<20) })
 	grown := testing.AllocsPerRun(5, func() { read(-1, 2<<20) })
-	if sized >= grown || sized > 5 {
-		t.Errorf("announced body: %v allocs per read, unknown length: %v; want one buffer allocation", sized, grown)
+	if sized*2 > grown {
+		t.Errorf("announced body: %v allocs per read, unknown length: %v; want the announced read to skip the growth", sized, grown)
 	}
 }
 
