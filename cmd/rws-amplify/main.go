@@ -18,8 +18,8 @@
 //	-stats     print composition statistics instead of JSON
 //	-validate  run the structural submission checks over every generated
 //	           set; any issue fails the run
-//	-build     build a serve snapshot from the generated list (parallel
-//	           construction, one worker per GOMAXPROCS) and report build
+//	-build     build a serve snapshot from the generated list (one
+//	           serial pass over its sets) and report build
 //	           time, estimated and measured memory, instead of emitting
 //	           JSON; with -mem-budget a list whose estimate exceeds the
 //	           budget fails the build (fit or fail)

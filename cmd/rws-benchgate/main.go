@@ -21,8 +21,13 @@
 // benchmark that vanishes from the current run fails the build too, so a
 // deleted or renamed hot-path benchmark cannot silently disarm its gate.
 // When the baseline's cpu: header names different hardware than the
-// current run's, the gate demotes itself to an informational report
-// (hardware deltas would drown the threshold); -ignore-cpu overrides.
+// current run's, the timing gate demotes itself to an informational
+// report (hardware deltas would drown the threshold); -ignore-cpu
+// overrides. The allocation gate is never demoted: allocs/op does not
+// depend on the hardware, so every benchmark both runs report it for
+// (any -benchmem run) fails the build when its fewest-allocation current
+// sample allocates more than the baseline's most-allocating one, with
+// 0.1% slack on counts of 1,000 or more.
 // -min-ns guards
 // against gating on timings below the timer's resolution: a benchmark
 // whose baseline median is under the floor (e.g. a sub-nanosecond atomic
@@ -50,6 +55,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -124,7 +130,8 @@ func parseFlags(args []string) (config, error) {
 
 // benchLine matches one result line of `go test -bench` output:
 // name(-GOMAXPROCS), iteration count, ns/op. The trailing -benchmem
-// allocs/op column, when present, feeds -assert-zero-alloc.
+// allocs/op column, when present, feeds the allocation gate and
+// -assert-zero-alloc.
 var (
 	benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([0-9.]+) ns/op`)
 	allocsCol = regexp.MustCompile(`\s(\d+) allocs/op`)
@@ -265,6 +272,31 @@ func compare(base, cur map[string][]float64, cfg config) (rows []row, regressed,
 		rows = append(rows, r)
 	}
 	return rows, regressed, missing
+}
+
+// allocJitter divides a baseline allocs/op count into the slack the gate
+// allows (0.1%). Runtime and GC-timed allocations move the scale-tier
+// counts by a few per 10⁵–10⁶ from run to run; below 1,000 allocs/op
+// the slack is 0, so the hot-path handlers are held exactly.
+const allocJitter = 1000
+
+// allocRegressions lists every benchmark both runs report allocs/op for
+// whose fewest-allocation current sample allocates more than the
+// baseline's most-allocating sample plus 1/allocJitter of it, so
+// run-to-run jitter cannot flap the gate.
+func allocRegressions(base, cur map[string][]int64) []string {
+	var out []string
+	for name, cs := range cur {
+		bs, ok := base[name]
+		if !ok {
+			continue
+		}
+		if lo, hi := slices.Min(cs), slices.Max(bs); lo > hi+hi/allocJitter {
+			out = append(out, fmt.Sprintf("%s: %d allocs/op, baseline %d", name, lo, hi))
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // jsonResult is one benchmark in the -write-json artifact.
@@ -408,6 +440,11 @@ func run(args []string, out io.Writer) error {
 	// gate on every non-reference machine.
 	if missing {
 		return fmt.Errorf("gated benchmark missing from the current run (renamed or deleted hot-path benchmark disarms its gate)")
+	}
+	// So is an allocation regression: allocs/op is the same count on any
+	// hardware, so it fails before the cpu guard can demote anything.
+	if allocs := allocRegressions(base.allocs, cur.allocs); len(allocs) > 0 {
+		return fmt.Errorf("allocs/op above the baseline: %s", strings.Join(allocs, "; "))
 	}
 	if !sameCPU {
 		fmt.Fprintf(out, "rws-benchgate: baseline cpu %q != current cpu %q: hardware deltas would drown the %.2fx threshold, gate demoted to informational (regenerate the baseline on this machine, or pass -ignore-cpu)\n",

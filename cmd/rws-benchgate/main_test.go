@@ -270,3 +270,45 @@ func TestAssertZeroAlloc(t *testing.T) {
 		t.Fatalf("assertion + gate: %v\n%s", err, sb.String())
 	}
 }
+
+// TestGateFailsOnAllocRegression: allocs/op is hardware-independent, so
+// a benchmark allocating more than its baseline fails the build even
+// when a foreign cpu: header demotes the timing comparison, and whether
+// or not -match gates its timing. Equal or fewer allocations pass, a
+// large count may move by its jitter slack, and benchmarks only one run
+// reports allocs/op for are not compared.
+func TestGateFailsOnAllocRegression(t *testing.T) {
+	base := writeFile(t, "base.txt", allocText+
+		"BenchmarkSwapDeliver-2   \t      20\t  42312665 ns/op\t25567693 B/op\t  167721 allocs/op\n")
+	same := writeFile(t, "same.txt", `cpu: AMD EPYC 7763 64-Core Processor
+BenchmarkHandlerSameSetPrebaked-4   	 1425738	      1836.5 ns/op	       0 B/op	       0 allocs/op
+BenchmarkHandlerStatsPrebaked-4     	 3065910	       391.4 ns/op	       0 B/op	       0 allocs/op
+BenchmarkHandlerSameSet-4           	  600000	      1998.0 ns/op	    1008 B/op	       7 allocs/op
+BenchmarkHandlerSameSet-4           	  600000	      1998.0 ns/op	    1008 B/op	       9 allocs/op
+BenchmarkStoreDiffCached-4          	  100000	       800.0 ns/op	      48 B/op	       2 allocs/op
+BenchmarkSwapDeliver-4              	      20	  40182354 ns/op	25567767 B/op	  167888 allocs/op
+`)
+	var sb strings.Builder
+	if err := run([]string{"-baseline", base, "-current", same}, &sb); err != nil {
+		t.Fatalf("no allocation regression should pass: %v\n%s", err, sb.String())
+	}
+	rose := writeFile(t, "rose.txt", `cpu: AMD EPYC 7763 64-Core Processor
+BenchmarkHandlerSameSetPrebaked-4   	 1425738	       836.5 ns/op	       0 B/op	       1 allocs/op
+BenchmarkHandlerStatsPrebaked-4     	 3065910	       391.4 ns/op	       0 B/op	       0 allocs/op
+BenchmarkHandlerSameSet-4           	  600000	      1998.0 ns/op	    1008 B/op	       9 allocs/op
+BenchmarkStoreDiffCached-4          	  100000	       800.0 ns/op
+BenchmarkSwapDeliver-4              	      20	  40182354 ns/op	25567767 B/op	  167889 allocs/op
+`)
+	for _, args := range [][]string{
+		{"-baseline", base, "-current", rose},
+		{"-baseline", base, "-current", rose, "-match", "NoSuchBenchmark"},
+	} {
+		sb.Reset()
+		err := run(args, &sb)
+		if err == nil || !strings.Contains(err.Error(), "BenchmarkHandlerSameSet: 9 allocs/op, baseline 8") ||
+			!strings.Contains(err.Error(), "BenchmarkHandlerSameSetPrebaked: 1 allocs/op, baseline 0") ||
+			!strings.Contains(err.Error(), "BenchmarkSwapDeliver: 167889 allocs/op, baseline 167721") {
+			t.Errorf("run(%v): err = %v, want all three allocation regressions named\n%s", args, err, sb.String())
+		}
+	}
+}

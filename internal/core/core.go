@@ -166,10 +166,12 @@ type List struct {
 	index map[string]membership
 }
 
+// membership is one index entry: the set holding a site, the set's
+// position in Sets(), and the site's role.
 type membership struct {
-	set     *Set
-	role    Role
-	aliasOf string
+	set  *Set
+	pos  int32
+	role Role
 }
 
 // Errors returned when assembling a list.
@@ -178,9 +180,10 @@ var (
 	ErrNilSet        = errors.New("core: nil set")
 )
 
-// NewList builds a list from sets, canonicalizing membership and enforcing
-// the upstream invariant that sets are disjoint: no site may appear in more
-// than one set, or twice within one set.
+// NewList builds a list from sets, indexing every member site as given
+// (ParseJSON canonicalizes them first) and enforcing the upstream
+// invariant that sets are disjoint: no site may appear in more than one
+// set, or twice within one set.
 func NewList(sets []*Set) (*List, error) {
 	sites := 0
 	for _, s := range sets {
@@ -193,22 +196,23 @@ func NewList(sets []*Set) (*List, error) {
 		if s == nil {
 			return nil, fmt.Errorf("%w at index %d", ErrNilSet, i)
 		}
-		if err := l.indexMember(s, s.Primary, RolePrimary, ""); err != nil {
+		pos := int32(i)
+		if err := l.indexMember(s, pos, s.Primary, RolePrimary); err != nil {
 			return nil, err
 		}
 		for _, a := range s.Associated {
-			if err := l.indexMember(s, a, RoleAssociated, ""); err != nil {
+			if err := l.indexMember(s, pos, a, RoleAssociated); err != nil {
 				return nil, err
 			}
 		}
 		for _, v := range s.Service {
-			if err := l.indexMember(s, v, RoleService, ""); err != nil {
+			if err := l.indexMember(s, pos, v, RoleService); err != nil {
 				return nil, err
 			}
 		}
 		for _, base := range sortedKeys(s.CCTLDs) {
 			for _, alias := range s.CCTLDs[base] {
-				if err := l.indexMember(s, alias, RoleCCTLD, base); err != nil {
+				if err := l.indexMember(s, pos, alias, RoleCCTLD); err != nil {
 					return nil, err
 				}
 			}
@@ -218,14 +222,14 @@ func NewList(sets []*Set) (*List, error) {
 	return l, nil
 }
 
-// indexMember adds one member of s to the index, refusing a site some
-// set already holds.
-func (l *List) indexMember(s *Set, site string, role Role, aliasOf string) error {
+// indexMember adds one member of s, the set at position pos, to the
+// index, refusing a site some set already holds.
+func (l *List) indexMember(s *Set, pos int32, site string, role Role) error {
 	if prev, ok := l.index[site]; ok {
 		return fmt.Errorf("%w: %q in set %q and set %q",
 			ErrDuplicateSite, site, prev.set.Primary, s.Primary)
 	}
-	l.index[site] = membership{set: s, role: role, aliasOf: aliasOf}
+	l.index[site] = membership{set: s, pos: pos, role: role}
 	return nil
 }
 
@@ -238,6 +242,17 @@ func (l *List) NumSets() int { return len(l.sets) }
 
 // NumSites returns the total number of member sites across all sets.
 func (l *List) NumSites() int { return len(l.index) }
+
+// Lookup returns the set holding host, the set's position in Sets() and
+// host's role. host must be canonical (CanonicalHost); any other
+// spelling misses.
+//
+//rws:hotpath
+//rws:allocfree
+func (l *List) Lookup(host string) (set *Set, pos int, role Role, ok bool) {
+	m, ok := l.index[host]
+	return m.set, int(m.pos), m.role, ok
+}
 
 // FindSet returns the set containing site and the site's role within it.
 func (l *List) FindSet(site string) (set *Set, role Role, ok bool) {

@@ -12,20 +12,16 @@ import (
 	"rwskit/internal/dataset"
 )
 
-// buildSerial is the single-threaded reference construction the
-// parallel build is held equivalent to: one pass over the sets in list
-// order filling the host index and member fragments, then the full-scan
-// verdict builder per policy.
+// buildSerial is the reference construction the build is held equal
+// to: the member fragments in list order, then the full-scan verdict
+// builder per policy, which evaluates cells as it meets them instead of
+// collecting representatives first.
 func buildSerial(t testing.TB, list *core.List) *Snapshot {
 	t.Helper()
 	start := time.Now()
 	s := newSnapshot(list, list.Hash())
 	var tableBytes int64
 	for i, set := range s.sets {
-		for _, m := range set.Members() {
-			s.hosts[m.Site] = hostEntry{set: set, setIdx: int32(i), role: m.Role}
-			tableBytes += int64(len(m.Site)) + 64
-		}
 		s.respMembers[i] = appendMembers(nil, set.Members())
 		tableBytes += int64(len(s.respMembers[i])) + 24
 	}
@@ -71,7 +67,7 @@ func buildVerdictsSerial(s *Snapshot, pid policyID) {
 }
 
 // equalSnapshots holds two snapshots to exact equality across every
-// public query surface and the precomputed verdict tables: host-index
+// public query surface and the precomputed verdict tables: lookup
 // answers for every member site (plus off-list probes), prebuilt /v1/set
 // slices, composition stats, and the full per-policy sameSet/cross
 // verdict tables.
@@ -83,9 +79,6 @@ func equalSnapshots(t *testing.T, label string, got, want *Snapshot) {
 	if got.NumSets() != want.NumSets() || got.NumSites() != want.NumSites() {
 		t.Fatalf("%s: sizes (%d sets, %d sites) != (%d sets, %d sites)",
 			label, got.NumSets(), got.NumSites(), want.NumSets(), want.NumSites())
-	}
-	if len(got.hosts) != len(want.hosts) {
-		t.Fatalf("%s: host index has %d entries, want %d", label, len(got.hosts), len(want.hosts))
 	}
 	// Verdict tables, cell by cell.
 	for pid := 0; pid < int(numPolicies); pid++ {
@@ -104,11 +97,11 @@ func equalSnapshots(t *testing.T, label string, got, want *Snapshot) {
 	// Every member site answers identically on the lookup surfaces.
 	for _, set := range want.List().Sets() {
 		for _, m := range set.Members() {
-			ge, gok := got.lookup(m.Site)
-			we, wok := want.lookup(m.Site)
-			if gok != wok || ge.role != we.role || ge.set.Primary != we.set.Primary {
-				t.Fatalf("%s: lookup(%q) = (%v, role %s, primary %s), want (%v, role %s, primary %s)",
-					label, m.Site, gok, ge.role, ge.set.Primary, wok, we.role, we.set.Primary)
+			gset, gpos, grole, gok := got.List().Lookup(m.Site)
+			wset, wpos, wrole, wok := want.List().Lookup(m.Site)
+			if gok != wok || gpos != wpos || grole != wrole || gset.Primary != wset.Primary {
+				t.Fatalf("%s: lookup(%q) = (%v, pos %d, role %s, primary %s), want (%v, pos %d, role %s, primary %s)",
+					label, m.Site, gok, gpos, grole, gset.Primary, wok, wpos, wrole, wset.Primary)
 			}
 			gs, ws := got.Set(m.Site), want.Set(m.Site)
 			if gs.Found != ws.Found || gs.Role != ws.Role || gs.Primary != ws.Primary || len(gs.Members) != len(ws.Members) {
@@ -183,13 +176,11 @@ func equalPrebakedTables(t *testing.T, label string, got, want *Snapshot) {
 	eq("list", got.respList, want.respList)
 }
 
-// TestParallelSnapshotMatchesSerial is the build's equivalence
-// property: parallel construction produces a snapshot semantically
-// identical to the serial reference path — over the embedded real list
-// and randomized amplified lists, for several seeds × worker counts. CI
-// runs the package under -race, so this also proves the phase-A/phase-B
-// writes are race-free.
-func TestParallelSnapshotMatchesSerial(t *testing.T) {
+// TestSnapshotMatchesSerial is the build's equivalence property: the
+// one build pass produces a snapshot semantically identical to the
+// full-scan reference path, over the embedded real list and randomized
+// amplified lists, and fills its BuildInfo.
+func TestSnapshotMatchesSerial(t *testing.T) {
 	lists := map[string]*core.List{}
 	embedded, err := dataset.List()
 	if err != nil {
@@ -210,27 +201,11 @@ func TestParallelSnapshotMatchesSerial(t *testing.T) {
 	lists["tiny"] = tiny
 
 	for name, list := range lists {
-		serial := buildSerial(t, list)
-		for _, workers := range []int{1, 2, 3, 8} {
-			par, err := buildSnapshot(list, "", workers, 0)
-			if err != nil {
-				t.Fatalf("%s/workers=%d: parallel build: %v", name, workers, err)
-			}
-			equalSnapshots(t, fmt.Sprintf("%s/workers=%d", name, workers), par, serial)
+		snap := mustBuild(t, list)
+		if info := snap.BuildInfo(); info.EstimatedBytes <= 0 || info.BuildNanos <= 0 {
+			t.Errorf("%s: BuildInfo not populated: %+v", name, info)
 		}
-	}
-}
-
-// TestNewSnapshotUsesParallelPath pins the default build (BuildSnapshot
-// with zero options, GOMAXPROCS workers) to a populated BuildInfo.
-func TestNewSnapshotUsesParallelPath(t *testing.T) {
-	list, err := dataset.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	info := mustBuild(t, list).BuildInfo()
-	if info.EstimatedBytes <= 0 || info.BuildNanos <= 0 {
-		t.Errorf("BuildInfo not populated: %+v", info)
+		equalSnapshots(t, name, snap, buildSerial(t, list))
 	}
 }
 

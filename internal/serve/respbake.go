@@ -199,13 +199,13 @@ func (s *Snapshot) appendSameSetBody(dst []byte, a, b string) []byte {
 	dst = core.AppendJSONString(dst, a)
 	dst = append(dst, `,"b":`...)
 	dst = core.AppendJSONString(dst, b)
-	ea, aok := s.lookup(core.CanonicalHost(a))
-	eb, bok := s.lookup(core.CanonicalHost(b))
-	if !aok || !bok || ea.set != eb.set {
+	sa, _, _, aok := s.list.Lookup(core.CanonicalHost(a))
+	sb, _, _, bok := s.list.Lookup(core.CanonicalHost(b))
+	if !aok || !bok || sa != sb {
 		return append(dst, sameSetCrossTail...)
 	}
 	dst = append(dst, `,"same_set":true,"primary":`...)
-	dst = core.AppendJSONString(dst, ea.set.Primary)
+	dst = core.AppendJSONString(dst, sa.Primary)
 	return append(dst, '}')
 }
 
@@ -233,16 +233,16 @@ func (s *Snapshot) appendSameSetBatch(dst []byte, pairs [][2]string) []byte {
 func (s *Snapshot) appendSet(dst []byte, site string) []byte {
 	dst = append(dst, `{"site":`...)
 	dst = core.AppendJSONString(dst, site)
-	e, ok := s.lookup(core.CanonicalHost(site))
+	set, pos, role, ok := s.list.Lookup(core.CanonicalHost(site))
 	if !ok {
 		return append(dst, setNotFoundTail...)
 	}
 	dst = append(dst, `,"found":true,"role":`...)
-	dst = core.AppendJSONString(dst, e.role.String())
+	dst = core.AppendJSONString(dst, role.String())
 	dst = append(dst, `,"primary":`...)
-	dst = core.AppendJSONString(dst, e.set.Primary)
+	dst = core.AppendJSONString(dst, set.Primary)
 	dst = append(dst, `,"members":`...)
-	dst = append(dst, s.respMembers[e.setIdx]...)
+	dst = append(dst, s.respMembers[pos]...)
 	return append(dst, '}', '\n')
 }
 
@@ -253,16 +253,16 @@ func (s *Snapshot) appendSet(dst []byte, site string) []byte {
 // renders its verdict the same way.
 func (s *Snapshot) appendPartitionBody(dst []byte, pid policyID, top, embedded string) []byte {
 	ct, ce := core.CanonicalHost(top), core.CanonicalHost(embedded)
-	te, tok := s.lookup(ct)
-	ee, eok := s.lookup(ce)
+	ts, _, tr, tok := s.list.Lookup(ct)
+	es, _, er, eok := s.list.Lookup(ce)
 	var tail []byte
 	switch {
 	case ct == ce && tok:
 		tail = s.respPartHostSame[pid]
 	case ct == ce:
 		tail = s.respPartHostCross[pid]
-	case tok && eok && te.set == ee.set:
-		tail = s.respPartSame[pid][te.role][ee.role]
+	case tok && eok && ts == es:
+		tail = s.respPartSame[pid][tr][er]
 	case tok && eok:
 		tail = s.respPartCross[pid]
 	}

@@ -44,37 +44,25 @@ func indented(t *testing.T, body []byte) string {
 }
 
 // prebakedTestLists is the golden-test corpus: the embedded real list
-// plus amplified lists, each built at several worker counts (the
-// "shardsN" names give the count), and the embedded list through the
-// serial reference build.
+// and amplified lists, plus the embedded list through the serial
+// reference build.
 func prebakedTestLists(t *testing.T) map[string]*Snapshot {
 	t.Helper()
-	snaps := map[string]*Snapshot{}
 	embedded, err := dataset.List()
 	if err != nil {
 		t.Fatal(err)
+	}
+	snaps := map[string]*Snapshot{
+		"embedded":        mustBuild(t, embedded),
+		"embedded-serial": buildSerial(t, embedded),
 	}
 	for _, seed := range []int64{1, 2} {
 		list, err := amplify.Generate(amplify.Config{Sets: 200, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 3, 8} {
-			snap, err := buildSnapshot(list, "", workers, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			snaps[fmt.Sprintf("amplified-seed%d-shards%d", seed, workers)] = snap
-		}
+		snaps[fmt.Sprintf("amplified-seed%d", seed)] = mustBuild(t, list)
 	}
-	for _, workers := range []int{1, 4} {
-		snap, err := buildSnapshot(embedded, "", workers, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snaps[fmt.Sprintf("embedded-shards%d", workers)] = snap
-	}
-	snaps["embedded-serial"] = buildSerial(t, embedded)
 	return snaps
 }
 
@@ -102,7 +90,7 @@ func goldenPairs(snap *Snapshot) [][2]string {
 // encoder: for sameset, set, partition and stats, single and batch, the
 // append* bytes equal encoding/json's output for the documented response
 // structs the typed Snapshot methods return — across the embedded and
-// amplified lists at several worker counts, for every pair shape
+// amplified lists, for every pair shape
 // (same-set, cross-set, same-host, off-list, miss) and every policy
 // spelling — and ?pretty=1 (json.Indent over those bytes) equals the
 // struct encoded with SetIndent. The http-versions subtest drives the

@@ -4,9 +4,9 @@
 // users" north star asks for on top of the rwskit core.
 //
 // Queries are answered from a Snapshot — a precomputed query plane
-// (normalized host index, per-policy partition-verdict table,
-// composition stats) derived from a *core.List once, when Store.AddList
-// installs it. Snapshots live in a Store: a bounded version
+// (per-policy partition-verdict table, prebaked response bytes,
+// composition stats) derived from a *core.List in one serial pass when
+// Store.AddList installs it; hosts resolve through the list's own index. Snapshots live in a Store: a bounded version
 // store keyed by list content hash that retains the last N revisions, so
 // the list can be hot-swapped (e.g. on SIGHUP, on a -poll tick, or when
 // upstream publishes a new related_website_sets.JSON) without pausing

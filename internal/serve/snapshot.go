@@ -2,8 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -61,14 +59,6 @@ type verdict struct {
 	filled   bool
 }
 
-// hostEntry is the precomputed membership record for one canonical host.
-// setIdx indexes the snapshot's set-order tables (respMembers).
-type hostEntry struct {
-	set    *core.Set
-	setIdx int32
-	role   core.Role
-}
-
 // numRoles sizes the verdict table's role axes (primary, associated,
 // service, cctld).
 const numRoles = 4
@@ -77,7 +67,7 @@ const numRoles = 4
 // no memory budget.
 type SnapshotOptions struct {
 	// MemoryBudget caps the estimated bytes of the snapshot's derived
-	// tables (host index, prebaked response bytes). 0 means
+	// tables (member fragments, prebaked response bytes). 0 means
 	// unlimited. It is fit or fail: a snapshot whose estimate exceeds the
 	// budget is not built, and BuildSnapshot errors.
 	MemoryBudget int64
@@ -97,10 +87,11 @@ type BuildInfo struct {
 }
 
 // Snapshot is the precomputed, immutable query plane the server answers
-// from. BuildSnapshot derives everything the hot path needs from a
-// *core.List once:
+// from. Hosts resolve through the list's own index (core.List.Lookup),
+// which also gives a set's position in list order. BuildSnapshot derives
+// everything else the hot path needs from a *core.List in one serial pass
+// over its sets:
 //
-//   - a normalized host index (every member keyed by canonical host),
 //   - composition statistics,
 //   - a per-policy partition-verdict table over (topRole, embRole,
 //     sameSet), so /v1/partition for list members is a table lookup
@@ -130,10 +121,9 @@ type Snapshot struct {
 	// Metrics-only; incremented lock-free on the request path.
 	requests atomic.Uint64
 
-	// sets is list.Sets(), the set-index space hostEntry.setIdx and
-	// respMembers are keyed by; hosts is the host index.
-	sets  []*core.Set
-	hosts map[string]hostEntry
+	// sets is list.Sets(), the position space core.List.Lookup reports
+	// and respMembers is keyed by.
+	sets []*core.Set
 
 	// The prebaked response plane (respbake.go): exact compact-JSON wire
 	// bytes for the enumerable answers, assembled into pooled buffers by
@@ -167,22 +157,20 @@ type Snapshot struct {
 	cross   [numPolicies]verdict
 }
 
-// BuildSnapshot precomputes the query plane for list under opts, with
-// one construction worker per GOMAXPROCS, clamped to [1, sets].
+// BuildSnapshot precomputes the query plane for list under opts.
 func BuildSnapshot(list *core.List, opts SnapshotOptions) (*Snapshot, error) {
-	return buildSnapshot(list, "", runtime.GOMAXPROCS(0), opts.MemoryBudget)
+	return buildSnapshot(list, "", opts.MemoryBudget)
 }
 
-// buildSnapshot is BuildSnapshot with an explicit worker count and the
-// list's content hash, computed here only when hash is empty.
-func buildSnapshot(list *core.List, hash string, workers int, budget int64) (*Snapshot, error) {
+// buildSnapshot is BuildSnapshot given the list's content hash, which it
+// computes only when hash is empty.
+func buildSnapshot(list *core.List, hash string, budget int64) (*Snapshot, error) {
 	start := time.Now()
 	if hash == "" {
 		hash = list.Hash()
 	}
-	workers = max(1, min(workers, list.NumSets()))
 	s := newSnapshot(list, hash)
-	return s.finish(start, s.buildParallel(workers), budget)
+	return s.finish(start, s.build(), budget)
 }
 
 // newSnapshot allocates a snapshot of list, whose content hash is hash,
@@ -194,7 +182,6 @@ func newSnapshot(list *core.List, hash string) *Snapshot {
 		hash:        hash,
 		etag:        `"` + hash + `"`,
 		sets:        list.Sets(),
-		hosts:       make(map[string]hostEntry, list.NumSites()),
 		respMembers: make([][]byte, list.NumSets()),
 	}
 	s.etagHeader = []string{s.etag}
@@ -214,8 +201,8 @@ func newSnapshot(list *core.List, hash string) *Snapshot {
 
 // finish bakes the remaining response bytes over a filled build pass and
 // holds the total estimate to the budget — fit or fail, no degraded
-// snapshot. tableBytes is the build pass's estimate of the host index
-// and member fragments.
+// snapshot. tableBytes is the build pass's estimate of the member
+// fragments.
 func (s *Snapshot) finish(start time.Time, tableBytes, budget int64) (*Snapshot, error) {
 	respBytes, err := s.bakeResponses()
 	if err != nil {
@@ -242,116 +229,27 @@ func prebakeMembers(set *core.Set) []SetMember {
 	return pre
 }
 
-// lookup resolves a canonical host against the host index.
-//
-//rws:hotpath
-//rws:allocfree
-func (s *Snapshot) lookup(host string) (hostEntry, bool) {
-	e, ok := s.hosts[host]
-	return e, ok
-}
+// repPair is the first member pair exhibiting a (topRole, embRole)
+// combination: the representative evaluated for that verdict cell. An
+// empty top means the list has no such pair.
+type repPair struct{ top, emb string }
 
-// hostKV is one host-index entry a phase-A worker emits.
-type hostKV struct {
-	host string
-	e    hostEntry
-}
-
-// repPair is a worker's first member pair exhibiting a (topRole, embRole)
-// combination: the candidate representative for that verdict cell.
-type repPair struct {
-	top, emb string
-	filled   bool
-}
-
-// workerOut is everything one phase-A worker produces from its
-// contiguous set range, merged deterministically in phase B.
-type workerOut struct {
-	hosts []hostKV
-	reps  [numRoles][numRoles]repPair
-	bytes int64
-}
-
-// buildParallel partitions the sets across `workers` goroutines. Each
-// worker owns a contiguous set range: it encodes member fragments
-// (written to disjoint indices of s.respMembers, race-free), emits its
-// host-index entries, and records its first member pair per (topRole,
-// embRole) combination. Phase B then fills the one host index from the
-// workers' outputs in worker order and merges the verdict
-// representatives by taking the first worker's pair — worker ranges are
-// ordered, so that is exactly the globally-first pair the serial path
-// would have evaluated. Each verdict cell then gets one fresh-profile
-// evaluation per policy, identical to the serial result. It returns the
-// estimated bytes of the host index and member fragments.
-func (s *Snapshot) buildParallel(workers int) (tableBytes int64) {
-	outs := make([]*workerOut, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * len(s.sets) / workers
-		hi := (w + 1) * len(s.sets) / workers
-		out := &workerOut{}
-		outs[w] = out
-		wg.Add(1)
-		go func(lo, hi int, out *workerOut) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				set := s.sets[i]
-				ms := set.Members()
-				var present [numRoles]bool
-				for _, m := range ms {
-					out.hosts = append(out.hosts, hostKV{m.Site, hostEntry{set: set, setIdx: int32(i), role: m.Role}})
-					out.bytes += int64(len(m.Site)) + 64
-					present[m.Role] = true
-				}
-				s.respMembers[i] = appendMembers(nil, ms)
-				out.bytes += int64(len(s.respMembers[i])) + 24
-
-				// Representative scan, skipped when this set's role
-				// combinations are all already represented locally — after a
-				// handful of sets this prunes the O(members²) pass entirely.
-				novel := false
-				for r1 := 0; r1 < numRoles && !novel; r1++ {
-					for r2 := 0; r2 < numRoles; r2++ {
-						if present[r1] && present[r2] && !out.reps[r1][r2].filled {
-							novel = true
-							break
-						}
-					}
-				}
-				if !novel {
-					continue
-				}
-				for _, top := range ms {
-					for _, emb := range ms {
-						if top.Site == emb.Site {
-							continue
-						}
-						r := &out.reps[top.Role][emb.Role]
-						if !r.filled {
-							*r = repPair{top: top.Site, emb: emb.Site, filled: true}
-						}
-					}
-				}
-			}
-		}(lo, hi, out)
-	}
-	wg.Wait()
-
-	for _, out := range outs {
-		for _, kv := range out.hosts {
-			s.hosts[kv.host] = kv.e
-		}
-		tableBytes += out.bytes
-	}
-
-	// Merge verdict representatives: the first worker (in range order)
-	// holding a cell holds the globally-first pair for it.
+// build is the one serial pass over the sets in list order. It encodes
+// each set's member fragment and records the first member pair per
+// (topRole, embRole) combination, the pair the full-scan verdict builder
+// would evaluate first. Each verdict cell then gets one fresh-profile
+// evaluation per policy. It returns the estimated bytes of the member
+// fragments.
+func (s *Snapshot) build() (tableBytes int64) {
 	var reps [numRoles][numRoles]repPair
-	for _, out := range outs {
-		for r1 := 0; r1 < numRoles; r1++ {
-			for r2 := 0; r2 < numRoles; r2++ {
-				if !reps[r1][r2].filled && out.reps[r1][r2].filled {
-					reps[r1][r2] = out.reps[r1][r2]
+	for i, set := range s.sets {
+		ms := set.Members()
+		s.respMembers[i] = appendMembers(nil, ms)
+		tableBytes += int64(len(s.respMembers[i])) + 24
+		for _, top := range ms {
+			for _, emb := range ms {
+				if r := &reps[top.Role][emb.Role]; top.Site != emb.Site && r.top == "" {
+					*r = repPair{top.Site, emb.Site}
 				}
 			}
 		}
@@ -362,7 +260,7 @@ func (s *Snapshot) buildParallel(workers int) (tableBytes int64) {
 		s.cross[pid] = verdict{decision: v.Decision, granted: v.Granted, filled: true}
 		for r1 := 0; r1 < numRoles; r1++ {
 			for r2 := 0; r2 < numRoles; r2++ {
-				if rep := reps[r1][r2]; rep.filled {
+				if rep := reps[r1][r2]; rep.top != "" {
 					ev := browser.EvaluateFresh(live, rep.top, rep.emb)
 					s.sameSet[pid][r1][r2] = verdict{decision: ev.Decision, granted: ev.Granted, filled: true}
 				}
@@ -387,31 +285,31 @@ func (s *Snapshot) NumSites() int { return s.list.NumSites() }
 // BuildInfo reports how the snapshot was constructed.
 func (s *Snapshot) BuildInfo() BuildInfo { return s.info }
 
-// SameSet answers a relatedness query against the precomputed host index.
+// SameSet answers a relatedness query against the list's host index.
 // Inputs may be any legitimate host spelling (scheme, port, trailing dot,
 // mixed case); the response echoes them as given.
 //
 //rws:hotpath
 func (s *Snapshot) SameSet(a, b string) SameSetResponse {
 	resp := SameSetResponse{A: a, B: b}
-	ea, aok := s.lookup(core.CanonicalHost(a))
-	eb, bok := s.lookup(core.CanonicalHost(b))
-	if aok && bok && ea.set == eb.set {
+	sa, _, _, aok := s.list.Lookup(core.CanonicalHost(a))
+	sb, _, _, bok := s.list.Lookup(core.CanonicalHost(b))
+	if aok && bok && sa == sb {
 		resp.SameSet = true
-		resp.Primary = ea.set.Primary
+		resp.Primary = sa.Primary
 	}
 	return resp
 }
 
-// Set answers a set-lookup query from the host index, building the
+// Set answers a set-lookup query from the list's host index, building the
 // member structs from the set.
 func (s *Snapshot) Set(site string) SetResponse {
 	resp := SetResponse{Site: site}
-	if e, ok := s.lookup(core.CanonicalHost(site)); ok {
+	if set, _, role, ok := s.list.Lookup(core.CanonicalHost(site)); ok {
 		resp.Found = true
-		resp.Role = e.role.String()
-		resp.Primary = e.set.Primary
-		resp.Members = prebakeMembers(e.set)
+		resp.Role = role.String()
+		resp.Primary = set.Primary
+		resp.Members = prebakeMembers(set)
 	}
 	return resp
 }
@@ -430,16 +328,16 @@ func (s *Snapshot) Partition(policyName, top, embedded string) (PartitionRespons
 	}
 	info := &s.policies[pid]
 	ct, ce := core.CanonicalHost(top), core.CanonicalHost(embedded)
-	te, tok := s.lookup(ct)
-	ee, eok := s.lookup(ce)
-	sameSet := tok && eok && te.set == ee.set
+	ts, _, tr, tok := s.list.Lookup(ct)
+	es, _, er, eok := s.list.Lookup(ce)
+	sameSet := tok && eok && ts == es
 
 	var v verdict
 	switch {
 	case ct == ce:
 		v = verdict{decision: browser.GrantedAuto, granted: true, filled: true}
 	case sameSet:
-		v = s.sameSet[pid][te.role][ee.role]
+		v = s.sameSet[pid][tr][er]
 	case tok && eok:
 		v = s.cross[pid]
 	}

@@ -186,26 +186,6 @@ func TestSnapshotAccessors(t *testing.T) {
 	if snap.NumSets() != list.NumSets() || snap.NumSites() != list.NumSites() {
 		t.Errorf("counts = %d/%d, want %d/%d", snap.NumSets(), snap.NumSites(), list.NumSets(), list.NumSites())
 	}
-	// Every member resolves through the host index to its own set and
-	// role, and the index holds nothing else.
-	perRole := map[core.Role]int{}
-	for i, set := range list.Sets() {
-		for _, m := range set.Members() {
-			e, ok := snap.lookup(m.Site)
-			if !ok || e.set != set || int(e.setIdx) != i || e.role != m.Role {
-				t.Errorf("lookup(%q) = %+v, %v, want set %s (index %d) role %s", m.Site, e, ok, set.Primary, i, m.Role)
-			}
-			perRole[m.Role]++
-		}
-	}
-	st := list.Stats()
-	if perRole[core.RolePrimary] != list.NumSets() || perRole[core.RoleAssociated] != st.AssociatedSites ||
-		perRole[core.RoleService] != st.ServiceSites || perRole[core.RoleCCTLD] != st.CCTLDSites {
-		t.Errorf("members per role = %v, want the list's composition %+v", perRole, st)
-	}
-	if len(snap.hosts) != list.NumSites() {
-		t.Errorf("host index holds %d hosts, want %d", len(snap.hosts), list.NumSites())
-	}
 }
 
 func TestSameSetBatch(t *testing.T) {

@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -130,7 +129,7 @@ func (st *Store) Swaps() uint64 { return st.swaps.Load() }
 // carries the hash the source already computed to gate the fetch, so a
 // delivered revision is hashed once.
 func (st *Store) AddList(list *core.List, ver core.Version) (*Snapshot, error) {
-	snap, err := buildSnapshot(list, ver.Hash, runtime.GOMAXPROCS(0), st.opts.MemoryBudget)
+	snap, err := buildSnapshot(list, ver.Hash, st.opts.MemoryBudget)
 	if err != nil {
 		return nil, err
 	}

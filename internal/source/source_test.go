@@ -3,6 +3,7 @@ package source
 import (
 	"context"
 	"errors"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -185,5 +186,42 @@ func TestFileSourceMetaFetchedAt(t *testing.T) {
 	}
 	if v := meta.Version(); !v.AsOf.Equal(meta.ModTime) {
 		t.Errorf("file Version AsOf = %s, want the mtime %s", v.AsOf, meta.ModTime)
+	}
+}
+
+// TestInvalidateBesideFetch calls Invalidate from a second goroutine
+// while Fetch runs, on both sources. Under -race it fails if Invalidate
+// touches the freshness gates (the HTTP validators, the file stat gate)
+// outside the lock Fetch holds. Every Fetch still ends in the list or
+// ErrNotModified.
+func TestInvalidateBesideFetch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "list.json")
+	if err := os.WriteFile(path, []byte(oneSetJSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(&listServer{body: oneSetJSON, etag: `"v1"`})
+	defer ts.Close()
+	for name, src := range map[string]Source{"http": fastHTTP(ts.URL), "file": NewFileSource(path)} {
+		t.Run(name, func(t *testing.T) {
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for i := 0; i < 50; i++ {
+					src.Invalidate()
+					time.Sleep(50 * time.Microsecond)
+				}
+			}()
+			// Fetch until the invalidations are over, so both calls run.
+			for i := 0; ; i++ {
+				if _, _, err := src.Fetch(context.Background()); err != nil && !errors.Is(err, ErrNotModified) {
+					t.Errorf("fetch %d: %v", i, err)
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		})
 	}
 }
