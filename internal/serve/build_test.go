@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -176,11 +177,11 @@ func equalPrebakedTables(t *testing.T, label string, got, want *Snapshot) {
 	eq("list", got.respList, want.respList)
 }
 
-// TestSnapshotMatchesSerial is the build's equivalence property: the
-// one build pass produces a snapshot semantically identical to the
-// full-scan reference path, over the embedded real list and randomized
-// amplified lists, and fills its BuildInfo.
-func TestSnapshotMatchesSerial(t *testing.T) {
+// TestParallelSnapshotMatchesSerial is the build's equivalence property:
+// builds of one list run in parallel, sharing its host index, and each
+// produces a snapshot semantically identical to the full-scan reference
+// path, over the embedded real list and randomized amplified lists.
+func TestParallelSnapshotMatchesSerial(t *testing.T) {
 	lists := map[string]*core.List{}
 	embedded, err := dataset.List()
 	if err != nil {
@@ -200,12 +201,40 @@ func TestSnapshotMatchesSerial(t *testing.T) {
 	}
 	lists["tiny"] = tiny
 
+	const builders = 3
 	for name, list := range lists {
-		snap := mustBuild(t, list)
-		if info := snap.BuildInfo(); info.EstimatedBytes <= 0 || info.BuildNanos <= 0 {
-			t.Errorf("%s: BuildInfo not populated: %+v", name, info)
+		snaps := make([]*Snapshot, builders)
+		errs := make([]error, builders)
+		var wg sync.WaitGroup
+		for i := range snaps {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				snaps[i], errs[i] = BuildSnapshot(list, SnapshotOptions{})
+			}(i)
 		}
-		equalSnapshots(t, name, snap, buildSerial(t, list))
+		wg.Wait()
+		serial := buildSerial(t, list)
+		for i, snap := range snaps {
+			if errs[i] != nil {
+				t.Fatalf("%s/builder=%d: build: %v", name, i, errs[i])
+			}
+			equalSnapshots(t, fmt.Sprintf("%s/builder=%d", name, i), snap, serial)
+		}
+	}
+}
+
+// TestNewSnapshotUsesParallelPath checks that the public build entry
+// point reports its cost. The name dates from a sharded build; the one
+// pass is now the only path, and its BuildInfo must still be filled.
+func TestNewSnapshotUsesParallelPath(t *testing.T) {
+	list, err := dataset.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := mustBuild(t, list).BuildInfo()
+	if info.EstimatedBytes <= 0 || info.BuildNanos <= 0 {
+		t.Errorf("BuildInfo not populated: %+v", info)
 	}
 }
 
