@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -80,7 +81,9 @@ type Member struct {
 	AliasOf string
 }
 
-// Set is one Related Website Set.
+// Set is one Related Website Set. A set must not be mutated once it is
+// in a List: a later revision parsed against the list (ParseJSONFrom)
+// may share it, so every retained revision would see the change.
 type Set struct {
 	// Contact is the submitter contact recorded in the upstream list.
 	Contact string
@@ -157,6 +160,16 @@ func (s *Set) Clone() *Set {
 		}
 	}
 	return c
+}
+
+// Equal reports whether s and o hold the same contact, primary, members
+// in the same order, ccTLD variants and rationales. A nil map equals an
+// empty one, as it does in MarshalSetJSON and List.Hash.
+func (s *Set) Equal(o *Set) bool {
+	return s.Contact == o.Contact && s.Primary == o.Primary &&
+		slices.Equal(s.Associated, o.Associated) && slices.Equal(s.Service, o.Service) &&
+		maps.Equal(s.RationaleBySite, o.RationaleBySite) &&
+		maps.EqualFunc(s.CCTLDs, o.CCTLDs, slices.Equal[[]string])
 }
 
 // List is a full Related Website Sets list: a collection of disjoint sets
@@ -730,7 +743,8 @@ func (d Diff) Summary() string {
 	return strings.Join(parts, ", ")
 }
 
-// DiffLists compares two list snapshots, keyed by set primary.
+// DiffLists compares two list snapshots, keyed by set primary. A set
+// both lists share (ParseJSONFrom) has no member changes and is skipped.
 func DiffLists(old, new *List) Diff {
 	var d Diff
 	oldByPrimary := make(map[string]*Set, len(old.sets))
@@ -753,7 +767,7 @@ func DiffLists(old, new *List) Diff {
 	}
 	for p, ns := range newByPrimary {
 		os, ok := oldByPrimary[p]
-		if !ok {
+		if !ok || os == ns {
 			continue
 		}
 		oldSites := siteSet(os)

@@ -20,7 +20,13 @@ import (
 // One scanner walks the body once and writes straight into each Set.
 // Every string a Set keeps is a substring of one per-set allocation, so
 // the returned list does not pin data.
-func ParseJSON(data []byte) (*List, error) {
+func ParseJSON(data []byte) (*List, error) { return ParseJSONFrom(data, nil) }
+
+// ParseJSONFrom is ParseJSON for a revision of prev: each parsed set that
+// Equals prev's set with the same primary is replaced by prev's *Set, so
+// consecutive revisions share every set that did not change. The result
+// hashes and marshals as ParseJSON's does; a nil prev shares nothing.
+func ParseJSONFrom(data []byte, prev *List) (*List, error) {
 	sc := scanner{data: data}
 	var sets []*Set
 	sawSets := false
@@ -51,6 +57,13 @@ func ParseJSON(data []byte) (*List, error) {
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: parsing list JSON: %w", err)
+	}
+	if prev != nil {
+		for i, s := range sets {
+			if old, _, _, ok := prev.Lookup(s.Primary); ok && old.Equal(s) {
+				sets[i] = old
+			}
+		}
 	}
 	return NewList(sets)
 }

@@ -178,7 +178,10 @@ func TestParseJSONSpellings(t *testing.T) {
 }
 
 // TestParseJSONErrors: errors name the set and the field, and syntax
-// errors carry their byte offset.
+// errors carry their byte offset. Parsing against a previous revision
+// holding the bodies' sets gives the same errors; a body repeating an
+// unchanged set maps both copies to one old pointer, and NewList must
+// still refuse it.
 func TestParseJSONErrors(t *testing.T) {
 	cases := []struct{ body, want string }{
 		{`{"sets":[{"primary":"https://a.com"},{"primary":"https://b.com","associatedSites":["http://c.com"]}]}`,
@@ -190,11 +193,16 @@ func TestParseJSONErrors(t *testing.T) {
 		{`{"sets":[]} x`, "core: parsing list JSON: syntax error at byte 12: unexpected 'x' after top-level value"},
 		{`{"sets":[{"Primary":"https://a.com"}]}`, `core: set 0: syntax error at byte 20: unknown field "Primary"`},
 		{`{}`, `core: parsing list JSON: missing "sets" array`},
+		{`{"sets":[{"primary":"https://a.com"},{"primary":"https://a.com"}]}`,
+			`core: site appears more than once in the list: "a.com" in set "a.com" and set "a.com"`},
 	}
+	prev := mustParse(t, `{"sets":[{"primary":"https://a.com"},{"primary":"https://b.com"}]}`, nil)
 	for _, tc := range cases {
-		_, err := core.ParseJSON([]byte(tc.body))
-		if err == nil || err.Error() != tc.want {
-			t.Errorf("ParseJSON(%s)\n err = %v\nwant %s", tc.body, err, tc.want)
+		for _, from := range []*core.List{nil, prev} {
+			_, err := core.ParseJSONFrom([]byte(tc.body), from)
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("ParseJSONFrom(%s, prev %v)\n err = %v\nwant %s", tc.body, from != nil, err, tc.want)
+			}
 		}
 	}
 	if _, err := core.ParseSetJSON([]byte(`{"primary":"https://a.com"} {}`)); err == nil {
@@ -311,9 +319,11 @@ func checkParseSet(t *testing.T, data []byte) {
 }
 
 // FuzzParseJSON holds ParseJSON and ParseSetJSON to their encoding/json
-// oracles (checkParse, checkParseSet). The seed corpus is every
-// spelling row plus small amplified lists and one of their sets.
+// oracles (checkParse, checkParseSet), and ParseJSONFrom against a fixed
+// previous revision to ParseJSON (checkParseFrom). The seed corpus is
+// every spelling row plus small amplified lists and one of their sets.
 func FuzzParseJSON(f *testing.F) {
+	prev := fuzzPrev(f)
 	for _, row := range spellingRows {
 		f.Add([]byte(row.body))
 	}
@@ -329,5 +339,47 @@ func FuzzParseJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkParse(t, data)
 		checkParseSet(t, data)
+		checkParseFrom(t, data, prev)
 	})
+}
+
+// fuzzPrev is the previous revision FuzzParseJSON parses against: the
+// seed corpus's first amplified list plus the spelling rows' a.com set,
+// so seeds that repeat those sets share them.
+func fuzzPrev(tb testing.TB) *core.List {
+	l, err := amplify.Generate(amplify.Config{Sets: 3, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	a, err := core.ParseSetJSON([]byte(`{"primary":"https://a.com"}`))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prev, err := core.NewList(append([]*core.Set{a}, l.Sets()...))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return prev
+}
+
+// checkParseFrom holds ParseJSONFrom(data, prev) to ParseJSON(data): the
+// same error, or lists with the same Hash and MarshalJSON bytes.
+func checkParseFrom(t *testing.T, data []byte, prev *core.List) {
+	t.Helper()
+	got, err := core.ParseJSONFrom(data, prev)
+	want, werr := core.ParseJSON(data)
+	if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+		t.Fatalf("ParseJSONFrom error %v, ParseJSON error %v:\n%q", err, werr, data)
+	}
+	if err != nil {
+		return
+	}
+	if got.Hash() != want.Hash() {
+		t.Fatalf("ParseJSONFrom and ParseJSON hash differently:\n%q", data)
+	}
+	gb, _ := got.MarshalJSON()
+	wb, _ := want.MarshalJSON()
+	if !bytes.Equal(gb, wb) {
+		t.Fatalf("ParseJSONFrom's MarshalJSON differs from ParseJSON's:\n got %s\nwant %s", gb, wb)
+	}
 }

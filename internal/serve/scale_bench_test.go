@@ -126,9 +126,11 @@ func BenchmarkStoreSwapUnderTraffic(b *testing.B) {
 // BenchmarkSwapDeliver measures one 10⁴-set revision through
 // SwapDeliver with the hash a source supplies in its Meta: snapshot
 // build, install and the logged adjacent diff. The revisions alternate
-// between a list and the same list less 50 sets (0.5% churn), and
+// between a list and the same list less 50 sets (0.5% churn), sharing
+// the rest as a source's parse against the last revision does, and
 // retain 1 evicts the superseded version at once, so every iteration
-// runs one fresh DiffLists. Report-only: no committed baseline gates it.
+// runs one fresh DiffLists. The bench job holds it to the baseline's
+// allocs/op.
 func BenchmarkSwapDeliver(b *testing.B) {
 	listA := scaleBenchList(b, 10_000)
 	listB, err := core.NewList(listA.Sets()[50:])

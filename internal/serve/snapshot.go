@@ -159,18 +159,19 @@ type Snapshot struct {
 
 // BuildSnapshot precomputes the query plane for list under opts.
 func BuildSnapshot(list *core.List, opts SnapshotOptions) (*Snapshot, error) {
-	return buildSnapshot(list, "", opts.MemoryBudget)
+	return buildSnapshot(list, "", opts.MemoryBudget, nil)
 }
 
 // buildSnapshot is BuildSnapshot given the list's content hash, which it
-// computes only when hash is empty.
-func buildSnapshot(list *core.List, hash string, budget int64) (*Snapshot, error) {
+// computes only when hash is empty, and the snapshot it replaces (nil
+// for none), whose member fragments it reuses for shared sets.
+func buildSnapshot(list *core.List, hash string, budget int64, prev *Snapshot) (*Snapshot, error) {
 	start := time.Now()
 	if hash == "" {
 		hash = list.Hash()
 	}
 	s := newSnapshot(list, hash)
-	return s.finish(start, s.build(), budget)
+	return s.finish(start, s.build(prev), budget)
 }
 
 // newSnapshot allocates a snapshot of list, whose content hash is hash,
@@ -235,16 +236,24 @@ func prebakeMembers(set *core.Set) []SetMember {
 type repPair struct{ top, emb string }
 
 // build is the one serial pass over the sets in list order. It encodes
-// each set's member fragment and records the first member pair per
-// (topRole, embRole) combination, the pair the full-scan verdict builder
-// would evaluate first. Each verdict cell then gets one fresh-profile
-// evaluation per policy. It returns the estimated bytes of the member
-// fragments.
-func (s *Snapshot) build() (tableBytes int64) {
+// each set's member fragment, or reuses prev's when prev's list holds
+// the same *core.Set (sets are immutable once listed), and records the
+// first member pair per (topRole, embRole) combination, the pair the
+// full-scan verdict builder would evaluate first. Each verdict cell then
+// gets one fresh-profile evaluation per policy. It returns the estimated
+// bytes of the member fragments.
+func (s *Snapshot) build(prev *Snapshot) (tableBytes int64) {
 	var reps [numRoles][numRoles]repPair
 	for i, set := range s.sets {
 		ms := set.Members()
-		s.respMembers[i] = appendMembers(nil, ms)
+		if prev != nil {
+			if old, j, _, ok := prev.list.Lookup(set.Primary); ok && old == set {
+				s.respMembers[i] = prev.respMembers[j]
+			}
+		}
+		if s.respMembers[i] == nil {
+			s.respMembers[i] = appendMembers(nil, ms)
+		}
 		tableBytes += int64(len(s.respMembers[i])) + 24
 		for _, top := range ms {
 			for _, emb := range ms {

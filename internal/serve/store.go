@@ -119,17 +119,18 @@ func (st *Store) Len() int {
 func (st *Store) Swaps() uint64 { return st.swaps.Load() }
 
 // AddList precomputes a snapshot for list under the store's snapshot
-// options and installs it as the current version. The precompute runs on
-// the caller, never on the request path. Construction can only fail when
-// the store is configured with a MemoryBudget; on error nothing is
-// installed and the previous current version keeps serving.
+// options, reusing the current snapshot's member fragments for the sets
+// the lists share, and installs it as the current version. The
+// precompute runs on the caller, never on the request path. Construction
+// can only fail when the store is configured with a MemoryBudget; on
+// error nothing is installed and the previous current version keeps serving.
 //
 // A non-empty ver.Hash must equal list.Hash(): AddList trusts it and
 // hashes the list itself only when it is empty. A source's Meta.Version()
 // carries the hash the source already computed to gate the fetch, so a
 // delivered revision is hashed once.
 func (st *Store) AddList(list *core.List, ver core.Version) (*Snapshot, error) {
-	snap, err := buildSnapshot(list, ver.Hash, st.opts.MemoryBudget)
+	snap, err := buildSnapshot(list, ver.Hash, st.opts.MemoryBudget, st.cur.Load())
 	if err != nil {
 		return nil, err
 	}

@@ -14,15 +14,18 @@ import (
 // and on the list content hash, so a rewrite with identical content (or
 // a touch(1)) never reports a change. Invalidate drops the stat gate but
 // not the hash gate — exactly the SIGHUP contract rws-serve had when
-// this logic lived in its reloader.
+// this logic lived in its reloader. Each read is parsed against the last
+// list delivered (core.ParseJSONFrom), so consecutive revisions share
+// their unchanged sets.
 type FileSource struct {
 	path string
 
 	mu      sync.Mutex
-	mtime   time.Time // guarded by mu
-	size    int64     // guarded by mu
-	hash    string    // guarded by mu
-	statted bool      // guarded by mu; a successful read recorded mtime/size
+	mtime   time.Time  // guarded by mu
+	size    int64      // guarded by mu
+	hash    string     // guarded by mu
+	last    *core.List // guarded by mu; the list hash belongs to
+	statted bool       // guarded by mu; a successful read recorded mtime/size
 }
 
 // NewFileSource returns a FileSource reading path. No I/O happens until
@@ -65,7 +68,7 @@ func (f *FileSource) Fetch(ctx context.Context) (*core.List, Meta, error) {
 	if err != nil {
 		return nil, Meta{}, err
 	}
-	list, err := core.ParseJSON(data)
+	list, err := core.ParseJSONFrom(data, f.last)
 	if err != nil {
 		return nil, Meta{}, err
 	}
@@ -74,7 +77,7 @@ func (f *FileSource) Fetch(ctx context.Context) (*core.List, Meta, error) {
 	if h == f.hash {
 		return nil, Meta{}, ErrNotModified
 	}
-	f.hash = h
+	f.hash, f.last = h, list
 	return list, Meta{
 		Location:  f.path,
 		Hash:      h,

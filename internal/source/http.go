@@ -69,7 +69,9 @@ func (c HTTPConfig) withDefaults() HTTPConfig {
 // failures (transport errors, 5xx, 429) are retried with capped
 // exponential backoff; 4xx responses and oversized bodies fail
 // immediately. The content-hash gate backstops servers that emit fresh
-// validators for byte-identical content.
+// validators for byte-identical content. Each body is parsed against the
+// last list delivered (core.ParseJSONFrom), so consecutive revisions
+// share their unchanged sets.
 type HTTPSource struct {
 	url string
 	cfg HTTPConfig
@@ -81,9 +83,10 @@ type HTTPSource struct {
 	sleep func(context.Context, time.Duration) error
 
 	mu           sync.Mutex
-	etag         string // guarded by mu
-	lastModified string // guarded by mu
-	hash         string // guarded by mu
+	etag         string     // guarded by mu
+	lastModified string     // guarded by mu
+	hash         string     // guarded by mu
+	last         *core.List // guarded by mu; the list hash belongs to
 }
 
 // NewHTTPSource returns an HTTPSource polling url. No request is issued
@@ -209,7 +212,7 @@ func (h *HTTPSource) fetchOnce(ctx context.Context) (*core.List, Meta, error) {
 	if int64(len(data)) > h.cfg.MaxBody {
 		return nil, Meta{}, fmt.Errorf("source: %s: body exceeds limit %d bytes", h.url, h.cfg.MaxBody)
 	}
-	list, err := core.ParseJSON(data)
+	list, err := core.ParseJSONFrom(data, h.last)
 	if err != nil {
 		return nil, Meta{}, fmt.Errorf("source: %s: %w", h.url, err)
 	}
@@ -219,7 +222,7 @@ func (h *HTTPSource) fetchOnce(ctx context.Context) (*core.List, Meta, error) {
 	if hash == h.hash {
 		return nil, Meta{}, ErrNotModified
 	}
-	h.hash = hash
+	h.hash, h.last = hash, list
 	meta := Meta{
 		Location:     h.url,
 		Hash:         hash,

@@ -225,3 +225,48 @@ func TestInvalidateBesideFetch(t *testing.T) {
 		})
 	}
 }
+
+// TestSourcesShareUnchangedSets: each source parses a new revision
+// against the last list it delivered, so a set that did not change is
+// the same *core.Set in both, and a changed one is not.
+func TestSourcesShareUnchangedSets(t *testing.T) {
+	const changed = `{"sets":[
+  {"primary":"https://a.com","associatedSites":["https://b.com"]},
+  {"primary":"https://c.com","associatedSites":["https://e.com"]}
+]}`
+	path := filepath.Join(t.TempDir(), "list.json")
+	if err := os.WriteFile(path, []byte(twoSetJSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	file := NewFileSource(path)
+	upstream := &listServer{body: twoSetJSON, etag: `"v1"`}
+	ts := httptest.NewServer(upstream)
+	defer ts.Close()
+	for name, src := range map[string]Source{"http": fastHTTP(ts.URL), "file": file} {
+		t.Run(name, func(t *testing.T) {
+			first, _, err := src.Fetch(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name == "file" {
+				if err := os.WriteFile(path, []byte(changed), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				file.Invalidate()
+			} else {
+				upstream.set(changed, `"v2"`)
+			}
+			second, _, err := src.Fetch(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for site, shared := range map[string]bool{"a.com": true, "c.com": false} {
+				s1, _, _ := first.FindSet(site)
+				s2, _, _ := second.FindSet(site)
+				if (s1 == s2) != shared {
+					t.Errorf("set %s shared = %v, want %v", site, s1 == s2, shared)
+				}
+			}
+		})
+	}
+}
