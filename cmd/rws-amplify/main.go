@@ -5,13 +5,14 @@
 //
 // Usage:
 //
-//	rws-amplify -sets N [-seed 1] [-o FILE] [-hash] [-stats]
-//	            [-validate] [-build [-mem-budget BYTES]]
+//	rws-amplify -sets N [-seed 1] [-o FILE | -hash | -stats | -build]
+//	            [-validate]
 //
 // By default the list is written to stdout (or -o FILE) as upstream
 // related_website_sets.JSON, directly servable by rws-serve -list.
 // The non-emitting modes avoid materialising hundreds of megabytes of
-// JSON at the million-set tier:
+// JSON at the million-set tier; at most one of them is given, and never
+// with -o:
 //
 //	-hash      print "sets seed hash" and emit no JSON (the determinism
 //	           artifact CI uploads: same seed ⇒ same hash, always)
@@ -19,10 +20,9 @@
 //	-validate  run the structural submission checks over every generated
 //	           set; any issue fails the run
 //	-build     build a serve snapshot from the generated list (one
-//	           serial pass over its sets) and report build
-//	           time, estimated and measured memory, instead of emitting
-//	           JSON; with -mem-budget a list whose estimate exceeds the
-//	           budget fails the build (fit or fail)
+//	           serial pass over its sets) and report its build time and
+//	           heap_delta_bytes, the heap the snapshot keeps after a GC,
+//	           instead of emitting JSON
 package main
 
 import (
@@ -49,14 +49,13 @@ func main() {
 }
 
 type config struct {
-	sets      int
-	seed      int64
-	out       string
-	hashOnly  bool
-	stats     bool
-	validate  bool
-	build     bool
-	memBudget int64
+	sets     int
+	seed     int64
+	out      string
+	hashOnly bool
+	stats    bool
+	validate bool
+	build    bool
 }
 
 func parseFlags(args []string) (config, error) {
@@ -68,19 +67,27 @@ func parseFlags(args []string) (config, error) {
 	stats := fs.Bool("stats", false, "print composition statistics instead of emitting JSON")
 	val := fs.Bool("validate", false, "run structural submission checks over every set; issues fail the run")
 	build := fs.Bool("build", false, "build a serve snapshot and report build time/memory instead of emitting JSON")
-	budget := fs.Int64("mem-budget", 0, "snapshot memory budget in bytes for -build (0: unlimited; a list over it fails)")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
 	}
 	if fs.NArg() != 0 {
-		return config{}, fmt.Errorf("usage: rws-amplify -sets N [-seed S] [-o FILE] [-hash|-stats|-build] [-validate]")
+		return config{}, fmt.Errorf("usage: rws-amplify -sets N [-seed S] [-o FILE | -hash | -stats | -build] [-validate]")
 	}
 	if *sets < 1 {
 		return config{}, fmt.Errorf("-sets must be >= 1")
 	}
+	modes := 0
+	for _, on := range []bool{*out != "", *hash, *stats, *build} {
+		if on {
+			modes++
+		}
+	}
+	if modes > 1 {
+		return config{}, fmt.Errorf("-o, -hash, -stats and -build exclude each other")
+	}
 	return config{
 		sets: *sets, seed: *seed, out: *out, hashOnly: *hash, stats: *stats,
-		validate: *val, build: *build, memBudget: *budget,
+		validate: *val, build: *build,
 	}, nil
 }
 
@@ -133,20 +140,21 @@ func run(args []string, stdout io.Writer) error {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		snap, err := serve.BuildSnapshot(list, serve.SnapshotOptions{MemoryBudget: cfg.memBudget})
+		snap, err := serve.BuildSnapshot(list)
 		if err != nil {
 			return err
 		}
 		elapsed := time.Since(start)
+		// Collect the build's garbage first, so the delta is the heap
+		// the snapshot retains.
 		var after runtime.MemStats
+		runtime.GC()
 		runtime.ReadMemStats(&after)
-		info := snap.BuildInfo()
+		runtime.KeepAlive(snap)
 		fmt.Fprintf(stdout, "sets                 %d\n", snap.NumSets())
 		fmt.Fprintf(stdout, "sites                %d\n", snap.NumSites())
 		fmt.Fprintf(stdout, "generate_time        %s\n", genElapsed.Round(time.Millisecond))
 		fmt.Fprintf(stdout, "build_time           %s\n", elapsed.Round(time.Millisecond))
-		fmt.Fprintf(stdout, "estimated_bytes      %d\n", info.EstimatedBytes)
-		fmt.Fprintf(stdout, "memory_budget        %d\n", info.MemoryBudget)
 		fmt.Fprintf(stdout, "heap_delta_bytes     %d\n", int64(after.HeapAlloc)-int64(before.HeapAlloc))
 		return nil
 	}

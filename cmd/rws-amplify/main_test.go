@@ -61,7 +61,7 @@ func TestValidateMode(t *testing.T) {
 
 func TestBuildMode(t *testing.T) {
 	out := runCapture(t, "-sets", "30", "-seed", "1", "-build")
-	for _, want := range []string{"build_time", "estimated_bytes"} {
+	for _, want := range []string{"build_time", "heap_delta_bytes"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("build output missing %q:\n%s", want, out)
 		}
@@ -74,5 +74,22 @@ func TestFlagErrors(t *testing.T) {
 	}
 	if _, err := parseFlags([]string{"-sets", "5", "stray"}); err == nil {
 		t.Error("stray positional arg should error")
+	}
+	for _, args := range [][]string{
+		{"-hash", "-build"},
+		{"-hash", "-stats"},
+		{"-stats", "-build"},
+		{"-o", "list.json", "-hash"},
+		{"-o", "list.json", "-stats"},
+		{"-o", "list.json", "-build", "-validate"},
+	} {
+		if _, err := parseFlags(append([]string{"-sets", "5"}, args...)); err == nil {
+			t.Errorf("%v should error: the modes exclude each other", args)
+		}
+	}
+	for _, mode := range []string{"-hash", "-stats", "-build"} {
+		if _, err := parseFlags([]string{"-sets", "5", mode, "-validate"}); err != nil {
+			t.Errorf("%s -validate: %v", mode, err)
+		}
 	}
 }

@@ -6,23 +6,18 @@
 //
 //	rws-serve [-addr :8080] [-list file-or-url] [-poll interval]
 //	          [-timeline] [-retain N] [-amplify N [-amplify-seed S]]
-//	          [-mem-budget BYTES]
 //
 // Without -list, the embedded reconstruction of the 26 March 2024
 // snapshot is served. -amplify N boots from a deterministic synthetic
 // list of N sets instead (rws-amplify's generator; -amplify-seed picks
-// the seed) — the scale-tier target for load and soak testing. -mem-budget
-// caps the estimated bytes of each snapshot's derived tables, fit or
-// fail: a boot list over budget stops the server, and a later revision
-// over budget is refused (logged, and the last snapshot keeps serving).
-// The estimate is reported in /v1/metrics under snapshot_build. -list
-// accepts a local JSON file path or an
-// http(s):// URL (the upstream related_website_sets.JSON). Either way
-// the list is hot-swapped without dropping traffic: SIGHUP forces a
-// re-read, and -poll re-checks on a ticker — a stat(2) gated on
-// mtime/size for files, a conditional GET (If-None-Match /
-// If-Modified-Since, answered 304 when unchanged) for URLs — with every
-// swap gated on the list content hash and logged with a diff summary.
+// the seed) — the scale-tier target for load and soak testing. -list
+// accepts a local JSON file path or an http(s):// URL (the upstream
+// related_website_sets.JSON). Either way the list is hot-swapped without
+// dropping traffic: SIGHUP forces a re-read, and -poll re-checks on a
+// ticker — a stat(2) gated on mtime/size for files, a conditional GET
+// (If-None-Match / If-Modified-Since, answered 304 when unchanged) for
+// URLs — with every swap gated on the list content hash and logged with
+// a diff summary.
 // SIGINT/SIGTERM drain in-flight requests before exiting.
 //
 // Every node exports its current list at GET /v1/list with strong cache
@@ -55,6 +50,7 @@
 //	GET  /v1/metrics
 //	GET  /v1/versions
 //	GET  /v1/diff?from=SPEC&to=SPEC
+//	GET  /v1/churn?from=SPEC&to=SPEC[&granularity=G]
 //
 // sameset, set, partition, and stats also accept version=HASHPREFIX or
 // as_of=TIME ("2023-04", "2023-04-26", or RFC 3339).
@@ -208,7 +204,6 @@ func openList(ctx context.Context, cfg config) (source.Source, *core.List, sourc
 // immediately evicted by the poll loop.
 func newServer(cfg config, list *core.List, meta source.Meta) (*serve.Server, error) {
 	capacity := cfg.retain
-	opts := serve.SnapshotOptions{MemoryBudget: cfg.memBudget}
 	var st *serve.Store
 	if cfg.timeline {
 		tl, err := history.Build()
@@ -218,7 +213,7 @@ func newServer(cfg config, list *core.List, meta source.Meta) (*serve.Server, er
 		if capacity < len(tl.Snapshots)+1 {
 			capacity = len(tl.Snapshots) + 1
 		}
-		st = serve.NewStoreWith(capacity, opts)
+		st = serve.NewStore(capacity)
 		boot := time.Now()
 		for _, snap := range tl.Snapshots {
 			asOf, err := time.Parse("2006-01", snap.Month)
@@ -236,7 +231,7 @@ func newServer(cfg config, list *core.List, meta source.Meta) (*serve.Server, er
 		fmt.Fprintf(os.Stderr, "rws-serve: timeline preloaded %d monthly versions (%s..%s)\n",
 			st.Len(), tl.Snapshots[0].Month, tl.Final().Month)
 	} else {
-		st = serve.NewStoreWith(capacity, opts)
+		st = serve.NewStore(capacity)
 	}
 	// The boot list's version: the source's own provenance (file mtime /
 	// Last-Modified as the as-of time, exactly what SwapDeliver files
@@ -292,7 +287,6 @@ type config struct {
 	retain      int
 	amplify     int
 	amplifySeed int64
-	memBudget   int64
 }
 
 func parseFlags(args []string) (config, error) {
@@ -304,12 +298,11 @@ func parseFlags(args []string) (config, error) {
 	r := fs.Int("retain", serve.DefaultRetain, "list versions kept queryable (widened to fit -timeline)")
 	amp := fs.Int("amplify", 0, "boot from a synthetic amplified list of N sets (scale testing; excludes -list/-timeline)")
 	ampSeed := fs.Int64("amplify-seed", 1, "seed for -amplify (same seed reproduces the same list)")
-	mb := fs.Int64("mem-budget", 0, "snapshot memory budget in bytes, 0 = unlimited (a list over it is refused; see /v1/metrics)")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
 	}
 	if fs.NArg() != 0 {
-		return config{}, fmt.Errorf("usage: rws-serve [-addr :8080] [-list file-or-url] [-poll interval] [-timeline] [-retain N] [-amplify N [-amplify-seed S]] [-mem-budget BYTES]")
+		return config{}, fmt.Errorf("usage: rws-serve [-addr :8080] [-list file-or-url] [-poll interval] [-timeline] [-retain N] [-amplify N [-amplify-seed S]]")
 	}
 	if *p > 0 && *l == "" {
 		return config{}, fmt.Errorf("-poll requires -list")
@@ -326,8 +319,5 @@ func parseFlags(args []string) (config, error) {
 	if *amp > 0 && (*l != "" || *tl) {
 		return config{}, fmt.Errorf("-amplify excludes -list and -timeline")
 	}
-	if *mb < 0 {
-		return config{}, fmt.Errorf("-mem-budget must be >= 0")
-	}
-	return config{addr: *a, list: *l, poll: *p, timeline: *tl, retain: *r, amplify: *amp, amplifySeed: *ampSeed, memBudget: *mb}, nil
+	return config{addr: *a, list: *l, poll: *p, timeline: *tl, retain: *r, amplify: *amp, amplifySeed: *ampSeed}, nil
 }

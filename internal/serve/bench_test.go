@@ -227,7 +227,7 @@ func BenchmarkSnapshotBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if snap, err := BuildSnapshot(list, SnapshotOptions{}); err != nil || snap.NumSets() == 0 {
+		if snap, err := BuildSnapshot(list); err != nil || snap.NumSets() == 0 {
 			b.Fatal("empty snapshot", err)
 		}
 	}

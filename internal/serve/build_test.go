@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -21,15 +20,13 @@ func buildSerial(t testing.TB, list *core.List) *Snapshot {
 	t.Helper()
 	start := time.Now()
 	s := newSnapshot(list, list.Hash())
-	var tableBytes int64
 	for i, set := range s.sets {
 		s.respMembers[i] = appendMembers(nil, set.Members())
-		tableBytes += int64(len(s.respMembers[i])) + 24
 	}
 	for pid := range s.policies {
 		buildVerdictsSerial(s, policyID(pid))
 	}
-	snap, err := s.finish(start, tableBytes, 0)
+	snap, err := s.finish(start)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +207,7 @@ func TestParallelSnapshotMatchesSerial(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				snaps[i], errs[i] = BuildSnapshot(list, SnapshotOptions{})
+				snaps[i], errs[i] = BuildSnapshot(list)
 			}(i)
 		}
 		wg.Wait()
@@ -233,71 +230,7 @@ func TestNewSnapshotUsesParallelPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	info := mustBuild(t, list).BuildInfo()
-	if info.EstimatedBytes <= 0 || info.BuildNanos <= 0 {
+	if info.BuildNanos <= 0 {
 		t.Errorf("BuildInfo not populated: %+v", info)
-	}
-}
-
-// TestMemoryBudgetFitOrFail: the budget is fit or fail. A budget at the
-// estimate builds the same snapshot as no budget; one byte under it
-// builds nothing and says why.
-func TestMemoryBudgetFitOrFail(t *testing.T) {
-	list, err := amplify.Generate(amplify.Config{Sets: 500, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := BuildSnapshot(list, SnapshotOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	need := full.BuildInfo().EstimatedBytes
-	if need <= 0 {
-		t.Fatalf("estimate = %d", need)
-	}
-	fits, err := BuildSnapshot(list, SnapshotOptions{MemoryBudget: need})
-	if err != nil {
-		t.Fatalf("budget equal to the estimate should fit: %v", err)
-	}
-	if info := fits.BuildInfo(); info.EstimatedBytes != need || info.MemoryBudget != need {
-		t.Errorf("budgeted BuildInfo = %+v, want estimate and budget %d", info, need)
-	}
-	equalSnapshots(t, "budgeted", fits, full)
-
-	snap, err := BuildSnapshot(list, SnapshotOptions{MemoryBudget: need - 1})
-	if err == nil || snap != nil {
-		t.Fatalf("budget one byte under the estimate built %v, err %v; want no snapshot and an error", snap, err)
-	}
-	if !strings.Contains(err.Error(), "memory budget") {
-		t.Errorf("error %q should name the memory budget", err)
-	}
-}
-
-// TestStoreWithBudgetRejectsOversizedList proves AddList reports the
-// budget failure and leaves the previous current version serving.
-func TestStoreWithBudgetRejectsOversizedList(t *testing.T) {
-	small, err := amplify.Generate(amplify.Config{Sets: 5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := amplify.Generate(amplify.Config{Sets: 2000, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	smallSnap, err := BuildSnapshot(small, SnapshotOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewStoreWith(4, SnapshotOptions{MemoryBudget: smallSnap.BuildInfo().EstimatedBytes + 1024})
-	if _, err := st.AddList(small, core.Version{Source: "test"}); err != nil {
-		t.Fatalf("small list should fit: %v", err)
-	}
-	if _, err := st.AddList(big, core.Version{Source: "test"}); err == nil {
-		t.Fatal("2000-set list should blow a small-list budget")
-	}
-	if cur := st.Current(); cur == nil || cur.Hash() != small.Hash() {
-		t.Error("failed AddList disturbed the current version")
-	}
-	if st.Len() != 1 {
-		t.Errorf("store retains %d versions, want 1", st.Len())
 	}
 }

@@ -43,8 +43,8 @@ type ReplicationMetrics struct {
 	PollErrors uint64 `json:"poll_errors"`
 	// LastError is the most recent fetch failure while it lasts (a later
 	// successful poll clears it), else a standing refusal to install the
-	// leader's last revision (a memory budget it does not fit), cleared
-	// by the next installed sync.
+	// leader's last revision (AddList's error), cleared by the next
+	// installed sync.
 	LastError string `json:"last_error,omitempty"`
 }
 

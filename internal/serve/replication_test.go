@@ -6,12 +6,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"rwskit/internal/amplify"
 	"rwskit/internal/core"
 	"rwskit/internal/dataset"
 	"rwskit/internal/source"
@@ -44,13 +42,6 @@ type follower struct {
 
 func startFollower(t *testing.T, listURL string, poll time.Duration) *follower {
 	t.Helper()
-	return startFollowerWith(t, listURL, poll, SnapshotOptions{})
-}
-
-// startFollowerWith is startFollower over a store building snapshots
-// under opts.
-func startFollowerWith(t *testing.T, listURL string, poll time.Duration, opts SnapshotOptions) *follower {
-	t.Helper()
 	src := source.NewHTTPSource(listURL, source.HTTPConfig{
 		Attempts:   1,
 		Backoff:    time.Millisecond,
@@ -60,7 +51,7 @@ func startFollowerWith(t *testing.T, listURL string, poll time.Duration, opts Sn
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewStoreWith(8, opts)
+	st := NewStore(8)
 	if _, err := st.AddList(list, meta.Version()); err != nil {
 		t.Fatal(err)
 	}
@@ -271,49 +262,4 @@ func TestFollowerSurvivesLeaderDeath(t *testing.T) {
 	if body.Replication == nil || body.Replication.VersionHash != synced {
 		t.Errorf("metrics replication block = %+v, want hash %.12s", body.Replication, synced)
 	}
-}
-
-// TestFollowerRefusedSwapKeepsLastVersion: a follower whose memory
-// budget the leader's next revision does not fit keeps serving its last
-// snapshot, and its replication block says so — version_hash and swaps
-// stay at the last installed sync and last_error names the refusal, also
-// across the idle 304 polls that follow — until a revision that fits
-// installs.
-func TestFollowerRefusedSwapKeepsLastVersion(t *testing.T) {
-	leader, _, ts := newLeaderCluster(t)
-	synced := serveHash(t, leader)
-	need := leader.Snapshot().BuildInfo().EstimatedBytes
-	f := startFollowerWith(t, ts.URL+"/v1/list", 5*time.Millisecond, SnapshotOptions{MemoryBudget: need + need/2})
-
-	big, err := amplify.Generate(amplify.Config{Sets: 2000, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	swapList(t, leader, big)
-	waitFor(t, 5*time.Second, func() bool {
-		return strings.Contains(f.srv.Replication().LastError, "memory budget")
-	}, "the refusal to show in last_error")
-	polls := f.srv.Replication().Polls
-	waitFor(t, 5*time.Second, func() bool { return f.srv.Replication().Polls >= polls+2 }, "idle polls after the refusal")
-
-	if got := serveHash(t, f.srv); got != synced {
-		t.Errorf("follower installed %.12s past its budget, want %.12s", got, synced)
-	}
-	rec := httptest.NewRecorder()
-	f.srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
-	var body MetricsResponse
-	if err := json.NewDecoder(rec.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if r := body.Replication; r == nil || r.VersionHash != synced || r.Swaps != 1 || !strings.Contains(r.LastError, "memory budget") {
-		t.Errorf("metrics replication block = %+v, want hash %.12s, 1 swap and the refusal", r, synced)
-	}
-
-	fits := tinyList(t, "fits.example")
-	swapList(t, leader, fits)
-	waitFor(t, 5*time.Second, func() bool { return serveHash(t, f.srv) == fits.Hash() }, "a revision that fits to install")
-	waitFor(t, 5*time.Second, func() bool {
-		m := f.srv.Replication()
-		return m.VersionHash == fits.Hash() && m.Swaps == 2 && m.LastError == ""
-	}, "the sync to clear the refusal")
 }

@@ -113,9 +113,8 @@ func appendMembers(dst []byte, ms []core.Member) []byte {
 
 // bakeResponses fills the per-policy partition fragments, the stats
 // prefix and the /v1/list body after the build pass has encoded the
-// member fragments, and returns their estimated footprint.
-func (s *Snapshot) bakeResponses() (int64, error) {
-	var respBytes int64
+// member fragments.
+func (s *Snapshot) bakeResponses() error {
 	for pid := range s.policies {
 		info := &s.policies[pid]
 		head := make([]byte, 0, len(info.name)+24)
@@ -138,7 +137,6 @@ func (s *Snapshot) bakeResponses() (int64, error) {
 				}
 			}
 		}
-		respBytes += int64(len(head) + len(s.respPartCross[pid]) + len(s.respPartHostSame[pid]) + len(s.respPartHostCross[pid]))
 	}
 
 	// The stats body is constant per snapshot except the two live server
@@ -160,21 +158,19 @@ func (s *Snapshot) bakeResponses() (int64, error) {
 		err = fmt.Errorf("body %s does not end in %s", statsBody, marker)
 	}
 	if err != nil {
-		return 0, fmt.Errorf("serve: baking the stats body: %w", err)
+		return fmt.Errorf("serve: baking the stats body: %w", err)
 	}
 	prefix := statsBody[:len(statsBody)-len(marker)]
 	s.respStatsPrefix = append(prefix[:len(prefix):len(prefix)], `,"requests_served":`...)
-	respBytes += int64(len(s.respStatsPrefix))
 
 	// The /v1/list export body: the canonical compact list JSON a
 	// follower's HTTPSource parses back with core.ParseJSON.
 	listBody, err := s.list.MarshalJSON()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	s.respList = append(listBody, '\n')
-	respBytes += int64(len(s.respList))
-	return respBytes, nil
+	return nil
 }
 
 // partitionTail renders everything of a PartitionResponse after the

@@ -48,7 +48,7 @@ func BenchmarkSnapshotBuildScale(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				snap, err := BuildSnapshot(list, SnapshotOptions{})
+				snap, err := BuildSnapshot(list)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -70,11 +70,11 @@ func BenchmarkStoreSwapUnderTraffic(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		snapA, err := BuildSnapshot(listA, SnapshotOptions{})
+		snapA, err := BuildSnapshot(listA)
 		if err != nil {
 			b.Fatal(err)
 		}
-		snapB, err := BuildSnapshot(listB, SnapshotOptions{})
+		snapB, err := BuildSnapshot(listB)
 		if err != nil {
 			b.Fatal(err)
 		}

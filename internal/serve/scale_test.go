@@ -44,11 +44,11 @@ func TestScaleTierSwapUnderTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapA, err := BuildSnapshot(listA, SnapshotOptions{})
+	snapA, err := BuildSnapshot(listA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapB, err := BuildSnapshot(listB, SnapshotOptions{})
+	snapB, err := BuildSnapshot(listB)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,16 +6,16 @@
 // Queries are answered from a Snapshot — a precomputed query plane
 // (per-policy partition-verdict table, prebaked response bytes,
 // composition stats) derived from a *core.List in one serial pass when
-// Store.AddList installs it; hosts resolve through the list's own index. Snapshots live in a Store: a bounded version
-// store keyed by list content hash that retains the last N revisions, so
-// the list can be hot-swapped (e.g. on SIGHUP, on a -poll tick, or when
-// upstream publishes a new related_website_sets.JSON) without pausing
-// traffic — in-flight requests finish against the snapshot they started
-// with, new requests see the new one — and superseded revisions stay
-// queryable. The current version is answered from a lock-free atomic
-// pointer, so the hot path costs what the single-snapshot server cost;
-// handlers allocate nothing shared; per-endpoint metrics are plain
-// atomics.
+// Store.AddList installs it; hosts resolve through the list's own index.
+// Snapshots live in a Store: a bounded version store keyed by list
+// content hash that retains the last N revisions, so the list can be
+// hot-swapped (e.g. on SIGHUP, on a -poll tick, or when upstream
+// publishes a new related_website_sets.JSON) without pausing traffic —
+// in-flight requests finish against the snapshot they started with, new
+// requests see the new one — and superseded revisions stay queryable.
+// The current version is answered from a lock-free atomic pointer, so
+// the hot path costs what the single-snapshot server cost; handlers
+// allocate nothing shared; per-endpoint metrics are plain atomics.
 //
 // Endpoints:
 //
@@ -141,7 +141,7 @@ type Server struct {
 func New(list *core.List) *Server {
 	st := NewStore(DefaultRetain)
 	if _, err := st.AddList(list, core.Version{Source: "boot", ObservedAt: time.Now(), AsOf: time.Now()}); err != nil {
-		// Unreachable: construction can only fail under a MemoryBudget.
+		// Unreachable: only a failed encode of a baked body errors.
 		panic("serve: New: " + err.Error())
 	}
 	return NewFromStore(st)
@@ -182,8 +182,8 @@ func (s *Server) Snapshot() *Snapshot { return s.store.Current() }
 // Hash spares the build a re-hash) and logs to logw its diff from the
 // version served before the install. The snapshot precompute runs on
 // the watcher goroutine, never on the request path. A revision the store
-// refuses (over its memory budget) is logged and left uninstalled: the
-// last snapshot keeps serving, and a follower reports the refusal as its
+// refuses (AddList's error) is logged and left uninstalled: the last
+// snapshot keeps serving, and a follower reports the refusal as its
 // replication last_error instead of recording a sync.
 func (s *Server) SwapDeliver(logw io.Writer) func(source.Swap) {
 	return func(sw source.Swap) {
@@ -633,8 +633,8 @@ type MetricsResponse struct {
 	Requests     uint64 `json:"requests_served"`
 	ListSwaps    uint64 `json:"list_swaps"`
 	SnapshotHash string `json:"snapshot_hash"`
-	// SnapshotBuild reports how the snapshot named by SnapshotHash was
-	// constructed — build time, estimated footprint and memory budget.
+	// SnapshotBuild reports how long the snapshot named by SnapshotHash
+	// took to build.
 	SnapshotBuild BuildInfo `json:"snapshot_build"`
 	// VersionsRetained / VersionsCapacity is the version-store occupancy.
 	VersionsRetained int               `json:"versions_retained"`

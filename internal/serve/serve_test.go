@@ -883,7 +883,7 @@ func TestMetricsDiffCacheAndVersionHits(t *testing.T) {
 // TestMetricsSnapshotFieldsAgreeUnderSwaps: snapshot_hash and
 // snapshot_build come from one load of the current snapshot. Under a
 // swap loop between two lists of different sizes, every /v1/metrics
-// response must report the estimate of the snapshot its hash names.
+// response must report the build time of the snapshot its hash names.
 func TestMetricsSnapshotFieldsAgreeUnderSwaps(t *testing.T) {
 	small, err := dataset.List()
 	if err != nil {
@@ -893,15 +893,15 @@ func TestMetricsSnapshotFieldsAgreeUnderSwaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps := [2]*Snapshot{mustBuild(t, small), mustBuild(t, big)}
-	estimate := map[string]int64{}
-	for _, snap := range snaps {
-		estimate[snap.Hash()] = snap.BuildInfo().EstimatedBytes
-	}
-	if estimate[snaps[0].Hash()] == estimate[snaps[1].Hash()] {
-		t.Fatal("the two lists need different estimates")
-	}
 	s := New(small)
+	snaps := [2]*Snapshot{s.Snapshot(), mustBuild(t, big)}
+	buildNanos := map[string]int64{}
+	for _, snap := range snaps {
+		buildNanos[snap.Hash()] = snap.BuildInfo().BuildNanos
+	}
+	if buildNanos[snaps[0].Hash()] == buildNanos[snaps[1].Hash()] {
+		t.Fatal("the two snapshots need different build times")
+	}
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -923,9 +923,9 @@ func TestMetricsSnapshotFieldsAgreeUnderSwaps(t *testing.T) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
 			t.Fatal(err)
 		}
-		if want := estimate[m.SnapshotHash]; m.SnapshotBuild.EstimatedBytes != want {
-			t.Fatalf("response %d: snapshot %.12s reports estimated_bytes %d, want its own %d",
-				i, m.SnapshotHash, m.SnapshotBuild.EstimatedBytes, want)
+		if want := buildNanos[m.SnapshotHash]; m.SnapshotBuild.BuildNanos != want {
+			t.Fatalf("response %d: snapshot %.12s reports build_nanos %d, want its own %d",
+				i, m.SnapshotHash, m.SnapshotBuild.BuildNanos, want)
 		}
 	}
 }

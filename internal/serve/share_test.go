@@ -348,7 +348,7 @@ func TestBuildAgainstPrevMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		prev := mustBuild(t, listA)
-		got, err := buildSnapshot(listB, "", 0, prev)
+		got, err := buildSnapshot(listB, "", prev)
 		if err != nil {
 			t.Fatal(err)
 		}

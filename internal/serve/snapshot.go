@@ -63,27 +63,15 @@ type verdict struct {
 // service, cctld).
 const numRoles = 4
 
-// SnapshotOptions configures BuildSnapshot. The zero value builds with
-// no memory budget.
-type SnapshotOptions struct {
-	// MemoryBudget caps the estimated bytes of the snapshot's derived
-	// tables (member fragments, prebaked response bytes). 0 means
-	// unlimited. It is fit or fail: a snapshot whose estimate exceeds the
-	// budget is not built, and BuildSnapshot errors.
-	MemoryBudget int64
-}
+// SnapshotOptions is NewStoreWith's options argument; it has no fields.
+type SnapshotOptions struct{}
 
-// BuildInfo records how a snapshot was constructed — the wall-clock
-// build time and the memory estimate. Exposed via /v1/metrics.
+// BuildInfo records how a snapshot was built, for /v1/metrics.
 type BuildInfo struct {
 	// BuildNanos is the wall-clock construction time in nanoseconds. It
 	// includes hashing the list only when the builder was not handed the
 	// hash (BuildSnapshot, or AddList with an empty Version.Hash).
 	BuildNanos int64 `json:"build_nanos"`
-	// EstimatedBytes is the estimated footprint of the derived tables.
-	EstimatedBytes int64 `json:"estimated_bytes"`
-	// MemoryBudget echoes the configured budget (0 = unlimited).
-	MemoryBudget int64 `json:"memory_budget,omitempty"`
 }
 
 // Snapshot is the precomputed, immutable query plane the server answers
@@ -157,21 +145,22 @@ type Snapshot struct {
 	cross   [numPolicies]verdict
 }
 
-// BuildSnapshot precomputes the query plane for list under opts.
-func BuildSnapshot(list *core.List, opts SnapshotOptions) (*Snapshot, error) {
-	return buildSnapshot(list, "", opts.MemoryBudget, nil)
+// BuildSnapshot precomputes the query plane for list.
+func BuildSnapshot(list *core.List) (*Snapshot, error) {
+	return buildSnapshot(list, "", nil)
 }
 
 // buildSnapshot is BuildSnapshot given the list's content hash, which it
 // computes only when hash is empty, and the snapshot it replaces (nil
 // for none), whose member fragments it reuses for shared sets.
-func buildSnapshot(list *core.List, hash string, budget int64, prev *Snapshot) (*Snapshot, error) {
+func buildSnapshot(list *core.List, hash string, prev *Snapshot) (*Snapshot, error) {
 	start := time.Now()
 	if hash == "" {
 		hash = list.Hash()
 	}
 	s := newSnapshot(list, hash)
-	return s.finish(start, s.build(prev), budget)
+	s.build(prev)
+	return s.finish(start)
 }
 
 // newSnapshot allocates a snapshot of list, whose content hash is hash,
@@ -200,21 +189,12 @@ func newSnapshot(list *core.List, hash string) *Snapshot {
 	return s
 }
 
-// finish bakes the remaining response bytes over a filled build pass and
-// holds the total estimate to the budget — fit or fail, no degraded
-// snapshot. tableBytes is the build pass's estimate of the member
-// fragments.
-func (s *Snapshot) finish(start time.Time, tableBytes, budget int64) (*Snapshot, error) {
-	respBytes, err := s.bakeResponses()
-	if err != nil {
+// finish bakes the remaining response bytes over a filled build pass
+// and records the build time.
+func (s *Snapshot) finish(start time.Time) (*Snapshot, error) {
+	if err := s.bakeResponses(); err != nil {
 		return nil, err
 	}
-	estimated := tableBytes + respBytes
-	if budget > 0 && estimated > budget {
-		return nil, fmt.Errorf("serve: snapshot needs an estimated %d bytes; memory budget is %d", estimated, budget)
-	}
-	s.info.EstimatedBytes = estimated
-	s.info.MemoryBudget = budget
 	s.info.BuildNanos = time.Since(start).Nanoseconds()
 	return s, nil
 }
@@ -240,9 +220,8 @@ type repPair struct{ top, emb string }
 // the same *core.Set (sets are immutable once listed), and records the
 // first member pair per (topRole, embRole) combination, the pair the
 // full-scan verdict builder would evaluate first. Each verdict cell then
-// gets one fresh-profile evaluation per policy. It returns the estimated
-// bytes of the member fragments.
-func (s *Snapshot) build(prev *Snapshot) (tableBytes int64) {
+// gets one fresh-profile evaluation per policy.
+func (s *Snapshot) build(prev *Snapshot) {
 	var reps [numRoles][numRoles]repPair
 	for i, set := range s.sets {
 		ms := set.Members()
@@ -254,7 +233,6 @@ func (s *Snapshot) build(prev *Snapshot) (tableBytes int64) {
 		if s.respMembers[i] == nil {
 			s.respMembers[i] = appendMembers(nil, ms)
 		}
-		tableBytes += int64(len(s.respMembers[i])) + 24
 		for _, top := range ms {
 			for _, emb := range ms {
 				if r := &reps[top.Role][emb.Role]; top.Site != emb.Site && r.top == "" {
@@ -276,7 +254,6 @@ func (s *Snapshot) build(prev *Snapshot) (tableBytes int64) {
 			}
 		}
 	}
-	return tableBytes
 }
 
 // List returns the list the snapshot was derived from.

@@ -69,23 +69,12 @@ type Store struct {
 	diffs map[diffKey]*diffMemo // guarded by mu
 
 	diffHits, diffMisses, diffInvalidations, diffComputes atomic.Uint64
-
-	// opts configures how AddList builds snapshots (memory budget).
-	// Immutable after construction.
-	opts SnapshotOptions
 }
 
 // NewStore returns an empty store retaining up to capacity versions
 // (capacity < 1 selects DefaultRetain). The store serves no queries
 // until the first AddList.
 func NewStore(capacity int) *Store {
-	return NewStoreWith(capacity, SnapshotOptions{})
-}
-
-// NewStoreWith is NewStore with explicit snapshot-construction options,
-// applied to every list the store precomputes (AddList). Snapshots
-// installed directly via AddSnapshot are the caller's to configure.
-func NewStoreWith(capacity int, opts SnapshotOptions) *Store {
 	if capacity < 1 {
 		capacity = DefaultRetain
 	}
@@ -93,9 +82,11 @@ func NewStoreWith(capacity int, opts SnapshotOptions) *Store {
 		byHash: make(map[string]*storeEntry, capacity),
 		diffs:  make(map[diffKey]*diffMemo),
 		cap:    capacity,
-		opts:   opts,
 	}
 }
+
+// NewStoreWith is NewStore; SnapshotOptions has no fields.
+func NewStoreWith(capacity int, _ SnapshotOptions) *Store { return NewStore(capacity) }
 
 // Current returns the snapshot answering unversioned queries. Lock-free;
 // this is the request fast path. Nil only before the first AddList.
@@ -118,19 +109,18 @@ func (st *Store) Len() int {
 // initial install.
 func (st *Store) Swaps() uint64 { return st.swaps.Load() }
 
-// AddList precomputes a snapshot for list under the store's snapshot
-// options, reusing the current snapshot's member fragments for the sets
-// the lists share, and installs it as the current version. The
-// precompute runs on the caller, never on the request path. Construction
-// can only fail when the store is configured with a MemoryBudget; on
-// error nothing is installed and the previous current version keeps serving.
+// AddList precomputes a snapshot for list, reusing the current
+// snapshot's member fragments for the sets the lists share, and installs
+// it as the current version. The precompute runs on the caller, never on
+// the request path. It fails only if baking a response body fails; then
+// nothing is installed and the previous current version keeps serving.
 //
 // A non-empty ver.Hash must equal list.Hash(): AddList trusts it and
 // hashes the list itself only when it is empty. A source's Meta.Version()
 // carries the hash the source already computed to gate the fetch, so a
 // delivered revision is hashed once.
 func (st *Store) AddList(list *core.List, ver core.Version) (*Snapshot, error) {
-	snap, err := buildSnapshot(list, ver.Hash, st.opts.MemoryBudget, st.cur.Load())
+	snap, err := buildSnapshot(list, ver.Hash, st.cur.Load())
 	if err != nil {
 		return nil, err
 	}

@@ -43,7 +43,7 @@ func mustAdd(tb testing.TB, st *Store, list *core.List, ver core.Version) *Snaps
 // mustBuild builds list's snapshot with the default options.
 func mustBuild(tb testing.TB, list *core.List) *Snapshot {
 	tb.Helper()
-	snap, err := BuildSnapshot(list, SnapshotOptions{})
+	snap, err := BuildSnapshot(list)
 	if err != nil {
 		tb.Fatal(err)
 	}

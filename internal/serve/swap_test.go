@@ -148,36 +148,3 @@ func TestSwapDeliverDiffsOncePerSwap(t *testing.T) {
 		}
 	}
 }
-
-// TestSwapDeliverLogsDiffFromServedList is the regression test for a
-// refused build: the watcher's previous list is then one the server
-// never served, and the next swap's logged diff must start from the
-// list that was actually served before it.
-func TestSwapDeliverLogsDiffFromServedList(t *testing.T) {
-	lists := prefixLists(t, 2, 41, 3)
-	served, refused, third := lists[0], lists[1], lists[2]
-	budget := mustBuild(t, third).BuildInfo().EstimatedBytes
-	if mustBuild(t, refused).BuildInfo().EstimatedBytes <= budget {
-		t.Fatal("the refused list must not fit the third list's budget")
-	}
-	st := NewStoreWith(DefaultRetain, SnapshotOptions{MemoryBudget: budget})
-	mustAdd(t, st, served, core.Version{Source: "boot"})
-	srv := NewFromStore(st)
-	var log bytes.Buffer
-	watchAll(t, served, []*core.List{refused, third}, srv.SwapDeliver(&log))
-
-	if !strings.Contains(log.String(), "serve: refused list") {
-		t.Fatalf("the over-budget list was not refused:\n%s", log.String())
-	}
-	want := core.DiffLists(served, third).Summary()
-	if want == core.DiffLists(refused, third).Summary() {
-		t.Fatal("the test lists do not tell the served base from the refused one")
-	}
-	got := loggedSummaries(log.String())
-	if len(got) != 1 || got[0] != want {
-		t.Errorf("logged swap summaries %q, want [%q]", got, want)
-	}
-	if st.Current().Hash() != third.Hash() {
-		t.Errorf("current = %.12s, want the third list %.12s", st.Current().Hash(), third.Hash())
-	}
-}
