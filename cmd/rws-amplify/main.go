@@ -140,10 +140,7 @@ func run(args []string, stdout io.Writer) error {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		snap, err := serve.BuildSnapshot(list)
-		if err != nil {
-			return err
-		}
+		snap := serve.BuildSnapshot(list)
 		elapsed := time.Since(start)
 		// Collect the build's garbage first, so the delta is the heap
 		// the snapshot retains.

@@ -1,25 +1,24 @@
 // Command rws-benchgate is the CI benchmark-regression gate: it parses
 // two `go test -bench` text outputs (a committed baseline and the
-// current run), reduces each benchmark's samples to one ns/op statistic,
+// current run), reduces each benchmark's samples to their minimum ns/op,
 // and fails when a gated benchmark regressed past the threshold.
 //
 // Usage:
 //
 //	rws-benchgate -current BENCH.txt [-baseline BASELINE.txt]
-//	              [-threshold 1.25] [-match REGEX] [-min-ns 50]
-//	              [-stat min|median] [-write-json BENCH.json]
+//	              [-threshold 1.25] [-match REGEX] [-write-json BENCH.json]
 //	              [-assert-zero-alloc REGEX]
 //
 // The inputs are plain `go test -bench` output (any -count; a
-// benchmark's repeated samples are reduced with -stat before comparing,
-// which is what makes a 5-count run meaningfully comparable). The
-// default statistic is min: scheduler and cache interference only ever
-// add time, so the fastest of N runs is the least-disturbed measurement
-// — medians of short (-benchtime=100x) runs on a busy box routinely
-// swing 2x while the min stays put. -match selects which benchmarks gate the
-// build; everything else is reported but cannot fail it. A gated
-// benchmark that vanishes from the current run fails the build too, so a
-// deleted or renamed hot-path benchmark cannot silently disarm its gate.
+// benchmark's repeated samples are reduced to their minimum before
+// comparing, which is what makes a 5-count run meaningfully comparable).
+// Scheduler and cache interference only ever add time, so the fastest
+// of N runs is the least-disturbed measurement — medians of short
+// (-benchtime=100x) runs on a busy box routinely swing 2x while the min
+// stays put. -match selects which benchmarks gate the build; everything
+// else is reported but cannot fail it. A gated benchmark that vanishes
+// from the current run fails the build too, so a deleted or renamed
+// hot-path benchmark cannot silently disarm its gate.
 // When the baseline's cpu: header names different hardware than the
 // current run's, the timing gate demotes itself to an informational
 // report (hardware deltas would drown the threshold); -ignore-cpu
@@ -28,10 +27,9 @@
 // (any -benchmem run) fails the build when its fewest-allocation current
 // sample allocates more than the baseline's most-allocating one, with
 // 0.1% slack on counts of 1,000 or more.
-// -min-ns guards
-// against gating on timings below the timer's resolution: a benchmark
-// whose baseline median is under the floor (e.g. a sub-nanosecond atomic
-// load measured with -benchtime=100x) is reported but never fails.
+// A benchmark whose baseline minimum is under minGateNs (e.g. a
+// sub-nanosecond atomic load measured with -benchtime=100x) is timed
+// below the timer's resolution: it is reported but never fails.
 // Without -baseline the gate only parses and reports the current run —
 // the bootstrap path CI uses until a baseline is committed.
 //
@@ -73,30 +71,21 @@ type config struct {
 	current   string
 	threshold float64
 	match     *regexp.Regexp
-	minNs     float64
-	stat      string
 	ignoreCPU bool
 	writeJSON string
 	zeroAlloc *regexp.Regexp
 }
 
-// reduce collapses one benchmark's samples with the configured
-// statistic.
-func (c config) reduce(samples []float64) float64 {
-	if c.stat == "median" {
-		return median(samples)
-	}
-	return minOf(samples)
-}
+// minGateNs is the timing floor: a benchmark whose baseline minimum is
+// below it is reported, never gated.
+const minGateNs = 50
 
 func parseFlags(args []string) (config, error) {
 	fs := flag.NewFlagSet("rws-benchgate", flag.ContinueOnError)
 	baseline := fs.String("baseline", "", "baseline `go test -bench` output (optional: without it, only report)")
 	current := fs.String("current", "", "current `go test -bench` output (required)")
-	threshold := fs.Float64("threshold", 1.25, "fail when current/baseline median exceeds this ratio")
+	threshold := fs.Float64("threshold", 1.25, "fail when the current/baseline ratio of minimum ns/op exceeds this")
 	match := fs.String("match", ".*", "regexp choosing the benchmarks that gate the build")
-	minNs := fs.Float64("min-ns", 50, "skip gating benchmarks whose reduced baseline ns/op is below this floor")
-	stat := fs.String("stat", "min", "statistic reducing repeated samples: min (noise-robust) or median")
 	ignoreCPU := fs.Bool("ignore-cpu", false, "gate even when the baseline's cpu: header differs from the current run's")
 	writeJSON := fs.String("write-json", "", "write the parsed current run as JSON to this path")
 	zeroAlloc := fs.String("assert-zero-alloc", "", "regexp of benchmarks that must report 0 allocs/op in the current run")
@@ -104,13 +93,10 @@ func parseFlags(args []string) (config, error) {
 		return config{}, err
 	}
 	if *current == "" || fs.NArg() != 0 {
-		return config{}, fmt.Errorf("usage: rws-benchgate -current FILE [-baseline FILE] [-threshold R] [-match RE] [-min-ns N] [-stat min|median] [-write-json FILE]")
+		return config{}, fmt.Errorf("usage: rws-benchgate -current FILE [-baseline FILE] [-threshold R] [-match RE] [-write-json FILE]")
 	}
 	if *threshold <= 1 {
 		return config{}, fmt.Errorf("-threshold must be > 1, got %g", *threshold)
-	}
-	if *stat != "min" && *stat != "median" {
-		return config{}, fmt.Errorf("-stat must be min or median, got %q", *stat)
 	}
 	re, err := regexp.Compile(*match)
 	if err != nil {
@@ -118,7 +104,7 @@ func parseFlags(args []string) (config, error) {
 	}
 	cfg := config{
 		baseline: *baseline, current: *current, threshold: *threshold,
-		match: re, minNs: *minNs, stat: *stat, ignoreCPU: *ignoreCPU, writeJSON: *writeJSON,
+		match: re, ignoreCPU: *ignoreCPU, writeJSON: *writeJSON,
 	}
 	if *zeroAlloc != "" {
 		if cfg.zeroAlloc, err = regexp.Compile(*zeroAlloc); err != nil {
@@ -243,10 +229,10 @@ func compare(base, cur map[string][]float64, cfg config) (rows []row, regressed,
 		cs, hasCur := cur[name]
 		switch {
 		case !hasBase:
-			r.curNs = cfg.reduce(cs)
+			r.curNs = minOf(cs)
 			r.verdict = "new"
 		case !hasCur:
-			r.baseNs = cfg.reduce(bs)
+			r.baseNs = minOf(bs)
 			if cfg.match.MatchString(name) {
 				r.verdict = "MISSING (gated benchmark vanished)"
 				missing = true
@@ -254,12 +240,12 @@ func compare(base, cur map[string][]float64, cfg config) (rows []row, regressed,
 				r.verdict = "missing"
 			}
 		default:
-			r.baseNs, r.curNs = cfg.reduce(bs), cfg.reduce(cs)
+			r.baseNs, r.curNs = minOf(bs), minOf(cs)
 			switch {
 			case !cfg.match.MatchString(name):
 				r.verdict = "ok (not gated)"
-			case r.baseNs < cfg.minNs:
-				r.verdict = fmt.Sprintf("skipped (baseline below %gns floor)", cfg.minNs)
+			case r.baseNs < minGateNs:
+				r.verdict = fmt.Sprintf("skipped (baseline below %dns floor)", minGateNs)
 			default:
 				if r.curNs > r.baseNs*cfg.threshold {
 					r.verdict = "REGRESSED"
@@ -410,7 +396,7 @@ func run(args []string, out io.Writer) error {
 		}
 		sort.Strings(names)
 		for _, n := range names {
-			fmt.Fprintf(out, "  %-40s %12.1f ns/op (%s of %d)\n", n, cfg.reduce(cur.samples[n]), cfg.stat, len(cur.samples[n]))
+			fmt.Fprintf(out, "  %-40s %12.1f ns/op (min of %d)\n", n, minOf(cur.samples[n]), len(cur.samples[n]))
 		}
 		return nil
 	}

@@ -214,7 +214,6 @@ func TestFlagValidation(t *testing.T) {
 		{"-current", "x", "extra"},             // positional args rejected
 		{"-current", "x", "-threshold", "0.9"}, // threshold must exceed 1
 		{"-current", "x", "-match", "("},       // bad regexp
-		{"-current", "x", "-stat", "mean"},     // unknown statistic
 	} {
 		if _, err := parseFlags(args); err == nil {
 			t.Errorf("parseFlags(%v) should fail", args)

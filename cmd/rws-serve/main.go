@@ -17,7 +17,8 @@
 // ticker — a stat(2) gated on mtime/size for files, a conditional GET
 // (If-None-Match / If-Modified-Since, answered 304 when unchanged) for
 // URLs — with every swap gated on the list content hash and logged with
-// a diff summary.
+// a diff summary. A revision the source delivers always installs:
+// building its snapshot cannot fail.
 // SIGINT/SIGTERM drain in-flight requests before exiting.
 //
 // Every node exports its current list at GET /v1/list with strong cache
@@ -215,18 +216,17 @@ func newServer(cfg config, list *core.List, meta source.Meta) (*serve.Server, er
 		}
 		st = serve.NewStore(capacity)
 		boot := time.Now()
+		// AddList's error is always nil: a snapshot build cannot fail.
 		for _, snap := range tl.Snapshots {
 			asOf, err := time.Parse("2006-01", snap.Month)
 			if err != nil {
 				return nil, fmt.Errorf("timeline month %q: %w", snap.Month, err)
 			}
-			if _, err := st.AddList(snap.List, core.Version{
+			st.AddList(snap.List, core.Version{
 				Source:     "timeline:" + snap.Month,
 				ObservedAt: boot,
 				AsOf:       asOf,
-			}); err != nil {
-				return nil, fmt.Errorf("timeline month %s: %w", snap.Month, err)
-			}
+			})
 		}
 		fmt.Fprintf(os.Stderr, "rws-serve: timeline preloaded %d monthly versions (%s..%s)\n",
 			st.Len(), tl.Snapshots[0].Month, tl.Final().Month)
@@ -259,9 +259,7 @@ func newServer(cfg config, list *core.List, meta source.Meta) (*serve.Server, er
 		ver.Hash = list.Hash()
 	}
 	if cur := st.Current(); cur == nil || cur.Hash() != ver.Hash {
-		if _, err := st.AddList(list, ver); err != nil {
-			return nil, fmt.Errorf("boot list: %w", err)
-		}
+		st.AddList(list, ver) // the error is always nil
 	}
 	return serve.NewFromStore(st), nil
 }

@@ -399,11 +399,14 @@ func (l *List) SubsetPairs(role Role) [][2]string {
 	return out
 }
 
-// MarshalJSON serializes the list back to the upstream schema with
+// MarshalJSON is JSON for encoding/json's Marshaler; it never fails.
+func (l *List) MarshalJSON() ([]byte, error) { return l.JSON(), nil }
+
+// JSON serializes the list back to the upstream schema with
 // deterministic ordering: sets sorted by primary, members in stored order,
 // map keys sorted. The bytes are exactly what encoding/json renders for
 // the schema structs, appended directly into one presized buffer.
-func (l *List) MarshalJSON() ([]byte, error) {
+func (l *List) JSON() []byte {
 	ordered := l.byPrimary()
 	n := len(`{"sets":[]}`)
 	for _, s := range ordered {
@@ -416,7 +419,7 @@ func (l *List) MarshalJSON() ([]byte, error) {
 		}
 		dst = appendSetJSON(dst, s)
 	}
-	return append(dst, "]}"...), nil
+	return append(dst, "]}"...)
 }
 
 // MarshalJSONIndent is MarshalJSON with two-space indentation, matching the

@@ -71,7 +71,7 @@ func BenchmarkServeSameSetUnderSwaps(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := New(list)
-	snaps := [2]*Snapshot{mustBuild(b, list), mustBuild(b, list)}
+	snaps := [2]*Snapshot{BuildSnapshot(list), BuildSnapshot(list)}
 	ts := httptest.NewServer(s)
 	b.Cleanup(ts.Close)
 	stop := make(chan struct{})
@@ -151,7 +151,7 @@ func BenchmarkPartition(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	snap := mustBuild(b, list)
+	snap := BuildSnapshot(list)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -227,8 +227,8 @@ func BenchmarkSnapshotBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if snap, err := BuildSnapshot(list); err != nil || snap.NumSets() == 0 {
-			b.Fatal("empty snapshot", err)
+		if BuildSnapshot(list).NumSets() == 0 {
+			b.Fatal("empty snapshot")
 		}
 	}
 }

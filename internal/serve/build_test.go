@@ -16,8 +16,7 @@ import (
 // to: the member fragments in list order, then the full-scan verdict
 // builder per policy, which evaluates cells as it meets them instead of
 // collecting representatives first.
-func buildSerial(t testing.TB, list *core.List) *Snapshot {
-	t.Helper()
+func buildSerial(list *core.List) *Snapshot {
 	start := time.Now()
 	s := newSnapshot(list, list.Hash())
 	for i, set := range s.sets {
@@ -26,11 +25,7 @@ func buildSerial(t testing.TB, list *core.List) *Snapshot {
 	for pid := range s.policies {
 		buildVerdictsSerial(s, policyID(pid))
 	}
-	snap, err := s.finish(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return snap
+	return s.finish(start)
 }
 
 // buildVerdictsSerial fills the partition-verdict tables for one policy
@@ -142,8 +137,7 @@ func equalSnapshots(t *testing.T, label string, got, want *Snapshot) {
 }
 
 // equalPrebakedTables holds the prebaked response plane of two snapshots
-// byte-equal: member fragments, partition heads/tails per policy and
-// cell, the stats prefix and the list export.
+// byte-equal: member fragments, the stats prefix and the list export.
 func equalPrebakedTables(t *testing.T, label string, got, want *Snapshot) {
 	t.Helper()
 	eq := func(what string, g, w []byte) {
@@ -157,18 +151,6 @@ func equalPrebakedTables(t *testing.T, label string, got, want *Snapshot) {
 	}
 	for i := range want.respMembers {
 		eq(fmt.Sprintf("members[%d]", i), got.respMembers[i], want.respMembers[i])
-	}
-	for pid := 0; pid < int(numPolicies); pid++ {
-		eq(fmt.Sprintf("partHead[%d]", pid), got.respPartHead[pid], want.respPartHead[pid])
-		eq(fmt.Sprintf("partCross[%d]", pid), got.respPartCross[pid], want.respPartCross[pid])
-		eq(fmt.Sprintf("partHostSame[%d]", pid), got.respPartHostSame[pid], want.respPartHostSame[pid])
-		eq(fmt.Sprintf("partHostCross[%d]", pid), got.respPartHostCross[pid], want.respPartHostCross[pid])
-		for r1 := 0; r1 < numRoles; r1++ {
-			for r2 := 0; r2 < numRoles; r2++ {
-				eq(fmt.Sprintf("partSame[%d][%d][%d]", pid, r1, r2),
-					got.respPartSame[pid][r1][r2], want.respPartSame[pid][r1][r2])
-			}
-		}
 	}
 	eq("statsPrefix", got.respStatsPrefix, want.respStatsPrefix)
 	eq("list", got.respList, want.respList)
@@ -201,21 +183,17 @@ func TestParallelSnapshotMatchesSerial(t *testing.T) {
 	const builders = 3
 	for name, list := range lists {
 		snaps := make([]*Snapshot, builders)
-		errs := make([]error, builders)
 		var wg sync.WaitGroup
 		for i := range snaps {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				snaps[i], errs[i] = BuildSnapshot(list)
+				snaps[i] = BuildSnapshot(list)
 			}(i)
 		}
 		wg.Wait()
-		serial := buildSerial(t, list)
+		serial := buildSerial(list)
 		for i, snap := range snaps {
-			if errs[i] != nil {
-				t.Fatalf("%s/builder=%d: build: %v", name, i, errs[i])
-			}
 			equalSnapshots(t, fmt.Sprintf("%s/builder=%d", name, i), snap, serial)
 		}
 	}
@@ -229,7 +207,7 @@ func TestNewSnapshotUsesParallelPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := mustBuild(t, list).BuildInfo()
+	info := BuildSnapshot(list).BuildInfo()
 	if info.BuildNanos <= 0 {
 		t.Errorf("BuildInfo not populated: %+v", info)
 	}

@@ -3,26 +3,26 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
 
-	"rwskit/internal/browser"
 	"rwskit/internal/core"
 )
 
 // This file is the response plane: the exact compact-JSON wire bytes
-// for the enumerable answers (per-set /v1/set members, per-(roles,
-// policy) partition verdicts, the stats body, the /v1/list export) are
-// computed once at snapshot build time, and the append* encoders below
-// assemble every sameset, set, partition and stats answer — for any
-// retained version, single or batch — from those fragments and the
-// echoed inputs into a pooled buffer and one w.Write: zero encodes, zero
-// per-request allocations in steady state. They are the only encoders of
-// those responses, held byte-identical to encoding/json over the
-// documented response structs (TestPrebakedResponsesMatchLiveEncode);
-// ?pretty=1 is json.Indent over the same bytes.
+// of the answers that do not depend on the query (per-set /v1/set
+// members, the stats body up to its live counters, the /v1/list export)
+// are computed once at snapshot build time, and the append* encoders
+// below assemble every sameset, set, partition and stats answer — for
+// any retained version, single or batch — from those fragments, the
+// snapshot's verdict tables and the echoed inputs into a pooled buffer
+// and one w.Write: zero encodes, zero per-request allocations in steady
+// state. They are the only encoders of those responses, held
+// byte-identical to encoding/json over the documented response structs
+// (TestPrebakedResponsesMatchLiveEncode); ?pretty=1 is json.Indent over
+// the same bytes.
 
 // maxRetainedBuf caps the capacity of buffers returned to the pools;
 // anything larger (a one-off huge batch) is left for the GC instead of
@@ -111,81 +111,62 @@ func appendMembers(dst []byte, ms []core.Member) []byte {
 	return append(dst, ']')
 }
 
-// bakeResponses fills the per-policy partition fragments, the stats
-// prefix and the /v1/list body after the build pass has encoded the
-// member fragments.
-func (s *Snapshot) bakeResponses() error {
-	for pid := range s.policies {
-		info := &s.policies[pid]
-		head := make([]byte, 0, len(info.name)+24)
-		head = append(head, `{"policy":`...)
-		head = core.AppendJSONString(head, info.name)
-		head = append(head, `,"top":`...)
-		s.respPartHead[pid] = head
-
-		cross := s.cross[pid]
-		s.respPartCross[pid] = partitionTail(false, info.partitionByDefault, cross.decision, cross.granted)
-		// The same-host cases (ct == ce) never reach the policy: the
-		// verdict is granted-auto, with same_set reporting whether the
-		// host is a list member (both lookups hit the same entry).
-		s.respPartHostSame[pid] = partitionTail(true, info.partitionByDefault, browser.GrantedAuto, true)
-		s.respPartHostCross[pid] = partitionTail(false, info.partitionByDefault, browser.GrantedAuto, true)
-		for r1 := 0; r1 < numRoles; r1++ {
-			for r2 := 0; r2 < numRoles; r2++ {
-				if cell := s.sameSet[pid][r1][r2]; cell.filled {
-					s.respPartSame[pid][r1][r2] = partitionTail(true, info.partitionByDefault, cell.decision, cell.granted)
-				}
-			}
-		}
-	}
-
+// bakeResponses fills the stats prefix and the /v1/list body after the
+// build pass has encoded the member fragments.
+func (s *Snapshot) bakeResponses() {
 	// The stats body is constant per snapshot except the two live server
 	// counters; bake everything up to requests_served and splice digits in
-	// at request time. The split point is verified against the real
-	// encoder so a StatsResponse field change can never desynchronize it.
+	// at request time.
 	st := s.list.Stats()
-	statsBody, err := json.Marshal(StatsResponse{
-		Sets:            st.Sets,
-		Sites:           s.list.NumSites(),
-		AssociatedSites: st.AssociatedSites,
-		ServiceSites:    st.ServiceSites,
-		CCTLDSites:      st.CCTLDSites,
-		MeanAssociated:  st.MeanAssociatedPerSet,
-		SnapshotHash:    s.hash,
-	})
-	marker := []byte(`,"requests_served":0,"list_swaps":0}`)
-	if err == nil && !bytes.HasSuffix(statsBody, marker) {
-		err = fmt.Errorf("body %s does not end in %s", statsBody, marker)
-	}
-	if err != nil {
-		return fmt.Errorf("serve: baking the stats body: %w", err)
-	}
-	prefix := statsBody[:len(statsBody)-len(marker)]
-	s.respStatsPrefix = append(prefix[:len(prefix):len(prefix)], `,"requests_served":`...)
+	b := append([]byte(nil), `{"sets":`...)
+	b = strconv.AppendInt(b, int64(st.Sets), 10)
+	b = append(b, `,"sites":`...)
+	b = strconv.AppendInt(b, int64(s.list.NumSites()), 10)
+	b = append(b, `,"associated_sites":`...)
+	b = strconv.AppendInt(b, int64(st.AssociatedSites), 10)
+	b = append(b, `,"service_sites":`...)
+	b = strconv.AppendInt(b, int64(st.ServiceSites), 10)
+	b = append(b, `,"cctld_sites":`...)
+	b = strconv.AppendInt(b, int64(st.CCTLDSites), 10)
+	b = append(b, `,"mean_associated_per_set":`...)
+	b = appendJSONFloat(b, st.MeanAssociatedPerSet)
+	b = append(b, `,"snapshot_hash":`...)
+	b = core.AppendJSONString(b, s.hash)
+	s.respStatsPrefix = append(b, `,"requests_served":`...)
 
 	// The /v1/list export body: the canonical compact list JSON a
 	// follower's HTTPSource parses back with core.ParseJSON.
-	listBody, err := s.list.MarshalJSON()
-	if err != nil {
-		return err
-	}
-	s.respList = append(listBody, '\n')
-	return nil
+	s.respList = append(s.list.JSON(), '\n')
 }
 
-// partitionTail renders everything of a PartitionResponse after the
-// embedded host: the verdict fields are enumerable per (policy, cell).
-func partitionTail(sameSet, partByDefault bool, d browser.Decision, granted bool) []byte {
-	tail := make([]byte, 0, 96)
-	tail = append(tail, `,"same_set":`...)
-	tail = strconv.AppendBool(tail, sameSet)
-	tail = append(tail, `,"partitioned_by_default":`...)
-	tail = strconv.AppendBool(tail, partByDefault)
-	tail = append(tail, `,"decision":`...)
-	tail = core.AppendJSONString(tail, d.String())
-	tail = append(tail, `,"granted":`...)
-	tail = strconv.AppendBool(tail, granted)
-	return append(tail, '}')
+// appendJSONFloat appends f as encoding/json renders a float64:
+// exponent form below 1e-6 and from 1e21 up, with e-09 shortened to e-9.
+// f must be finite.
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// appendPartitionTail appends everything of a PartitionResponse after
+// the embedded host.
+func appendPartitionTail(dst []byte, sameSet, partByDefault bool, v verdict) []byte {
+	dst = append(dst, `,"same_set":`...)
+	dst = strconv.AppendBool(dst, sameSet)
+	dst = append(dst, `,"partitioned_by_default":`...)
+	dst = strconv.AppendBool(dst, partByDefault)
+	dst = append(dst, `,"decision":`...)
+	dst = core.AppendJSONString(dst, v.decision.String())
+	dst = append(dst, `,"granted":`...)
+	dst = strconv.AppendBool(dst, v.granted)
+	return append(dst, '}')
 }
 
 // appendSameSetBody appends the SameSetResponse object for (a, b) minus
@@ -243,35 +224,18 @@ func (s *Snapshot) appendSet(dst []byte, site string) []byte {
 }
 
 // appendPartitionBody appends the PartitionResponse object for (top,
-// embedded) under policy pid minus the trailing newline. Pairs of list
-// members and same-host pairs take a prebaked tail; a pair with an
-// off-list host runs the live simulator on the canonical hosts and
-// renders its verdict the same way.
+// embedded) under policy pid minus the trailing newline, with the
+// verdict Partition reports.
 func (s *Snapshot) appendPartitionBody(dst []byte, pid policyID, top, embedded string) []byte {
-	ct, ce := core.CanonicalHost(top), core.CanonicalHost(embedded)
-	ts, _, tr, tok := s.list.Lookup(ct)
-	es, _, er, eok := s.list.Lookup(ce)
-	var tail []byte
-	switch {
-	case ct == ce && tok:
-		tail = s.respPartHostSame[pid]
-	case ct == ce:
-		tail = s.respPartHostCross[pid]
-	case tok && eok && ts == es:
-		tail = s.respPartSame[pid][tr][er]
-	case tok && eok:
-		tail = s.respPartCross[pid]
-	}
-	if tail == nil {
-		info := &s.policies[pid]
-		v := browser.EvaluateFresh(info.live, ct, ce)
-		tail = partitionTail(false, info.partitionByDefault, v.Decision, v.Granted)
-	}
-	dst = append(dst, s.respPartHead[pid]...)
+	v, sameSet := s.verdictFor(pid, top, embedded)
+	info := &s.policies[pid]
+	dst = append(dst, `{"policy":`...)
+	dst = core.AppendJSONString(dst, info.name)
+	dst = append(dst, `,"top":`...)
 	dst = core.AppendJSONString(dst, top)
 	dst = append(dst, `,"embedded":`...)
 	dst = core.AppendJSONString(dst, embedded)
-	return append(dst, tail...)
+	return appendPartitionTail(dst, sameSet, info.partitionByDefault, v)
 }
 
 // appendPartition appends the full /v1/partition response body.

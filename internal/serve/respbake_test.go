@@ -53,15 +53,15 @@ func prebakedTestLists(t *testing.T) map[string]*Snapshot {
 		t.Fatal(err)
 	}
 	snaps := map[string]*Snapshot{
-		"embedded":        mustBuild(t, embedded),
-		"embedded-serial": buildSerial(t, embedded),
+		"embedded":        BuildSnapshot(embedded),
+		"embedded-serial": buildSerial(embedded),
 	}
 	for _, seed := range []int64{1, 2} {
 		list, err := amplify.Generate(amplify.Config{Sets: 200, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		snaps[fmt.Sprintf("amplified-seed%d", seed)] = mustBuild(t, list)
+		snaps[fmt.Sprintf("amplified-seed%d", seed)] = BuildSnapshot(list)
 	}
 	return snaps
 }
@@ -290,6 +290,22 @@ func TestPrebakedResponsesMatchLiveEncode(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestAppendJSONFloatMatchesMarshal holds the stats body's float encoder
+// to encoding/json on both sides of its format switches (exponent form
+// below 1e-6 and from 1e21 up, e-07 shortened to e-7). No real list's
+// mean reaches the exponent branch, so the golden stats test cannot.
+func TestAppendJSONFloatMatchesMarshal(t *testing.T) {
+	for _, f := range []float64{0, 1e-7, 5e-7, 1e-6, 0.1, 1.5, 123.456, 1e20, 1e21} {
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONFloat([]byte("x"), f); string(got) != "x"+string(want) {
+			t.Errorf("appendJSONFloat(%g) = %s, want x%s", f, got, want)
+		}
+	}
 }
 
 // TestFastPathMatchesSlowPathOverHTTP drives the real server twice per

@@ -48,11 +48,7 @@ func BenchmarkSnapshotBuildScale(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				snap, err := BuildSnapshot(list)
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchSink = snap.NumSites()
+				benchSink = BuildSnapshot(list).NumSites()
 			}
 		})
 	}
@@ -70,14 +66,7 @@ func BenchmarkStoreSwapUnderTraffic(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		snapA, err := BuildSnapshot(listA)
-		if err != nil {
-			b.Fatal(err)
-		}
-		snapB, err := BuildSnapshot(listB)
-		if err != nil {
-			b.Fatal(err)
-		}
+		snapA, snapB := BuildSnapshot(listA), BuildSnapshot(listB)
 		st := NewStore(4)
 		base := time.Date(2024, 3, 26, 0, 0, 0, 0, time.UTC)
 		ver := func(i int) core.Version {
@@ -145,9 +134,9 @@ func BenchmarkSwapDeliver(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sw := source.Swap{List: listB, Meta: metaB, Prev: listA}
+		sw := source.Swap{List: listB, Meta: metaB}
 		if i%2 == 1 {
-			sw = source.Swap{List: listA, Meta: metaA, Prev: listB}
+			sw = source.Swap{List: listA, Meta: metaA}
 		}
 		deliver(sw)
 	}

@@ -44,14 +44,7 @@ func TestScaleTierSwapUnderTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapA, err := BuildSnapshot(listA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapB, err := BuildSnapshot(listB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snapA, snapB := BuildSnapshot(listA), BuildSnapshot(listB)
 
 	// Install both versions up front (A last, so it serves unversioned
 	// queries); the swapper then alternates the current pointer between

@@ -7,6 +7,9 @@
 // (per-policy partition-verdict table, prebaked response bytes,
 // composition stats) derived from a *core.List in one serial pass when
 // Store.AddList installs it; hosts resolve through the list's own index.
+// A build cannot fail, so every delivered revision installs. Each
+// partition verdict is stored once, in the verdict table, and chosen in
+// one place (Snapshot.verdictFor) for the typed and the encoded answer.
 // Snapshots live in a Store: a bounded version store keyed by list
 // content hash that retains the last N revisions, so the list can be
 // hot-swapped (e.g. on SIGHUP, on a -poll tick, or when upstream
@@ -140,10 +143,8 @@ type Server struct {
 // versions; use NewFromStore to choose the capacity or preload history.
 func New(list *core.List) *Server {
 	st := NewStore(DefaultRetain)
-	if _, err := st.AddList(list, core.Version{Source: "boot", ObservedAt: time.Now(), AsOf: time.Now()}); err != nil {
-		// Unreachable: only a failed encode of a baked body errors.
-		panic("serve: New: " + err.Error())
-	}
+	// AddList's error is always nil: a snapshot build cannot fail.
+	st.AddList(list, core.Version{Source: "boot", ObservedAt: time.Now(), AsOf: time.Now()})
 	return NewFromStore(st)
 }
 
@@ -181,10 +182,7 @@ func (s *Server) Snapshot() *Snapshot { return s.store.Current() }
 // each delivered revision into the version store (Meta → Version, whose
 // Hash spares the build a re-hash) and logs to logw its diff from the
 // version served before the install. The snapshot precompute runs on
-// the watcher goroutine, never on the request path. A revision the store
-// refuses (AddList's error) is logged and left uninstalled: the last
-// snapshot keeps serving, and a follower reports the refusal as its
-// replication last_error instead of recording a sync.
+// the watcher goroutine, never on the request path.
 func (s *Server) SwapDeliver(logw io.Writer) func(source.Swap) {
 	return func(sw source.Swap) {
 		ver := sw.Meta.Version()
@@ -195,15 +193,7 @@ func (s *Server) SwapDeliver(logw io.Writer) func(source.Swap) {
 			ver.AsOf = ver.ObservedAt
 		}
 		prev := s.store.Current()
-		snap, err := s.store.AddList(sw.List, ver)
-		if err != nil {
-			fmt.Fprintf(logw, "serve: refused list from %s (%d sets, hash %.12s), still serving %.12s: %v\n",
-				sw.Meta.Location, sw.List.NumSets(), sw.Meta.Hash, prev.hash, err)
-			if sw.Meta.Follows() {
-				s.recordReplicationRefusal(err)
-			}
-			return
-		}
+		snap, _ := s.store.AddList(sw.List, ver) // the error is always nil
 		if sw.Meta.Follows() {
 			s.RecordReplicationSwap(sw.Meta)
 		}

@@ -894,7 +894,7 @@ func TestMetricsSnapshotFieldsAgreeUnderSwaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(small)
-	snaps := [2]*Snapshot{s.Snapshot(), mustBuild(t, big)}
+	snaps := [2]*Snapshot{s.Snapshot(), BuildSnapshot(big)}
 	buildNanos := map[string]int64{}
 	for _, snap := range snaps {
 		buildNanos[snap.Hash()] = snap.BuildInfo().BuildNanos

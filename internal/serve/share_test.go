@@ -276,7 +276,7 @@ func TestSharedSetsStayImmutable(t *testing.T) {
 	}
 	listB, metaB := fileFetch(t, src, bodies[1])
 	cloneB := cloneSets(listB)
-	srv.SwapDeliver(io.Discard)(source.Swap{List: listB, Meta: metaB, Prev: listA})
+	srv.SwapDeliver(io.Discard)(source.Swap{List: listB, Meta: metaB})
 	close(stop)
 	wg.Wait()
 
@@ -347,12 +347,9 @@ func TestBuildAgainstPrevMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prev := mustBuild(t, listA)
-		got, err := buildSnapshot(listB, "", prev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		equalSnapshots(t, name, got, buildSerial(t, listB))
+		prev := BuildSnapshot(listA)
+		got := buildSnapshot(listB, "", prev)
+		equalSnapshots(t, name, got, buildSerial(listB))
 		reused := 0
 		for i, set := range listB.Sets() {
 			old, j, _, ok := listA.Lookup(set.Primary)

@@ -85,7 +85,7 @@ type BuildInfo struct {
 //     sameSet), so /v1/partition for list members is a table lookup
 //     instead of a browser build + visit + embed per request,
 //   - the list's content hash,
-//   - the prebaked response bytes every answer is assembled from
+//   - the prebaked response bytes the answers are assembled from
 //     (respbake.go).
 //
 // A Snapshot's query plane is never mutated after construction returns,
@@ -114,19 +114,13 @@ type Snapshot struct {
 	sets []*core.Set
 
 	// The prebaked response plane (respbake.go): exact compact-JSON wire
-	// bytes for the enumerable answers, assembled into pooled buffers by
-	// every hot handler. respMembers is the encoded /v1/set members array
-	// per set index — the one stored form of a set's members.
-	respMembers [][]byte
-	// respPartHead opens a PartitionResponse per policy; the tails close
-	// it per verdict shape (same-set cell, cross-set, same-host on/off
-	// list). respStatsPrefix is the stats body up to the live counters.
-	respPartHead      [numPolicies][]byte
-	respPartSame      [numPolicies][numRoles][numRoles][]byte
-	respPartCross     [numPolicies][]byte
-	respPartHostSame  [numPolicies][]byte
-	respPartHostCross [numPolicies][]byte
-	respStatsPrefix   []byte
+	// bytes for the answers that do not depend on the query, assembled
+	// into pooled buffers by every hot handler. respMembers is the encoded
+	// /v1/set members array per set index — the one stored form of a
+	// set's members. respStatsPrefix is the stats body up to the live
+	// counters.
+	respMembers     [][]byte
+	respStatsPrefix []byte
 	// respList is the canonical compact list JSON (/v1/list's body, the
 	// replication export followers poll), baked once so the leader serves
 	// its own list without re-marshalling per fetch.
@@ -140,20 +134,22 @@ type Snapshot struct {
 	// verdict for pairs that are not in the same set. Policies only
 	// consult roles inside their same-set branch, which is why one cross
 	// cell per policy suffices; TestPartitionTableMatchesLive holds the
-	// tables to the live simulation.
+	// tables to the live simulation. They are the one stored form of a
+	// verdict: Partition and the partition encoder both select from them
+	// through verdictFor.
 	sameSet [numPolicies][numRoles][numRoles]verdict
 	cross   [numPolicies]verdict
 }
 
-// BuildSnapshot precomputes the query plane for list.
-func BuildSnapshot(list *core.List) (*Snapshot, error) {
+// BuildSnapshot precomputes the query plane for list. It cannot fail.
+func BuildSnapshot(list *core.List) *Snapshot {
 	return buildSnapshot(list, "", nil)
 }
 
 // buildSnapshot is BuildSnapshot given the list's content hash, which it
 // computes only when hash is empty, and the snapshot it replaces (nil
 // for none), whose member fragments it reuses for shared sets.
-func buildSnapshot(list *core.List, hash string, prev *Snapshot) (*Snapshot, error) {
+func buildSnapshot(list *core.List, hash string, prev *Snapshot) *Snapshot {
 	start := time.Now()
 	if hash == "" {
 		hash = list.Hash()
@@ -191,12 +187,10 @@ func newSnapshot(list *core.List, hash string) *Snapshot {
 
 // finish bakes the remaining response bytes over a filled build pass
 // and records the build time.
-func (s *Snapshot) finish(start time.Time) (*Snapshot, error) {
-	if err := s.bakeResponses(); err != nil {
-		return nil, err
-	}
+func (s *Snapshot) finish(start time.Time) *Snapshot {
+	s.bakeResponses()
 	s.info.BuildNanos = time.Since(start).Nanoseconds()
-	return s, nil
+	return s
 }
 
 // prebakeMembers builds the /v1/set members of one set as response
@@ -300,11 +294,8 @@ func (s *Snapshot) Set(site string) SetResponse {
 	return resp
 }
 
-// Partition answers a storage-partitioning query. For pairs of list
-// members the verdict comes from the precomputed table; a same-host pair
-// is trivially granted (same-site embedding never reaches the policy); any
-// query involving an off-list host falls back to the live fresh-profile
-// evaluation on the normalized hosts.
+// Partition answers a storage-partitioning query with verdictFor's
+// verdict.
 //
 //rws:hotpath
 func (s *Snapshot) Partition(policyName, top, embedded string) (PartitionResponse, error) {
@@ -313,12 +304,31 @@ func (s *Snapshot) Partition(policyName, top, embedded string) (PartitionRespons
 		return PartitionResponse{}, err
 	}
 	info := &s.policies[pid]
+	v, sameSet := s.verdictFor(pid, top, embedded)
+	return PartitionResponse{
+		Policy:               info.name,
+		Top:                  top,
+		Embedded:             embedded,
+		SameSet:              sameSet,
+		PartitionedByDefault: info.partitionByDefault,
+		Decision:             v.decision.String(),
+		Granted:              v.granted,
+	}, nil
+}
+
+// verdictFor selects the verdict for (top, embedded) under policy pid,
+// and whether the two hosts share a set. For pairs of list members the
+// verdict comes from the precomputed tables; a same-host pair is
+// trivially granted (same-site embedding never reaches the policy); any
+// pair involving an off-list host falls back to the live fresh-profile
+// evaluation on the canonical hosts.
+//
+//rws:hotpath
+func (s *Snapshot) verdictFor(pid policyID, top, embedded string) (v verdict, sameSet bool) {
 	ct, ce := core.CanonicalHost(top), core.CanonicalHost(embedded)
 	ts, _, tr, tok := s.list.Lookup(ct)
 	es, _, er, eok := s.list.Lookup(ce)
-	sameSet := tok && eok && ts == es
-
-	var v verdict
+	sameSet = tok && eok && ts == es
 	switch {
 	case ct == ce:
 		v = verdict{decision: browser.GrantedAuto, granted: true, filled: true}
@@ -330,16 +340,8 @@ func (s *Snapshot) Partition(policyName, top, embedded string) (PartitionRespons
 	if !v.filled {
 		// Off-list pairs fall off the precomputed plane to the live
 		// simulator; that exit is the audited slow path.
-		ev := browser.EvaluateFresh(info.live, ct, ce) //rws:coldpath
+		ev := browser.EvaluateFresh(s.policies[pid].live, ct, ce) //rws:coldpath
 		v = verdict{decision: ev.Decision, granted: ev.Granted, filled: true}
 	}
-	return PartitionResponse{
-		Policy:               info.name,
-		Top:                  top,
-		Embedded:             embedded,
-		SameSet:              sameSet,
-		PartitionedByDefault: info.partitionByDefault,
-		Decision:             v.decision.String(),
-		Granted:              v.granted,
-	}, nil
+	return v, sameSet
 }

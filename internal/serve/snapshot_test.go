@@ -129,7 +129,7 @@ func TestSameSetMatchesScan(t *testing.T) {
 // cross-set sweep, and off-list fallbacks, under all four policies.
 func TestPartitionTableMatchesLive(t *testing.T) {
 	list := testList(t)
-	snap := mustBuild(t, list)
+	snap := BuildSnapshot(list)
 	policies := []string{"rws", "strict", "prompt", "legacy"}
 
 	check := func(policy, top, emb string) {
@@ -176,7 +176,7 @@ func TestPartitionTableMatchesLive(t *testing.T) {
 
 func TestSnapshotAccessors(t *testing.T) {
 	list := testList(t)
-	snap := mustBuild(t, list)
+	snap := BuildSnapshot(list)
 	if snap.List() != list {
 		t.Error("List() should return the source list")
 	}

@@ -112,18 +112,15 @@ func (st *Store) Swaps() uint64 { return st.swaps.Load() }
 // AddList precomputes a snapshot for list, reusing the current
 // snapshot's member fragments for the sets the lists share, and installs
 // it as the current version. The precompute runs on the caller, never on
-// the request path. It fails only if baking a response body fails; then
-// nothing is installed and the previous current version keeps serving.
+// the request path. A snapshot build cannot fail, so the error is always
+// nil; the signature keeps it for existing callers.
 //
 // A non-empty ver.Hash must equal list.Hash(): AddList trusts it and
 // hashes the list itself only when it is empty. A source's Meta.Version()
 // carries the hash the source already computed to gate the fetch, so a
 // delivered revision is hashed once.
 func (st *Store) AddList(list *core.List, ver core.Version) (*Snapshot, error) {
-	snap, err := buildSnapshot(list, ver.Hash, st.cur.Load())
-	if err != nil {
-		return nil, err
-	}
+	snap := buildSnapshot(list, ver.Hash, st.cur.Load())
 	st.AddSnapshot(snap, ver)
 	return snap, nil
 }

@@ -29,8 +29,8 @@ func listWithPrimary(t *testing.T, name string) *core.List {
 	return list
 }
 
-// mustAdd installs list into st under ver, failing the test if the store
-// refuses it.
+// mustAdd installs list into st under ver, failing the test if AddList
+// breaks its contract of a nil error.
 func mustAdd(tb testing.TB, st *Store, list *core.List, ver core.Version) *Snapshot {
 	tb.Helper()
 	snap, err := st.AddList(list, ver)
@@ -40,23 +40,13 @@ func mustAdd(tb testing.TB, st *Store, list *core.List, ver core.Version) *Snaps
 	return snap
 }
 
-// mustBuild builds list's snapshot with the default options.
-func mustBuild(tb testing.TB, list *core.List) *Snapshot {
-	tb.Helper()
-	snap, err := BuildSnapshot(list)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return snap
-}
-
 // swapList installs list as s's current version, the way a watcher
-// delivery does. It reports a refusal with Errorf, so it is safe to call
-// from any goroutine.
+// delivery does. It reports a non-nil AddList error with Errorf, so it
+// is safe to call from any goroutine.
 func swapList(tb testing.TB, s *Server, list *core.List) {
 	tb.Helper()
 	if _, err := s.store.AddList(list, core.Version{Source: "swap", ObservedAt: time.Now(), AsOf: time.Now()}); err != nil {
-		tb.Errorf("swap refused: %v", err)
+		tb.Errorf("swap: %v", err)
 	}
 }
 
@@ -289,7 +279,7 @@ func TestStoreConcurrentAddAndResolve(t *testing.T) {
 	}
 	snaps := make([]*Snapshot, len(lists))
 	for i, l := range lists {
-		snaps[i] = mustBuild(t, l)
+		snaps[i] = BuildSnapshot(l)
 	}
 	st.AddSnapshot(snaps[0], monthVersion("2023-01"))
 
@@ -324,7 +314,7 @@ func TestStoreConcurrentAddAndResolve(t *testing.T) {
 func TestStoreDiffMemoization(t *testing.T) {
 	st := NewStore(4)
 	a := mustAdd(t, st, listWithPrimary(t, "alpha"), monthVersion("2023-01"))
-	b := mustBuild(t, listWithPrimary(t, "beta"))
+	b := BuildSnapshot(listWithPrimary(t, "beta"))
 
 	// b is not retained yet: the diff computes but must not be memoized
 	// (an unretained hash could never be invalidated), and counts a miss.
@@ -533,7 +523,7 @@ func TestDiffAcrossEvictionUnderTraffic(t *testing.T) {
 	snaps := make([]*Snapshot, revisions)
 	hashes := make([]string, revisions)
 	for i := range snaps {
-		snaps[i] = mustBuild(t, listWithPrimary(t, fmt.Sprintf("churn%02d", i)))
+		snaps[i] = BuildSnapshot(listWithPrimary(t, fmt.Sprintf("churn%02d", i)))
 		hashes[i] = snaps[i].Hash()
 	}
 

@@ -14,8 +14,7 @@
 //
 // Two implementations ship today — FileSource and HTTPSource — and the
 // Watcher drives either on a ticker, delivering Swap events (new list +
-// provenance + the list it replaces) to a consumer such as
-// serve.Server. Future backends (object stores, git checkouts, sharded
+// provenance) to a consumer such as serve.Server. Future backends (object stores, git checkouts, sharded
 // fan-in) are just more Sources.
 package source
 

@@ -14,12 +14,6 @@ type Swap struct {
 	List *core.List
 	// Meta records where the revision came from and its validators.
 	Meta Meta
-	// Prev is the previously delivered list, or the watcher's initial
-	// list for the first swap (nil if there was none). The watcher
-	// computes no diff: a consumer that refused Prev still serves an
-	// older list, so a logged diff should start from what the consumer
-	// serves (serve.Server's SwapDeliver diffs after the install).
-	Prev *core.List
 	// Forced reports that a Refresh, not a poll tick, produced the swap.
 	Forced bool
 }
@@ -34,7 +28,6 @@ type Watcher struct {
 	interval time.Duration
 	logf     func(format string, args ...any)
 	kick     chan struct{}
-	cur      *core.List // guarded by Run: confined to the polling goroutine
 
 	// OnPoll, if non-nil, observes the outcome of every completed poll:
 	// nil for a delivered swap, ErrNotModified for an unchanged source,
@@ -46,10 +39,11 @@ type Watcher struct {
 }
 
 // NewWatcher returns a Watcher polling src every interval (0 disables
-// the ticker; only Refresh triggers fetches). initial is the list the
-// consumer is already serving, delivered as the first swap's Prev (nil
-// if there is none). logf, if non-nil, receives fetch-failure log lines
-// (a failed poll keeps the current list and is reported, not fatal).
+// the ticker; only Refresh triggers fetches). The watcher computes no
+// diffs, so initial, the list the consumer already serves, is unused;
+// the parameter stays for existing callers. logf, if non-nil, receives
+// fetch-failure log lines (a failed poll keeps the current list and is
+// reported, not fatal).
 func NewWatcher(src Source, interval time.Duration, initial *core.List, logf func(format string, args ...any)) *Watcher {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -59,7 +53,6 @@ func NewWatcher(src Source, interval time.Duration, initial *core.List, logf fun
 		interval: interval,
 		logf:     logf,
 		kick:     make(chan struct{}, 1),
-		cur:      initial,
 	}
 }
 
@@ -98,16 +91,11 @@ func (w *Watcher) Run(ctx context.Context, deliver func(Swap)) {
 }
 
 // poll performs one fetch and delivers the swap if the list changed.
-// Called only from Run's goroutine, where w.cur is confined.
-//
-//rws:locked Run
 func (w *Watcher) poll(ctx context.Context, deliver func(Swap), forced bool) {
 	list, meta, err := w.src.Fetch(ctx)
 	switch {
 	case err == nil:
-		prev := w.cur
-		w.cur = list
-		deliver(Swap{List: list, Meta: meta, Prev: prev, Forced: forced})
+		deliver(Swap{List: list, Meta: meta, Forced: forced})
 	case errors.Is(err, ErrNotModified):
 		// Unchanged: nothing to deliver.
 	case ctx.Err() != nil:
