@@ -410,14 +410,14 @@ func (l *List) JSON() []byte {
 	ordered := l.byPrimary()
 	n := len(`{"sets":[]}`)
 	for _, s := range ordered {
-		n += setJSONSize(s) + 1
+		n += SetJSONSize(s) + 1
 	}
 	dst := append(make([]byte, 0, n), `{"sets":[`...)
 	for i, s := range ordered {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendSetJSON(dst, s)
+		dst = AppendSetJSON(dst, s)
 	}
 	return append(dst, "]}"...)
 }
@@ -438,12 +438,13 @@ func (l *List) MarshalJSONIndent() ([]byte, error) {
 
 // MarshalSetJSON serializes a single set in the upstream schema.
 func MarshalSetJSON(s *Set) ([]byte, error) {
-	return appendSetJSON(make([]byte, 0, setJSONSize(s)), s), nil
+	return AppendSetJSON(make([]byte, 0, SetJSONSize(s)), s), nil
 }
 
-// setJSONSize estimates the encoded size of one set: exact for ASCII
-// content that needs no escapes, and only a starting capacity otherwise.
-func setJSONSize(s *Set) int {
+// SetJSONSize estimates the length of AppendSetJSON's output for s:
+// exact for ASCII content that needs no escapes, and only a starting
+// capacity otherwise.
+func SetJSONSize(s *Set) int {
 	const origin = len(`"https://",`)
 	n := len(`{"contact":"","primary":"","associatedSites":[],"serviceSites":[],"rationaleBySite":{},"ccTLDs":{}}`) +
 		len(s.Contact) + len(s.Primary) + origin
@@ -465,10 +466,11 @@ func setJSONSize(s *Set) int {
 	return n
 }
 
-// appendSetJSON appends one set as encoding/json renders the upstream
+// AppendSetJSON appends one set as encoding/json renders the upstream
 // schema: fields in schema order, empty optional fields omitted, every
-// host in origin form, map keys in sorted order.
-func appendSetJSON(dst []byte, s *Set) []byte {
+// host in origin form, map keys in sorted order. It is the one encoder of
+// a set: JSON joins its output, and so does the serve plane's /v1/list.
+func AppendSetJSON(dst []byte, s *Set) []byte {
 	dst = append(dst, '{')
 	if s.Contact != "" {
 		dst = append(dst, `"contact":`...)

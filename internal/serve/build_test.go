@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -13,14 +14,15 @@ import (
 )
 
 // buildSerial is the reference construction the build is held equal
-// to: the member fragments in list order, then the full-scan verdict
-// builder per policy, which evaluates cells as it meets them instead of
-// collecting representatives first.
+// to: the member and list fragments in list order, each in its own
+// buffer, then the full-scan verdict builder per policy, which evaluates
+// cells as it meets them instead of collecting representatives first.
 func buildSerial(list *core.List) *Snapshot {
 	start := time.Now()
 	s := newSnapshot(list, list.Hash())
 	for i, set := range s.sets {
 		s.respMembers[i] = appendMembers(nil, set.Members())
+		s.respSets[i] = core.AppendSetJSON(nil, set)
 	}
 	for pid := range s.policies {
 		buildVerdictsSerial(s, policyID(pid))
@@ -136,8 +138,16 @@ func equalSnapshots(t *testing.T, label string, got, want *Snapshot) {
 	equalPrebakedTables(t, label, got, want)
 }
 
+// listBody is the /v1/list body writeList joins from s's fragments.
+func listBody(s *Snapshot) []byte {
+	var body bytes.Buffer
+	s.writeList(&body, nil)
+	return body.Bytes()
+}
+
 // equalPrebakedTables holds the prebaked response plane of two snapshots
-// byte-equal: member fragments, the stats prefix and the list export.
+// byte-equal: member and list fragments, the stats prefix, and the
+// joined list export and its baked length.
 func equalPrebakedTables(t *testing.T, label string, got, want *Snapshot) {
 	t.Helper()
 	eq := func(what string, g, w []byte) {
@@ -151,9 +161,11 @@ func equalPrebakedTables(t *testing.T, label string, got, want *Snapshot) {
 	}
 	for i := range want.respMembers {
 		eq(fmt.Sprintf("members[%d]", i), got.respMembers[i], want.respMembers[i])
+		eq(fmt.Sprintf("sets[%d]", i), got.respSets[i], want.respSets[i])
 	}
 	eq("statsPrefix", got.respStatsPrefix, want.respStatsPrefix)
-	eq("list", got.respList, want.respList)
+	eq("list", listBody(got), listBody(want))
+	eq("listLength", []byte(got.respListLength[0]), []byte(want.respListLength[0]))
 }
 
 // TestParallelSnapshotMatchesSerial is the build's equivalence property:
@@ -179,6 +191,23 @@ func TestParallelSnapshotMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	lists["tiny"] = tiny
+	// Rationales that encode to escapes run longer than
+	// core.SetJSONSize's estimate, so the build's list-fragment arena
+	// outgrows its presize.
+	escaped := cloneSets(tiny)
+	for _, set := range escaped {
+		for site := range set.RationaleBySite {
+			set.RationaleBySite[site] = "ads & <analytics>\u2028\"quoted\""
+		}
+	}
+	if lists["escaped"], err = core.NewList(escaped); err != nil {
+		t.Fatal(err)
+	}
+	for _, set := range escaped {
+		if core.SetJSONSize(set) >= len(core.AppendSetJSON(nil, set)) {
+			t.Fatalf("set %s encodes within its size estimate; the escaped list must exceed it", set.Primary)
+		}
+	}
 
 	const builders = 3
 	for name, list := range lists {

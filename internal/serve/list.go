@@ -1,13 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"net/http"
 	"time"
 )
 
 // handleList is the replication export: GET /v1/list serves the
 // snapshot's canonical list JSON — the exact bytes core.ParseJSON
-// round-trips — with the cache validators that make a serve node an
+// round-trips, joined from the prebaked set objects with the baked
+// Content-Length — with the cache validators that make a serve node an
 // origin for other serve nodes. A follower started as
 // `rws-serve -list http://leader/v1/list -poll 1s` tracks this endpoint
 // through the stock source.HTTPSource conditional-GET loop: the strong
@@ -40,5 +42,15 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	if s.notModified(w, r, snap, ver) {
 		return
 	}
-	writeRawJSON(w, http.StatusOK, snap.respList, q.pretty())
+	if q.pretty() {
+		var body bytes.Buffer
+		snap.writeList(&body, nil)
+		writeRawJSON(w, http.StatusOK, body.Bytes(), true)
+		return
+	}
+	h["Content-Type"] = contentTypeJSON
+	h["Content-Length"] = snap.respListLength
+	rb := getRespBuf()
+	rb.b = snap.writeList(w, rb.b)
+	putRespBuf(rb)
 }

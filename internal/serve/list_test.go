@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"rwskit/internal/amplify"
 	"rwskit/internal/core"
 )
 
@@ -41,7 +42,8 @@ func currentSnap(t *testing.T, s *Server) *Snapshot {
 // TestListExport: GET /v1/list serves the canonical list JSON with the
 // cache validators that make a serve node an origin for followers — a
 // strong ETag (the list content hash), Last-Modified, and the X-RWS-*
-// replication provenance headers.
+// replication provenance headers — and its exact Content-Length, for
+// the current version and a version= pin alike.
 func TestListExport(t *testing.T) {
 	s, ts := newTestServer(t)
 	snap := currentSnap(t, s)
@@ -90,6 +92,35 @@ func TestListExport(t *testing.T) {
 	}
 	if p, err := core.ParseJSON(pretty); err != nil || p.Hash() != snap.hash {
 		t.Errorf("pretty body should parse to the same list (err=%v)", err)
+	}
+
+	// A 200 is sent with its exact length, not chunked: a follower sizes
+	// its read buffer from it and refuses an oversized body up front.
+	next, err := amplify.Generate(amplify.Config{Sets: 60, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapList(t, s, next)
+	for _, tc := range []struct {
+		path string
+		list *core.List
+	}{
+		{"/v1/list", next},
+		{"/v1/list?version=" + snap.hash, snap.List()},
+	} {
+		resp := getWith(t, ts.URL+tc.path, nil)
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, err %v", tc.path, resp.StatusCode, err)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v for a %d-byte body",
+				tc.path, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		if want := string(tc.list.JSON()) + "\n"; string(body) != want {
+			t.Errorf("%s: body is not the list's JSON plus a newline", tc.path)
+		}
 	}
 }
 

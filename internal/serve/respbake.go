@@ -3,9 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 
 	"rwskit/internal/core"
@@ -13,16 +16,17 @@ import (
 
 // This file is the response plane: the exact compact-JSON wire bytes
 // of the answers that do not depend on the query (per-set /v1/set
-// members, the stats body up to its live counters, the /v1/list export)
-// are computed once at snapshot build time, and the append* encoders
-// below assemble every sameset, set, partition and stats answer — for
-// any retained version, single or batch — from those fragments, the
-// snapshot's verdict tables and the echoed inputs into a pooled buffer
-// and one w.Write: zero encodes, zero per-request allocations in steady
-// state. They are the only encoders of those responses, held
-// byte-identical to encoding/json over the documented response structs
-// (TestPrebakedResponsesMatchLiveEncode); ?pretty=1 is json.Indent over
-// the same bytes.
+// members, per-set /v1/list objects, the stats body up to its live
+// counters) are computed once at snapshot build time, and the append*
+// encoders below assemble every sameset, set, partition and stats
+// answer — for any retained version, single or batch — from those
+// fragments, the snapshot's verdict tables and the echoed inputs into a
+// pooled buffer and one w.Write: zero encodes, zero per-request
+// allocations in steady state. They are the only encoders of those
+// responses, held byte-identical to encoding/json over the documented
+// response structs (TestPrebakedResponsesMatchLiveEncode). writeList
+// joins the per-set objects into the /v1/list body, in pooled chunks;
+// ?pretty=1 is json.Indent over the same bytes.
 
 // maxRetainedBuf caps the capacity of buffers returned to the pools;
 // anything larger (a one-off huge batch) is left for the GC instead of
@@ -111,8 +115,8 @@ func appendMembers(dst []byte, ms []core.Member) []byte {
 	return append(dst, ']')
 }
 
-// bakeResponses fills the stats prefix and the /v1/list body after the
-// build pass has encoded the member fragments.
+// bakeResponses fills the stats prefix and the /v1/list order and
+// length after the build pass has encoded the per-set fragments.
 func (s *Snapshot) bakeResponses() {
 	// The stats body is constant per snapshot except the two live server
 	// counters; bake everything up to requests_served and splice digits in
@@ -134,9 +138,51 @@ func (s *Snapshot) bakeResponses() {
 	b = core.AppendJSONString(b, s.hash)
 	s.respStatsPrefix = append(b, `,"requests_served":`...)
 
-	// The /v1/list export body: the canonical compact list JSON a
-	// follower's HTTPSource parses back with core.ParseJSON.
-	s.respList = append(s.list.JSON(), '\n')
+	// The /v1/list export: the set objects in primary order, joined by
+	// commas inside listHead and listTail.
+	s.respOrder = make([]int32, len(s.sets))
+	n := len(listHead) + len(listTail)
+	for i, frag := range s.respSets {
+		s.respOrder[i] = int32(i)
+		n += len(frag) + 1
+	}
+	if len(s.sets) > 0 {
+		n-- // no comma before the first set
+	}
+	slices.SortFunc(s.respOrder, func(a, b int32) int {
+		return strings.Compare(s.sets[a].Primary, s.sets[b].Primary)
+	})
+	s.respListLength = []string{strconv.Itoa(n)}
+}
+
+// listHead and listTail frame the /v1/list body around its set objects.
+const listHead, listTail = `{"sets":[`, "]}\n"
+
+// listStage is the size of the chunks writeList hands its writer: one
+// write per set would cost an http flush per set.
+const listStage = 32 << 10
+
+// writeList writes the /v1/list body, the canonical compact list JSON
+// core.List.JSON renders plus a newline, to w in chunks of about
+// listStage bytes staged in buf, and returns buf for reuse. It stops at
+// the first failed write.
+func (s *Snapshot) writeList(w io.Writer, buf []byte) []byte {
+	buf = append(buf[:0], listHead...)
+	for k, i := range s.respOrder {
+		if k > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, s.respSets[i]...)
+		if len(buf) >= listStage {
+			if _, err := w.Write(buf); err != nil {
+				return buf
+			}
+			buf = buf[:0]
+		}
+	}
+	buf = append(buf, listTail...)
+	w.Write(buf)
+	return buf
 }
 
 // appendJSONFloat appends f as encoding/json renders a float64:

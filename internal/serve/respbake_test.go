@@ -157,7 +157,7 @@ func TestPrebakedResponsesMatchLiveEncode(t *testing.T) {
 					ListSwaps:       counters[1],
 				})
 			}
-			check(t, "respList", snap.respList, snap.List())
+			check(t, "writeList", listBody(snap), snap.List())
 		})
 	}
 

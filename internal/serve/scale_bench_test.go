@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -31,10 +34,10 @@ func scaleBenchList(b *testing.B, sets int) *core.List {
 
 var benchSink int
 
-// BenchmarkSnapshotBuildScale measures parallel snapshot construction
-// at the scale tiers the amplifier targets — the number the million-set
-// serve plane stands on. Gated by rws-benchgate against
-// the committed baseline.
+// BenchmarkSnapshotBuildScale measures snapshot construction, one
+// serial pass over the list, at the scale tiers the amplifier targets —
+// the number the million-set serve plane stands on. Gated by
+// rws-benchgate against the committed baseline.
 func BenchmarkSnapshotBuildScale(b *testing.B) {
 	for _, tier := range []struct {
 		name string
@@ -143,5 +146,43 @@ func BenchmarkSwapDeliver(b *testing.B) {
 	b.StopTimer()
 	if st.Swaps() != uint64(b.N) {
 		b.Fatalf("%d swaps installed for %d deliveries", st.Swaps(), b.N)
+	}
+}
+
+// BenchmarkHandlerListScale measures the /v1/list export of a 10⁴-set
+// list at serving scale: one GET per iteration over a loopback
+// keep-alive connection, its body read to EOF. It is what a follower's
+// full fetch costs the leader and the wire, which BenchmarkHandlerList's
+// 41-set body into a discard writer cannot show. The body is checked
+// byte for byte against core.List.JSON before timing.
+func BenchmarkHandlerListScale(b *testing.B) {
+	list := scaleBenchList(b, 10_000)
+	ts := httptest.NewServer(New(list))
+	defer ts.Close()
+	client, url := ts.Client(), ts.URL+"/v1/list"
+	want := append(list.JSON(), '\n')
+	resp, err := client.Get(url)
+	if err != nil {
+		b.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
+		b.Fatalf("/v1/list: status %d, err %v, body equal to the list's JSON: %v",
+			resp.StatusCode, err, bytes.Equal(body, want))
+	}
+	b.SetBytes(int64(len(want)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := client.Get(url)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || n != int64(len(want)) {
+			b.Fatalf("read %d of %d bytes: %v", n, len(want), err)
+		}
 	}
 }

@@ -169,8 +169,9 @@ func sampleHosts(rng *rand.Rand, sets []*core.Set, n int) []string {
 // revisions through a FileSource into a store retaining all eight. Every
 // retained version answers pinned queries, the churned edge sets
 // included, as an independent parse of its own body does, and the eight
-// revisions together hold at most 5× the heap of one: they share every
-// set they have in common, and its member fragment.
+// revisions together hold at most 3× the heap of one (2.2× measured):
+// they share every set they have in common, and its member and list
+// fragments.
 func TestRetainedRevisionsShareSets(t *testing.T) {
 	const revs, size, step = DefaultRetain, 10_000, 50
 	bodies, pool := churnBodies(t, revs, size, step)
@@ -192,8 +193,8 @@ func TestRetainedRevisionsShareSets(t *testing.T) {
 	if st.Len() != revs {
 		t.Fatalf("store retains %d versions, want %d", st.Len(), revs)
 	}
-	if all > 5*one {
-		t.Errorf("%d retained revisions hold %.1fMB, more than 5× one revision's %.1fMB",
+	if all > 3*one {
+		t.Errorf("%d retained revisions hold %.1fMB, more than 3× one revision's %.1fMB",
 			revs, float64(all)/1e6, float64(one)/1e6)
 	}
 
@@ -208,6 +209,66 @@ func TestRetainedRevisionsShareSets(t *testing.T) {
 		}
 		hosts := append(sampleHosts(rng, edge, 40), sampleHosts(rng, pool[reach:size], 10)...)
 		checkPinnedAnswers(t, srv, want, hosts)
+	}
+}
+
+// TestSharedListFragmentsExportExactly delivers eight churned revisions
+// through a FileSource, so each is parsed against the last and built
+// against its snapshot. Every retained revision's /v1/list?version= body
+// is byte-identical to its own list's JSON plus a newline and parses
+// back to that list, although most of its set fragments were encoded by
+// an earlier revision; every fragment is capped at its own length.
+func TestSharedListFragmentsExportExactly(t *testing.T) {
+	const revs, size, step = DefaultRetain, 300, 7
+	bodies, _ := churnBodies(t, revs, size, step)
+	src := source.NewFileSource(filepath.Join(t.TempDir(), "list.json"))
+	st := NewStore(revs)
+	list, meta := fileFetch(t, src, bodies[0])
+	mustAdd(t, st, list, meta.Version())
+	srv := NewFromStore(st)
+	deliver := srv.SwapDeliver(io.Discard)
+	for _, body := range bodies[1:] {
+		list, meta := fileFetch(t, src, body)
+		deliver(source.Swap{List: list, Meta: meta})
+	}
+	if st.Swaps() < 7 || st.Len() != revs {
+		t.Fatalf("%d swaps, %d versions retained; want ≥ 7 and %d", st.Swaps(), st.Len(), revs)
+	}
+	versions := make([]*Snapshot, revs)
+	for k, body := range bodies {
+		want, err := core.ParseJSON(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if versions[k], _, err = st.ByHash(want.Hash()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, shared := versions[0], 0
+	for _, snap := range versions {
+		for i, frag := range snap.respSets {
+			if cap(frag) != len(frag) {
+				t.Fatalf("version %.12s: set %d fragment has cap %d, len %d", snap.hash, i, cap(frag), len(frag))
+			}
+			if _, j, _, ok := first.list.Lookup(snap.sets[i].Primary); ok && &frag[0] == &first.respSets[j][0] {
+				shared++
+			}
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/list?version="+snap.hash, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("version %.12s: status %d", snap.hash, rec.Code)
+		}
+		got := rec.Body.String()
+		if want := string(snap.List().JSON()) + "\n"; got != want {
+			t.Errorf("version %.12s: /v1/list body differs from the list's JSON", snap.hash)
+		}
+		if back, err := core.ParseJSON([]byte(got)); err != nil || back.Hash() != snap.hash {
+			t.Errorf("version %.12s: /v1/list body does not round-trip (err %v)", snap.hash, err)
+		}
+	}
+	if shared < (revs-1)*(size-(revs-1)*step) {
+		t.Errorf("only %d fragments shared with the first revision; the revisions must share sets", shared)
 	}
 }
 
@@ -312,8 +373,9 @@ func TestSharedSetsStayImmutable(t *testing.T) {
 
 // TestBuildAgainstPrevMatchesSerial: a snapshot built against the one it
 // replaces equals the full-scan reference build of its list, and its
-// member fragments alias prev's exactly for the sets the two lists share
-// by pointer; a set with prev's primary but other members is re-encoded.
+// member and list fragments alias prev's exactly for the sets the two
+// lists share by pointer; a set with prev's primary but other members is
+// re-encoded.
 func TestBuildAgainstPrevMatchesSerial(t *testing.T) {
 	embedded, err := dataset.List()
 	if err != nil {
@@ -356,6 +418,9 @@ func TestBuildAgainstPrevMatchesSerial(t *testing.T) {
 			shared := ok && old == set
 			if aliases := ok && &got.respMembers[i][0] == &prev.respMembers[j][0]; aliases != shared {
 				t.Errorf("%s: set %s fragment reused = %v, shared = %v", name, set.Primary, aliases, shared)
+			}
+			if aliases := ok && &got.respSets[i][0] == &prev.respSets[j][0]; aliases != shared {
+				t.Errorf("%s: set %s list fragment reused = %v, shared = %v", name, set.Primary, aliases, shared)
 			}
 			if shared {
 				reused++

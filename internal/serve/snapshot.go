@@ -110,7 +110,7 @@ type Snapshot struct {
 	requests atomic.Uint64
 
 	// sets is list.Sets(), the position space core.List.Lookup reports
-	// and respMembers is keyed by.
+	// and respMembers and respSets are keyed by.
 	sets []*core.Set
 
 	// The prebaked response plane (respbake.go): exact compact-JSON wire
@@ -121,10 +121,16 @@ type Snapshot struct {
 	// counters.
 	respMembers     [][]byte
 	respStatsPrefix []byte
-	// respList is the canonical compact list JSON (/v1/list's body, the
-	// replication export followers poll), baked once so the leader serves
-	// its own list without re-marshalling per fetch.
-	respList []byte
+	// respSets is the upstream-schema object per set index
+	// (core.AppendSetJSON), each with cap == len; respOrder is the set
+	// indexes sorted by primary, the order core.List.JSON writes; and
+	// respListLength is the Content-Length of the /v1/list body writeList
+	// joins from them, the canonical list JSON followers poll. A set
+	// shared with the snapshot this one replaced shares its respSets and
+	// respMembers fragments.
+	respSets       [][]byte
+	respOrder      []int32
+	respListLength []string
 
 	info BuildInfo
 
@@ -169,6 +175,7 @@ func newSnapshot(list *core.List, hash string) *Snapshot {
 		etag:        `"` + hash + `"`,
 		sets:        list.Sets(),
 		respMembers: make([][]byte, list.NumSets()),
+		respSets:    make([][]byte, list.NumSets()),
 	}
 	s.etagHeader = []string{s.etag}
 	s.policies = [numPolicies]policyInfo{
@@ -210,22 +217,25 @@ func prebakeMembers(set *core.Set) []SetMember {
 type repPair struct{ top, emb string }
 
 // build is the one serial pass over the sets in list order. It encodes
-// each set's member fragment, or reuses prev's when prev's list holds
-// the same *core.Set (sets are immutable once listed), and records the
-// first member pair per (topRole, embRole) combination, the pair the
-// full-scan verdict builder would evaluate first. Each verdict cell then
-// gets one fresh-profile evaluation per policy.
+// each set's member and list fragments, or reuses prev's when prev's
+// list holds the same *core.Set (sets are immutable once listed), and
+// records the first member pair per (topRole, embRole) combination, the
+// pair the full-scan verdict builder would evaluate first. Each verdict
+// cell then gets one fresh-profile evaluation per policy.
 func (s *Snapshot) build(prev *Snapshot) {
 	var reps [numRoles][numRoles]repPair
+	var fresh []int // indexes of the sets whose list fragment is encoded here
 	for i, set := range s.sets {
 		ms := set.Members()
 		if prev != nil {
 			if old, j, _, ok := prev.list.Lookup(set.Primary); ok && old == set {
 				s.respMembers[i] = prev.respMembers[j]
+				s.respSets[i] = prev.respSets[j]
 			}
 		}
 		if s.respMembers[i] == nil {
 			s.respMembers[i] = appendMembers(nil, ms)
+			fresh = append(fresh, i)
 		}
 		for _, top := range ms {
 			for _, emb := range ms {
@@ -235,6 +245,7 @@ func (s *Snapshot) build(prev *Snapshot) {
 			}
 		}
 	}
+	s.encodeSets(fresh)
 	for pid := range s.policies {
 		live := s.policies[pid].live
 		v := browser.EvaluateFresh(live, "cross-top.invalid", "cross-embedded.invalid")
@@ -247,6 +258,30 @@ func (s *Snapshot) build(prev *Snapshot) {
 				}
 			}
 		}
+	}
+}
+
+// encodeSets fills respSets for the sets at the indexes fresh from one
+// arena, sized by core.SetJSONSize. Each fragment is sliced out once the
+// arena has stopped growing, so an estimate that falls short costs one
+// copy, not a second retained array.
+func (s *Snapshot) encodeSets(fresh []int) {
+	size := 0
+	for _, i := range fresh {
+		size += core.SetJSONSize(s.sets[i])
+	}
+	arena := make([]byte, 0, size)
+	ends := make([]int, len(fresh))
+	for k, i := range fresh {
+		arena = core.AppendSetJSON(arena, s.sets[i])
+		ends[k] = len(arena)
+	}
+	start := 0
+	for k, i := range fresh {
+		// The full slice expression keeps an append to one fragment from
+		// writing into the next.
+		s.respSets[i] = arena[start:ends[k]:ends[k]]
+		start = ends[k]
 	}
 }
 
