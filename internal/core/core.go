@@ -83,7 +83,9 @@ type Member struct {
 
 // Set is one Related Website Set. A set must not be mutated once it is
 // in a List: a later revision parsed against the list (ParseJSONFrom)
-// may share it, so every retained revision would see the change.
+// may share it, through Equal or by the span digest of the bytes it was
+// decoded from, so every retained revision would see the change and the
+// digest would vouch for bytes that no longer describe the set.
 type Set struct {
 	// Contact is the submitter contact recorded in the upstream list.
 	Contact string
@@ -112,7 +114,7 @@ func (s *Set) Members() []Member {
 	for _, v := range s.Service {
 		out = append(out, Member{Site: v, Role: RoleService})
 	}
-	for _, base := range sortedKeys(s.CCTLDs) {
+	for _, base := range appendSortedKeys(nil, s.CCTLDs) {
 		for _, alias := range s.CCTLDs[base] {
 			out = append(out, Member{Site: alias, Role: RoleCCTLD, AliasOf: base})
 		}
@@ -223,7 +225,7 @@ func NewList(sets []*Set) (*List, error) {
 				return nil, err
 			}
 		}
-		for _, base := range sortedKeys(s.CCTLDs) {
+		for _, base := range appendSortedKeys(nil, s.CCTLDs) {
 			for _, alias := range s.CCTLDs[base] {
 				if err := l.indexMember(s, pos, alias, RoleCCTLD); err != nil {
 					return nil, err
@@ -489,7 +491,7 @@ func AppendSetJSON(dst []byte, s *Set) []byte {
 	}
 	if len(s.RationaleBySite) > 0 {
 		dst = append(dst, `,"rationaleBySite":{`...)
-		for i, site := range sortedStringKeys(s.RationaleBySite) {
+		for i, site := range appendSortedKeys(nil, s.RationaleBySite) {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
@@ -501,7 +503,7 @@ func AppendSetJSON(dst []byte, s *Set) []byte {
 	}
 	if len(s.CCTLDs) > 0 {
 		dst = append(dst, `,"ccTLDs":{`...)
-		for i, base := range sortedKeys(s.CCTLDs) {
+		for i, base := range appendSortedKeys(nil, s.CCTLDs) {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
@@ -611,26 +613,35 @@ func appendJSONStringBody(dst []byte, s string) []byte {
 // key. Two lists hash equal iff they describe the same sets, independent of
 // input formatting or set order — the cheap identity check reload/poll
 // loops use to gate a snapshot swap. Each set's NUL-separated framing is
-// appended into one reused buffer and written to the digest once.
+// appended into one reused buffer and written to the digest once; the map
+// keys are sorted in one reused slice, so the allocations do not grow
+// with the list.
 func (l *List) Hash() string {
 	h := sha256.New()
 	var buf []byte
+	var keys []string
 	for _, s := range l.byPrimary() {
 		buf = append(buf[:0], "set\x00"...)
 		buf = append(buf, s.Primary...)
 		buf = append(buf, 0)
 		buf = append(buf, s.Contact...)
 		buf = append(buf, 0)
-		for _, m := range s.Members() {
-			buf = append(buf, "m\x00"...)
-			buf = strconv.AppendInt(buf, int64(m.Role), 10)
-			buf = append(buf, 0)
-			buf = append(buf, m.Site...)
-			buf = append(buf, 0)
-			buf = append(buf, m.AliasOf...)
-			buf = append(buf, 0)
+		// The members in Members() order.
+		buf = appendHashMember(buf, RolePrimary, s.Primary, "")
+		for _, a := range s.Associated {
+			buf = appendHashMember(buf, RoleAssociated, a, "")
 		}
-		for _, site := range sortedStringKeys(s.RationaleBySite) {
+		for _, v := range s.Service {
+			buf = appendHashMember(buf, RoleService, v, "")
+		}
+		keys = appendSortedKeys(keys[:0], s.CCTLDs)
+		for _, base := range keys {
+			for _, alias := range s.CCTLDs[base] {
+				buf = appendHashMember(buf, RoleCCTLD, alias, base)
+			}
+		}
+		keys = appendSortedKeys(keys[:0], s.RationaleBySite)
+		for _, site := range keys {
 			buf = append(buf, "r\x00"...)
 			buf = append(buf, site...)
 			buf = append(buf, 0)
@@ -642,21 +653,23 @@ func (l *List) Hash() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// appendHashMember appends one member's framing in Hash.
+func appendHashMember(buf []byte, role Role, site, aliasOf string) []byte {
+	buf = append(buf, "m\x00"...)
+	buf = strconv.AppendInt(buf, int64(role), 10)
+	buf = append(buf, 0)
+	buf = append(buf, site...)
+	buf = append(buf, 0)
+	buf = append(buf, aliasOf...)
+	return append(buf, 0)
+}
+
 // byPrimary returns a copy of the list's sets sorted by primary, the
 // order Hash and MarshalJSON walk.
 func (l *List) byPrimary() []*Set {
 	ordered := slices.Clone(l.sets)
 	slices.SortFunc(ordered, func(a, b *Set) int { return strings.Compare(a.Primary, b.Primary) })
 	return ordered
-}
-
-func sortedStringKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Version identifies one list revision held by a version store: the
@@ -954,11 +967,13 @@ func isPort(s string) bool {
 	return true
 }
 
-func sortedKeys(m map[string][]string) []string {
-	keys := make([]string, 0, len(m))
+// appendSortedKeys appends m's keys to dst in sorted order.
+func appendSortedKeys[V any](dst []string, m map[string]V) []string {
+	start := len(dst)
+	dst = slices.Grow(dst, len(m))
 	for k := range m {
-		keys = append(keys, k)
+		dst = append(dst, k)
 	}
-	sort.Strings(keys)
-	return keys
+	slices.Sort(dst[start:])
+	return dst
 }

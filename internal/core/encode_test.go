@@ -302,3 +302,29 @@ func BenchmarkParseJSON(b *testing.B) {
 		benchSink = l
 	}
 }
+
+// BenchmarkParseJSONFrom parses a 10⁴-set revision against the one
+// before it, with 50 sets removed at the front and 50 added at the end:
+// servebench's swap_churn shape.
+func BenchmarkParseJSONFrom(b *testing.B) {
+	const sets, slide = 10000, 50
+	l, err := amplify.Generate(amplify.Config{Sets: sets + slide, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prev, err := core.ParseJSONFrom(listBody(l.Sets()[:sets]...), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := listBody(l.Sets()[slide:]...)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := core.ParseJSONFrom(body, prev)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = r
+	}
+}

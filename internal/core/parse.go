@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"unicode/utf8"
@@ -20,15 +21,53 @@ import (
 // One scanner walks the body once and writes straight into each Set.
 // Every string a Set keeps is a substring of one per-set allocation, so
 // the returned list does not pin data.
-func ParseJSON(data []byte) (*List, error) { return ParseJSONFrom(data, nil) }
+func ParseJSON(data []byte) (*List, error) {
+	l, _, err := parseList(data, nil, false)
+	return l, err
+}
 
-// ParseJSONFrom is ParseJSON for a revision of prev: each parsed set that
-// Equals prev's set with the same primary is replaced by prev's *Set, so
-// consecutive revisions share every set that did not change. The result
-// hashes and marshals as ParseJSON's does; a nil prev shares nothing.
-func ParseJSONFrom(data []byte, prev *List) (*List, error) {
+// A Revision is a list together with the length and SHA-256 of the bytes
+// each of its sets was decoded from. Only ParseJSONFrom makes one, so the
+// digests always describe the list's own body. It holds no body bytes:
+// ~40B per set on top of the list.
+type Revision struct {
+	list  *List
+	spans []setSpan // spans[i] covers list.Sets()[i]
+}
+
+// setSpan is the length and SHA-256 of one set's bytes, from its '{' to
+// its '}'.
+type setSpan struct {
+	sum [sha256.Size]byte
+	n   int
+}
+
+// List returns the revision's list.
+func (r *Revision) List() *List { return r.list }
+
+// ParseJSONFrom is ParseJSON for a revision of prev; a nil prev shares
+// nothing. A set whose bytes have the length and SHA-256 of prev's set at
+// the cursor is taken as prev's *Set without being decoded. Any other set
+// is decoded and, if it Equals prev's set with the same primary, replaced
+// by prev's *Set, and the cursor moves past that set, so it follows sets
+// that slid or moved. Consecutive revisions therefore share every set
+// that did not change, and a body that rewrote an unchanged set's
+// formatting still shares it. The result hashes and marshals as
+// ParseJSON's does, and errors carry the same text.
+func ParseJSONFrom(data []byte, prev *Revision) (*Revision, error) {
+	l, spans, err := parseList(data, prev, true)
+	if err != nil {
+		return nil, err
+	}
+	return &Revision{list: l, spans: spans}, nil
+}
+
+// parseList parses a list body against prev, returning the list and,
+// with digest, each set's span.
+func parseList(data []byte, prev *Revision, digest bool) (*List, []setSpan, error) {
 	sc := scanner{data: data}
 	var sets []*Set
+	var spans []setSpan
 	sawSets := false
 	more, err := sc.first('{', '}')
 	for more && err == nil {
@@ -43,8 +82,8 @@ func ParseJSONFrom(data []byte, prev *List) (*List, error) {
 			err = sc.errorf(`duplicate field "sets"`)
 		default:
 			sawSets = true
-			if sets, err = sc.sets(); err != nil {
-				return nil, err
+			if sets, spans, err = sc.sets(prev, digest); err != nil {
+				return nil, nil, err
 			}
 			more, err = sc.next('}')
 		}
@@ -56,16 +95,10 @@ func ParseJSONFrom(data []byte, prev *List) (*List, error) {
 		err = sc.end()
 	}
 	if err != nil {
-		return nil, fmt.Errorf("core: parsing list JSON: %w", err)
+		return nil, nil, fmt.Errorf("core: parsing list JSON: %w", err)
 	}
-	if prev != nil {
-		for i, s := range sets {
-			if old, _, _, ok := prev.Lookup(s.Primary); ok && old.Equal(s) {
-				sets[i] = old
-			}
-		}
-	}
-	return NewList(sets)
+	l, err := NewList(sets)
+	return l, spans, err
 }
 
 // ParseSetJSON parses a single set object (the payload of an RWS pull
@@ -83,22 +116,67 @@ func ParseSetJSON(data []byte) (*Set, error) {
 	return s, nil
 }
 
-// sets scans the "sets" array. An error inside a set names the set.
-func (sc *scanner) sets() ([]*Set, error) {
+// sets scans the "sets" array against prev (see ParseJSONFrom) and
+// returns each set, with its span if digest is set. An error inside a
+// set names the set.
+func (sc *scanner) sets(prev *Revision, digest bool) ([]*Set, []setSpan, error) {
 	var sets []*Set
+	var spans []setSpan
+	if prev != nil {
+		// A revision is about as long as the one before it.
+		sets = make([]*Set, 0, len(prev.spans))
+		spans = make([]setSpan, 0, len(prev.spans))
+	}
+	cur := 0 // the cursor: the prev set the next one is tried against
 	more, err := sc.first('[', ']')
 	for more && err == nil {
-		var s *Set
-		if s, err = sc.set(); err != nil {
-			return nil, fmt.Errorf("core: set %d: %w", len(sets), err)
+		sc.skipSpace()
+		start := sc.pos
+		s, sp := prev.take(cur, sc.data[start:])
+		if s != nil {
+			sc.pos += sp.n
+			cur++
+		} else {
+			if s, err = sc.set(); err != nil {
+				return nil, nil, fmt.Errorf("core: set %d: %w", len(sets), err)
+			}
+			if digest {
+				sp = setSpan{sum: sha256.Sum256(sc.data[start:sc.pos]), n: sc.pos - start}
+			}
+			if prev != nil {
+				if old, pos, _, ok := prev.list.Lookup(s.Primary); ok {
+					cur = pos + 1
+					if old.Equal(s) {
+						s = old
+					}
+				}
+			}
 		}
 		sets = append(sets, s)
+		if digest {
+			spans = append(spans, sp)
+		}
 		more, err = sc.next(']')
 	}
 	if err != nil {
-		return nil, fmt.Errorf("core: parsing list JSON: %w", err)
+		return nil, nil, fmt.Errorf("core: parsing list JSON: %w", err)
 	}
-	return sets, nil
+	return sets, spans, nil
+}
+
+// take returns r's set at position i and its span when rest starts with
+// the bytes that set was decoded from, and nil otherwise. A set's bytes
+// decode the same wherever they stand, so the set is what decoding them
+// again would give.
+func (r *Revision) take(i int, rest []byte) (*Set, setSpan) {
+	if r == nil || i >= len(r.spans) {
+		return nil, setSpan{}
+	}
+	sp := r.spans[i]
+	if sp.n > len(rest) || sha256.Sum256(rest[:sp.n]) != sp.sum {
+		return nil, setSpan{}
+	}
+	return r.list.sets[i], sp
 }
 
 // Set fields, in schema order; the bit 1<<f marks field f as seen.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 
 	"rwskit/internal/amplify"
@@ -179,9 +180,12 @@ func TestParseJSONSpellings(t *testing.T) {
 
 // TestParseJSONErrors: errors name the set and the field, and syntax
 // errors carry their byte offset. Parsing against a previous revision
-// holding the bodies' sets gives the same errors; a body repeating an
-// unchanged set maps both copies to one old pointer, and NewList must
-// still refuse it.
+// holding the bodies' sets gives the same errors: after a set taken by
+// its span digest, the next byte is still checked, and a span longer
+// than the bytes left is a miss. a.com's and b.com's bodies have the
+// same length, so a body repeating a.com's bytes is refused only if the
+// digest is compared; both copies then map to one old pointer, and
+// NewList must still refuse it.
 func TestParseJSONErrors(t *testing.T) {
 	cases := []struct{ body, want string }{
 		{`{"sets":[{"primary":"https://a.com"},{"primary":"https://b.com","associatedSites":["http://c.com"]}]}`,
@@ -195,10 +199,16 @@ func TestParseJSONErrors(t *testing.T) {
 		{`{}`, `core: parsing list JSON: missing "sets" array`},
 		{`{"sets":[{"primary":"https://a.com"},{"primary":"https://a.com"}]}`,
 			`core: site appears more than once in the list: "a.com" in set "a.com" and set "a.com"`},
+		{`{"sets":[{"primary":"https://a.com"} {"primary":"https://b.com"}]}`,
+			"core: parsing list JSON: syntax error at byte 37: found '{', want ',' or ']'"},
+		{`{"sets":[{"primary":"https://a.com"},{"primary":"https://b.com"}`,
+			"core: parsing list JSON: syntax error at byte 64: unexpected end of input, want ',' or ']'"},
+		{`{"sets":[{"primary":"https://a.com"},{"primary":"https://b.co`,
+			"core: set 1: primary: syntax error at byte 61: unterminated string"},
 	}
 	prev := mustParse(t, `{"sets":[{"primary":"https://a.com"},{"primary":"https://b.com"}]}`, nil)
 	for _, tc := range cases {
-		for _, from := range []*core.List{nil, prev} {
+		for _, from := range []*core.Revision{nil, prev} {
 			_, err := core.ParseJSONFrom([]byte(tc.body), from)
 			if err == nil || err.Error() != tc.want {
 				t.Errorf("ParseJSONFrom(%s, prev %v)\n err = %v\nwant %s", tc.body, from != nil, err, tc.want)
@@ -319,11 +329,14 @@ func checkParseSet(t *testing.T, data []byte) {
 }
 
 // FuzzParseJSON holds ParseJSON and ParseSetJSON to their encoding/json
-// oracles (checkParse, checkParseSet), and ParseJSONFrom against a fixed
+// oracles (checkParse, checkParseSet), and ParseJSONFrom against a
 // previous revision to ParseJSON (checkParseFrom). The seed corpus is
-// every spelling row plus small amplified lists and one of their sets.
+// every spelling row, small amplified lists and one of their sets, and
+// three revisions of the previous body: the body itself, the body with
+// one rationale byte changed, and the body with its sets rotated, so the
+// skip path runs, misses and resyncs.
 func FuzzParseJSON(f *testing.F) {
-	prev := fuzzPrev(f)
+	prev, body := fuzzPrev(f)
 	for _, row := range spellingRows {
 		f.Add([]byte(row.body))
 	}
@@ -336,6 +349,10 @@ func FuzzParseJSON(f *testing.F) {
 		}
 	}
 	f.Add([]byte(`{"primary":"https://a.com","associatedSites":["https://B.com."],"ccTLDs":{"https://a.com":[]}}`))
+	f.Add(body)
+	f.Add(editRationale(f, body))
+	sets := prev.List().Sets()
+	f.Add(listBody(append(slices.Clone(sets[1:]), sets[0])...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkParse(t, data)
 		checkParseSet(t, data)
@@ -343,10 +360,11 @@ func FuzzParseJSON(f *testing.F) {
 	})
 }
 
-// fuzzPrev is the previous revision FuzzParseJSON parses against: the
-// seed corpus's first amplified list plus the spelling rows' a.com set,
-// so seeds that repeat those sets share them.
-func fuzzPrev(tb testing.TB) *core.List {
+// fuzzPrev is the previous revision FuzzParseJSON parses against and the
+// body it was parsed from: the seed corpus's first amplified list plus
+// the spelling rows' a.com set, so seeds that repeat those sets share
+// them.
+func fuzzPrev(tb testing.TB) (*core.Revision, []byte) {
 	l, err := amplify.Generate(amplify.Config{Sets: 3, Seed: 1})
 	if err != nil {
 		tb.Fatal(err)
@@ -355,18 +373,45 @@ func fuzzPrev(tb testing.TB) *core.List {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	prev, err := core.NewList(append([]*core.Set{a}, l.Sets()...))
+	body := listBody(append([]*core.Set{a}, l.Sets()...)...)
+	prev, err := core.ParseJSONFrom(body, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return prev
+	return prev, body
+}
+
+// listBody encodes sets as a list body in the order given.
+func listBody(sets ...*core.Set) []byte {
+	body := []byte(`{"sets":[`)
+	for i, s := range sets {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = core.AppendSetJSON(body, s)
+	}
+	return append(body, "]}"...)
+}
+
+// editRationale returns a copy of body with one byte of its last
+// rationale changed, at the same length.
+func editRationale(tb testing.TB, body []byte) []byte {
+	i := bytes.LastIndex(body, []byte("branding"))
+	if i < 0 {
+		tb.Fatal("no rationale to edit")
+	}
+	edited := bytes.Clone(body)
+	edited[i] = 'B'
+	return edited
 }
 
 // checkParseFrom holds ParseJSONFrom(data, prev) to ParseJSON(data): the
-// same error, or lists with the same Hash and MarshalJSON bytes.
-func checkParseFrom(t *testing.T, data []byte, prev *core.List) {
+// same error, or lists with the same Hash and MarshalJSON bytes whose
+// sets Equal position by position, so every set taken from prev Equals
+// the set ParseJSON decoded in its place.
+func checkParseFrom(t *testing.T, data []byte, prev *core.Revision) {
 	t.Helper()
-	got, err := core.ParseJSONFrom(data, prev)
+	rev, err := core.ParseJSONFrom(data, prev)
 	want, werr := core.ParseJSON(data)
 	if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
 		t.Fatalf("ParseJSONFrom error %v, ParseJSON error %v:\n%q", err, werr, data)
@@ -374,6 +419,7 @@ func checkParseFrom(t *testing.T, data []byte, prev *core.List) {
 	if err != nil {
 		return
 	}
+	got := rev.List()
 	if got.Hash() != want.Hash() {
 		t.Fatalf("ParseJSONFrom and ParseJSON hash differently:\n%q", data)
 	}
@@ -381,5 +427,10 @@ func checkParseFrom(t *testing.T, data []byte, prev *core.List) {
 	wb, _ := want.MarshalJSON()
 	if !bytes.Equal(gb, wb) {
 		t.Fatalf("ParseJSONFrom's MarshalJSON differs from ParseJSON's:\n got %s\nwant %s", gb, wb)
+	}
+	for i, s := range got.Sets() {
+		if !s.Equal(want.Sets()[i]) {
+			t.Fatalf("ParseJSONFrom's set %d (%s) does not Equal ParseJSON's:\n%q", i, s.Primary, data)
+		}
 	}
 }

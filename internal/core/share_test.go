@@ -2,7 +2,10 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rwskit/internal/amplify"
@@ -11,7 +14,7 @@ import (
 )
 
 // mustParse parses body against prev, failing the test on error.
-func mustParse(tb testing.TB, body string, prev *core.List) *core.List {
+func mustParse(tb testing.TB, body string, prev *core.Revision) *core.Revision {
 	tb.Helper()
 	l, err := core.ParseJSONFrom([]byte(body), prev)
 	if err != nil {
@@ -21,14 +24,17 @@ func mustParse(tb testing.TB, body string, prev *core.List) *core.List {
 }
 
 // TestParseJSONFromSharesUnchangedSets: a set that Equals prev's set
-// with the same primary comes back as prev's pointer; a changed, added
-// or re-added-with-edits set comes back fresh. Either way the list
-// hashes and marshals exactly as a prev-less ParseJSON of the body.
+// with the same primary comes back as prev's pointer, whether its bytes
+// match prev's span or were re-indented; a changed (even at the same
+// length), added or re-added-with-edits set comes back fresh. Either way
+// the list hashes and marshals exactly as a prev-less ParseJSON of the
+// body.
 func TestParseJSONFromSharesUnchangedSets(t *testing.T) {
 	const (
 		a    = `{"primary":"https://a.com","associatedSites":["https://a-blog.com"],"rationaleBySite":{"https://a-blog.com":"brand"}}`
 		aCC  = `{"primary":"https://a.com","associatedSites":["https://a-blog.com"],"rationaleBySite":{"https://a-blog.com":"brand"},"ccTLDs":{"https://a.com":["https://a.de"]}}`
 		aWhy = `{"primary":"https://a.com","associatedSites":["https://a-blog.com"],"rationaleBySite":{"https://a-blog.com":"same brand"}}`
+		aAlt = `{"primary":"https://a.com","associatedSites":["https://a-blog.com"],"rationaleBySite":{"https://a-blog.com":"brAnd"}}`
 		b    = `{"contact":"x@b.com","primary":"https://b.com","serviceSites":["https://b-cdn.com"]}`
 		bTo  = `{"contact":"y@b.com","primary":"https://b.com","serviceSites":["https://b-cdn.com"]}`
 		c    = `{"primary":"https://c.com"}`
@@ -58,12 +64,14 @@ func TestParseJSONFromSharesUnchangedSets(t *testing.T) {
 		{"contact changed", list(a, bTo), []string{"a.com"}},
 		{"ccTLD added", list(aCC, b), []string{"b.com"}},
 		{"rationale changed", list(aWhy, b), []string{"b.com"}},
+		{"rationale changed at the same length", list(aAlt, b), []string{"b.com"}},
+		{"re-indented", indent(t, list(a, b)), []string{"a.com", "b.com"}},
 		{"primary was a member", list(b, d), []string{"b.com"}},
 		{"empty", list(), nil},
 	}
 	for _, row := range rows {
-		got := mustParse(t, row.body, prev)
-		want := mustParse(t, row.body, nil)
+		got := mustParse(t, row.body, prev).List()
+		want := mustParse(t, row.body, nil).List()
 		if got.Hash() != want.Hash() {
 			t.Errorf("%s: Hash differs from ParseJSON's", row.name)
 		}
@@ -77,7 +85,7 @@ func TestParseJSONFromSharesUnchangedSets(t *testing.T) {
 			shared[p] = true
 		}
 		for _, s := range got.Sets() {
-			old, _, _, ok := prev.Lookup(s.Primary)
+			old, _, _, ok := prev.List().Lookup(s.Primary)
 			if isShared := ok && old == s; isShared != shared[s.Primary] {
 				t.Errorf("%s: set %s shared = %v, want %v", row.name, s.Primary, isShared, shared[s.Primary])
 			}
@@ -88,12 +96,22 @@ func TestParseJSONFromSharesUnchangedSets(t *testing.T) {
 	// edits in the next is fresh against both.
 	mid := mustParse(t, list(b), prev)
 	back := mustParse(t, list(aCC, b), mid)
-	if s, _, _ := back.FindSet("a.com"); s == mustFind(t, prev, "a.com") {
+	if s, _, _ := back.List().FindSet("a.com"); s == mustFind(t, prev.List(), "a.com") {
 		t.Error("re-added edited set shares the pointer of its old revision")
 	}
-	if s, _, _ := back.FindSet("b.com"); s != mustFind(t, prev, "b.com") {
+	if s, _, _ := back.List().FindSet("b.com"); s != mustFind(t, prev.List(), "b.com") {
 		t.Error("b.com was not shared across two revisions")
 	}
+}
+
+// indent re-indents a JSON body, sets included.
+func indent(t *testing.T, body string) string {
+	t.Helper()
+	var out bytes.Buffer
+	if err := json.Indent(&out, []byte(body), "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	return out.String()
 }
 
 func mustFind(t *testing.T, l *core.List, site string) *core.Set {
@@ -238,6 +256,76 @@ func TestDiffListsSkipsSharedSets(t *testing.T) {
 		}
 		if len(got.AddedSets) == 0 || len(got.RemovedSets) == 0 || len(got.RemovedMembers) == 0 {
 			t.Errorf("pool %d: the windows do not churn: %s", pi, got.Summary())
+		}
+	}
+}
+
+// TestParseJSONFromSkipsUnchangedSpans: a set whose bytes match prev's
+// span at the cursor is taken without being decoded, and after a miss the
+// cursor resyncs to the set after prev's set with the same primary, so a
+// slide or a moved set decodes only the sets it touched, and every
+// unchanged set is still prev's pointer. Decodes are counted through
+// allocations: a taken set allocates nothing, a decoded one its strings,
+// slice and map.
+func TestParseJSONFromSkipsUnchangedSpans(t *testing.T) {
+	const n = 40
+	body := func(idx ...int) string {
+		sets := make([]string, len(idx))
+		for j, i := range idx {
+			sets[j] = fmt.Sprintf(`{"primary":"https://s%03d.com","associatedSites":["https://s%03d-a.com"],"rationaleBySite":{"https://s%03d-a.com":"brand"}}`, i, i, i)
+		}
+		return `{"sets":[` + strings.Join(sets, ",") + "]}"
+	}
+	seq := func(lo, hi int) []int {
+		var idx []int
+		for i := lo; i < hi; i++ {
+			idx = append(idx, i)
+		}
+		return idx
+	}
+	allocs := func(body string, from *core.Revision) float64 {
+		data := []byte(body)
+		return testing.AllocsPerRun(10, func() {
+			if _, err := core.ParseJSONFrom(data, from); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	prevBody := body(seq(0, n)...)
+	prev := mustParse(t, prevBody, nil)
+	base := allocs(prevBody, prev)
+	// Against a re-indented revision every span misses, so every set is
+	// decoded.
+	perSet := (allocs(prevBody, mustParse(t, indent(t, prevBody), nil)) - base) / n
+	if perSet < 2 {
+		t.Fatalf("decoding a set costs %.1f allocations, too few to count decodes by", perSet)
+	}
+	rows := []struct {
+		name    string
+		sets    []int
+		decoded int
+	}{
+		{"unchanged", seq(0, n), 0},
+		// s005 misses s000's span and resyncs; s040–s044 are new.
+		{"slide", seq(5, n+5), 6},
+		// s039 misses and moves the cursor past the end; s000 then misses
+		// and resyncs to s001.
+		{"moved end to front", append([]int{n - 1}, seq(0, n-1)...), 2},
+		{"moved front to end", append(seq(1, n), 0), 2},
+		{"moved end to front in a slide", append([]int{n - 1}, seq(5, n-1)...), 2},
+	}
+	for _, row := range rows {
+		b := body(row.sets...)
+		got := mustParse(t, b, prev).List()
+		for _, s := range got.Sets() {
+			old, _, _, ok := prev.List().Lookup(s.Primary)
+			if ok && old != s {
+				t.Errorf("%s: unchanged set %s is not prev's pointer", row.name, s.Primary)
+			}
+		}
+		if extra := allocs(b, prev) - base; extra > float64(row.decoded+2)*perSet {
+			t.Errorf("%s: %.0f allocations over taking every set, %.1f per decoded set: more than %d decodes",
+				row.name, extra, perSet, row.decoded)
 		}
 	}
 }

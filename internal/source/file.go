@@ -15,17 +15,18 @@ import (
 // a touch(1)) never reports a change. Invalidate drops the stat gate but
 // not the hash gate — exactly the SIGHUP contract rws-serve had when
 // this logic lived in its reloader. Each read is parsed against the last
-// list delivered (core.ParseJSONFrom), so consecutive revisions share
-// their unchanged sets.
+// revision delivered (core.ParseJSONFrom): a set whose bytes have that
+// revision's span digest is taken without being decoded, and consecutive
+// revisions share every unchanged set.
 type FileSource struct {
 	path string
 
 	mu      sync.Mutex
-	mtime   time.Time  // guarded by mu
-	size    int64      // guarded by mu
-	hash    string     // guarded by mu
-	last    *core.List // guarded by mu; the list hash belongs to
-	statted bool       // guarded by mu; a successful read recorded mtime/size
+	mtime   time.Time      // guarded by mu
+	size    int64          // guarded by mu
+	hash    string         // guarded by mu
+	last    *core.Revision // guarded by mu; its list hashes to hash
+	statted bool           // guarded by mu; a successful read recorded mtime/size
 }
 
 // NewFileSource returns a FileSource reading path. No I/O happens until
@@ -68,17 +69,17 @@ func (f *FileSource) Fetch(ctx context.Context) (*core.List, Meta, error) {
 	if err != nil {
 		return nil, Meta{}, err
 	}
-	list, err := core.ParseJSONFrom(data, f.last)
+	rev, err := core.ParseJSONFrom(data, f.last)
 	if err != nil {
 		return nil, Meta{}, err
 	}
 	f.mtime, f.size, f.statted = fi.ModTime(), fi.Size(), true
-	h := list.Hash()
+	h := rev.List().Hash()
 	if h == f.hash {
 		return nil, Meta{}, ErrNotModified
 	}
-	f.hash, f.last = h, list
-	return list, Meta{
+	f.hash, f.last = h, rev
+	return rev.List(), Meta{
 		Location:  f.path,
 		Hash:      h,
 		FetchedAt: time.Now(),

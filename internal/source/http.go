@@ -70,8 +70,9 @@ func (c HTTPConfig) withDefaults() HTTPConfig {
 // exponential backoff; 4xx responses and oversized bodies fail
 // immediately. The content-hash gate backstops servers that emit fresh
 // validators for byte-identical content. Each body is parsed against the
-// last list delivered (core.ParseJSONFrom), so consecutive revisions
-// share their unchanged sets.
+// last revision delivered (core.ParseJSONFrom): a set whose bytes have
+// that revision's span digest is taken without being decoded, and
+// consecutive revisions share every unchanged set.
 type HTTPSource struct {
 	url string
 	cfg HTTPConfig
@@ -83,10 +84,10 @@ type HTTPSource struct {
 	sleep func(context.Context, time.Duration) error
 
 	mu           sync.Mutex
-	etag         string     // guarded by mu
-	lastModified string     // guarded by mu
-	hash         string     // guarded by mu
-	last         *core.List // guarded by mu; the list hash belongs to
+	etag         string         // guarded by mu
+	lastModified string         // guarded by mu
+	hash         string         // guarded by mu
+	last         *core.Revision // guarded by mu; its list hashes to hash
 }
 
 // NewHTTPSource returns an HTTPSource polling url. No request is issued
@@ -212,17 +213,18 @@ func (h *HTTPSource) fetchOnce(ctx context.Context) (*core.List, Meta, error) {
 	if int64(len(data)) > h.cfg.MaxBody {
 		return nil, Meta{}, fmt.Errorf("source: %s: body exceeds limit %d bytes", h.url, h.cfg.MaxBody)
 	}
-	list, err := core.ParseJSONFrom(data, h.last)
+	rev, err := core.ParseJSONFrom(data, h.last)
 	if err != nil {
 		return nil, Meta{}, fmt.Errorf("source: %s: %w", h.url, err)
 	}
 	h.etag = resp.Header.Get("ETag")
 	h.lastModified = resp.Header.Get("Last-Modified")
+	list := rev.List()
 	hash := list.Hash()
 	if hash == h.hash {
 		return nil, Meta{}, ErrNotModified
 	}
-	h.hash, h.last = hash, list
+	h.hash, h.last = hash, rev
 	meta := Meta{
 		Location:     h.url,
 		Hash:         hash,
