@@ -179,6 +179,8 @@ func (s *Set) Equal(o *Set) bool {
 type List struct {
 	sets  []*Set
 	index map[string]membership
+	// order is the sets' positions sorted by primary: PrimaryOrder.
+	order []int32
 }
 
 // membership is one index entry: the set holding a site, the set's
@@ -199,14 +201,17 @@ var (
 // (ParseJSON canonicalizes them first) and enforcing the upstream
 // invariant that sets are disjoint: no site may appear in more than one
 // set, or twice within one set.
-func NewList(sets []*Set) (*List, error) {
+func NewList(sets []*Set) (*List, error) { return newList(slices.Clone(sets)) }
+
+// newList is NewList on a slice the list may keep.
+func newList(sets []*Set) (*List, error) {
 	sites := 0
 	for _, s := range sets {
 		if s != nil {
 			sites += s.Size()
 		}
 	}
-	l := &List{sets: make([]*Set, 0, len(sets)), index: make(map[string]membership, sites)}
+	l := &List{sets: sets, index: make(map[string]membership, sites)}
 	for i, s := range sets {
 		if s == nil {
 			return nil, fmt.Errorf("%w at index %d", ErrNilSet, i)
@@ -232,8 +237,13 @@ func NewList(sets []*Set) (*List, error) {
 				}
 			}
 		}
-		l.sets = append(l.sets, s)
 	}
+	// Primaries are distinct, so the order is total.
+	l.order = make([]int32, len(sets))
+	for i := range l.order {
+		l.order[i] = int32(i)
+	}
+	slices.SortFunc(l.order, func(a, b int32) int { return strings.Compare(sets[a].Primary, sets[b].Primary) })
 	return l, nil
 }
 
@@ -251,6 +261,11 @@ func (l *List) indexMember(s *Set, pos int32, site string, role Role) error {
 // Sets returns the list's sets in order. The slice is shared; callers must
 // not mutate it.
 func (l *List) Sets() []*Set { return l.sets }
+
+// PrimaryOrder returns the positions in Sets() of the sets sorted by
+// primary, the order JSON and Hash walk. The slice is shared; callers
+// must not mutate it.
+func (l *List) PrimaryOrder() []int32 { return l.order }
 
 // NumSets returns the number of sets.
 func (l *List) NumSets() int { return len(l.sets) }
@@ -409,17 +424,16 @@ func (l *List) MarshalJSON() ([]byte, error) { return l.JSON(), nil }
 // map keys sorted. The bytes are exactly what encoding/json renders for
 // the schema structs, appended directly into one presized buffer.
 func (l *List) JSON() []byte {
-	ordered := l.byPrimary()
 	n := len(`{"sets":[]}`)
-	for _, s := range ordered {
+	for _, s := range l.sets {
 		n += SetJSONSize(s) + 1
 	}
 	dst := append(make([]byte, 0, n), `{"sets":[`...)
-	for i, s := range ordered {
-		if i > 0 {
+	for k, i := range l.order {
+		if k > 0 {
 			dst = append(dst, ',')
 		}
-		dst = AppendSetJSON(dst, s)
+		dst = AppendSetJSON(dst, l.sets[i])
 	}
 	return append(dst, "]}"...)
 }
@@ -608,49 +622,69 @@ func appendJSONStringBody(dst []byte, s string) []byte {
 	return append(dst, s[start:]...)
 }
 
-// Hash returns a hex SHA-256 digest of the list's semantic content: sets
-// ordered by primary, members in deterministic order, rationales by sorted
-// key. Two lists hash equal iff they describe the same sets, independent of
-// input formatting or set order — the cheap identity check reload/poll
-// loops use to gate a snapshot swap. Each set's NUL-separated framing is
-// appended into one reused buffer and written to the digest once; the map
-// keys are sorted in one reused slice, so the allocations do not grow
-// with the list.
+// Hash returns a hex SHA-256 digest of the list's semantic content: the
+// SHA-256 over each set's SHA-256 digest, sets ordered by primary. A set's
+// digest is taken over its NUL-separated framing: "set", its primary and
+// its contact, then its members in Members() order, then its rationales
+// by sorted key. Two lists hash equal iff they describe the same sets,
+// independent of input formatting or set order — the cheap identity
+// check reload/poll loops use to gate a snapshot swap. Because the hash
+// composes from per-set digests, Revision.Hash gives the same value from
+// the digests its parse kept, framing only the sets that changed.
 func (l *List) Hash() string {
+	var f setFramer
+	return hashDigests(l.order, func(i int32) [sha256.Size]byte { return f.digest(l.sets[i]) })
+}
+
+// hashDigests returns the hex SHA-256 over sum(i) for each i in order.
+func hashDigests(order []int32, sum func(i int32) [sha256.Size]byte) string {
 	h := sha256.New()
-	var buf []byte
-	var keys []string
-	for _, s := range l.byPrimary() {
-		buf = append(buf[:0], "set\x00"...)
-		buf = append(buf, s.Primary...)
-		buf = append(buf, 0)
-		buf = append(buf, s.Contact...)
-		buf = append(buf, 0)
-		// The members in Members() order.
-		buf = appendHashMember(buf, RolePrimary, s.Primary, "")
-		for _, a := range s.Associated {
-			buf = appendHashMember(buf, RoleAssociated, a, "")
-		}
-		for _, v := range s.Service {
-			buf = appendHashMember(buf, RoleService, v, "")
-		}
-		keys = appendSortedKeys(keys[:0], s.CCTLDs)
-		for _, base := range keys {
-			for _, alias := range s.CCTLDs[base] {
-				buf = appendHashMember(buf, RoleCCTLD, alias, base)
-			}
-		}
-		keys = appendSortedKeys(keys[:0], s.RationaleBySite)
-		for _, site := range keys {
-			buf = append(buf, "r\x00"...)
-			buf = append(buf, site...)
-			buf = append(buf, 0)
-			buf = append(buf, s.RationaleBySite[site]...)
-			buf = append(buf, 0)
-		}
-		h.Write(buf)
+	for _, i := range order {
+		d := sum(i)
+		h.Write(d[:])
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// setFramer computes set digests for Hash. Each set's framing is
+// appended into one reused buffer and its map keys are sorted in one
+// reused slice, so the allocations do not grow with the number of sets.
+type setFramer struct {
+	buf  []byte
+	keys []string
+}
+
+// digest returns the SHA-256 of s's framing.
+func (f *setFramer) digest(s *Set) [sha256.Size]byte {
+	buf := append(f.buf[:0], "set\x00"...)
+	buf = append(buf, s.Primary...)
+	buf = append(buf, 0)
+	buf = append(buf, s.Contact...)
+	buf = append(buf, 0)
+	// The members in Members() order.
+	buf = appendHashMember(buf, RolePrimary, s.Primary, "")
+	for _, a := range s.Associated {
+		buf = appendHashMember(buf, RoleAssociated, a, "")
+	}
+	for _, v := range s.Service {
+		buf = appendHashMember(buf, RoleService, v, "")
+	}
+	f.keys = appendSortedKeys(f.keys[:0], s.CCTLDs)
+	for _, base := range f.keys {
+		for _, alias := range s.CCTLDs[base] {
+			buf = appendHashMember(buf, RoleCCTLD, alias, base)
+		}
+	}
+	f.keys = appendSortedKeys(f.keys[:0], s.RationaleBySite)
+	for _, site := range f.keys {
+		buf = append(buf, "r\x00"...)
+		buf = append(buf, site...)
+		buf = append(buf, 0)
+		buf = append(buf, s.RationaleBySite[site]...)
+		buf = append(buf, 0)
+	}
+	f.buf = buf
+	return sha256.Sum256(buf)
 }
 
 // appendHashMember appends one member's framing in Hash.
@@ -664,14 +698,6 @@ func appendHashMember(buf []byte, role Role, site, aliasOf string) []byte {
 	return append(buf, 0)
 }
 
-// byPrimary returns a copy of the list's sets sorted by primary, the
-// order Hash and MarshalJSON walk.
-func (l *List) byPrimary() []*Set {
-	ordered := slices.Clone(l.sets)
-	slices.SortFunc(ordered, func(a, b *Set) int { return strings.Compare(a.Primary, b.Primary) })
-	return ordered
-}
-
 // Version identifies one list revision held by a version store: the
 // list's semantic content hash plus provenance — where the revision came
 // from, when this process obtained it, and the logical time the revision
@@ -679,7 +705,9 @@ func (l *List) byPrimary() []*Set {
 // of provenance; version stores key on Hash and file a re-added revision
 // under its latest provenance.
 type Version struct {
-	// Hash is the list's content hash (List.Hash).
+	// Hash is the list's content hash (List.Hash): the SHA-256 over its
+	// sets' content digests in primary order, which Revision.Hash gives
+	// without framing the sets a revision shares with the one before it.
 	Hash string
 	// Source identifies where the revision came from: a file path, a URL,
 	// "timeline:2023-04" for a bulk-loaded monthly snapshot, or a caller

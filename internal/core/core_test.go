@@ -188,6 +188,30 @@ func TestHash(t *testing.T) {
 	if back.Hash() != h {
 		t.Error("Hash should survive a serialization round trip")
 	}
+	// Nor must the order the sets are given in, which PrimaryOrder
+	// sorts by primary.
+	sets := append([]*Set(nil), l.Sets()...)
+	for i, j := 0, len(sets)-1; i < j; i, j = i+1, j-1 {
+		sets[i], sets[j] = sets[j], sets[i]
+	}
+	reversed, err := NewList(sets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reversed.Hash() != h {
+		t.Error("Hash should not depend on set order")
+	}
+	for _, list := range []*List{l, reversed} {
+		order := list.PrimaryOrder()
+		if len(order) != list.NumSets() {
+			t.Fatalf("PrimaryOrder has %d positions for %d sets", len(order), list.NumSets())
+		}
+		for k := 1; k < len(order); k++ {
+			if a, b := list.Sets()[order[k-1]].Primary, list.Sets()[order[k]].Primary; a >= b {
+				t.Errorf("PrimaryOrder puts %s before %s", a, b)
+			}
+		}
+	}
 	// Any semantic change must move the hash.
 	other := mustParse(t, `{"sets":[{"primary":"https://bild.de","associatedSites":["https://autobild.de"]}]}`)
 	if other.Hash() == h {

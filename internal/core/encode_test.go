@@ -16,13 +16,16 @@ import (
 	"rwskit/internal/dataset"
 )
 
-// hashOracle is List.Hash as first written: one fmt.Fprintf per set,
-// member and rationale. The direct encoder must reproduce its digest.
+// hashOracle is List.Hash written independently: each set's framing by
+// one fmt.Fprintf per field, member and rationale into its own SHA-256,
+// sets ordered by sort.Slice, and the set digests concatenated into one
+// more SHA-256. The direct encoder must reproduce its digest.
 func hashOracle(l *core.List) string {
-	h := sha256.New()
 	ordered := append([]*core.Set(nil), l.Sets()...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Primary < ordered[j].Primary })
+	var sums []byte
 	for _, s := range ordered {
+		h := sha256.New()
 		fmt.Fprintf(h, "set\x00%s\x00%s\x00", s.Primary, s.Contact)
 		for _, m := range s.Members() {
 			fmt.Fprintf(h, "m\x00%d\x00%s\x00%s\x00", int(m.Role), m.Site, m.AliasOf)
@@ -35,8 +38,10 @@ func hashOracle(l *core.List) string {
 		for _, site := range keys {
 			fmt.Fprintf(h, "r\x00%s\x00%s\x00", site, s.RationaleBySite[site])
 		}
+		sums = h.Sum(sums)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(sums)
+	return hex.EncodeToString(sum[:])
 }
 
 // oracleSet mirrors the upstream related_website_sets.JSON schema for
@@ -326,5 +331,30 @@ func BenchmarkParseJSONFrom(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchSink = r
+	}
+}
+
+// BenchmarkRevisionHash combines the content hash of a 10⁴-set revision
+// parsed against the one before it, with 50 sets removed at the front
+// and 50 added at the end: the hash each source takes of a swap_churn
+// revision.
+func BenchmarkRevisionHash(b *testing.B) {
+	const sets, slide = 10000, 50
+	l, err := amplify.Generate(amplify.Config{Sets: sets + slide, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prev, err := core.ParseJSONFrom(listBody(l.Sets()[:sets]...), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rev, err := core.ParseJSONFrom(listBody(l.Sets()[slide:]...), prev)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = rev.Hash()
 	}
 }

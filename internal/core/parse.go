@@ -26,24 +26,35 @@ func ParseJSON(data []byte) (*List, error) {
 	return l, err
 }
 
-// A Revision is a list together with the length and SHA-256 of the bytes
-// each of its sets was decoded from. Only ParseJSONFrom makes one, so the
-// digests always describe the list's own body. It holds no body bytes:
-// ~40B per set on top of the list.
+// A Revision is a list together with, for each of its sets, the length
+// and SHA-256 of the bytes the set was decoded from and the set's content
+// digest in List.Hash. Only ParseJSONFrom makes one, so the byte digests
+// always describe the list's own body. It holds no body bytes: ~72B per
+// set on top of the list.
 type Revision struct {
 	list  *List
 	spans []setSpan // spans[i] covers list.Sets()[i]
 }
 
 // setSpan is the length and SHA-256 of one set's bytes, from its '{' to
-// its '}'.
+// its '}', and the SHA-256 of the set's framing in List.Hash. A set taken
+// or shared from the previous revision carries that revision's content
+// digest; only a set decoded into a new *Set is framed and digested.
 type setSpan struct {
-	sum [sha256.Size]byte
-	n   int
+	sum    [sha256.Size]byte
+	n      int
+	digest [sha256.Size]byte
 }
 
 // List returns the revision's list.
 func (r *Revision) List() *List { return r.list }
+
+// Hash returns the list's content hash, r.List().Hash(), combined from
+// the set digests the parse kept or carried over, without framing any
+// set again.
+func (r *Revision) Hash() string {
+	return hashDigests(r.list.order, func(i int32) [sha256.Size]byte { return r.spans[i].digest })
+}
 
 // ParseJSONFrom is ParseJSON for a revision of prev; a nil prev shares
 // nothing. A set whose bytes have the length and SHA-256 of prev's set at
@@ -53,7 +64,9 @@ func (r *Revision) List() *List { return r.list }
 // that slid or moved. Consecutive revisions therefore share every set
 // that did not change, and a body that rewrote an unchanged set's
 // formatting still shares it. The result hashes and marshals as
-// ParseJSON's does, and errors carry the same text.
+// ParseJSON's does, and errors carry the same text. A set taken or shared
+// keeps prev's content digest, so Revision.Hash frames only the sets that
+// changed.
 func ParseJSONFrom(data []byte, prev *Revision) (*Revision, error) {
 	l, spans, err := parseList(data, prev, true)
 	if err != nil {
@@ -97,7 +110,7 @@ func parseList(data []byte, prev *Revision, digest bool) (*List, []setSpan, erro
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: parsing list JSON: %w", err)
 	}
-	l, err := NewList(sets)
+	l, err := newList(sets)
 	return l, spans, err
 }
 
@@ -117,8 +130,8 @@ func ParseSetJSON(data []byte) (*Set, error) {
 }
 
 // sets scans the "sets" array against prev (see ParseJSONFrom) and
-// returns each set, with its span if digest is set. An error inside a
-// set names the set.
+// returns each set, with its span and content digest if digest is set.
+// An error inside a set names the set.
 func (sc *scanner) sets(prev *Revision, digest bool) ([]*Set, []setSpan, error) {
 	var sets []*Set
 	var spans []setSpan
@@ -143,13 +156,22 @@ func (sc *scanner) sets(prev *Revision, digest bool) ([]*Set, []setSpan, error) 
 			if digest {
 				sp = setSpan{sum: sha256.Sum256(sc.data[start:sc.pos]), n: sc.pos - start}
 			}
+			fresh := true
 			if prev != nil {
 				if old, pos, _, ok := prev.list.Lookup(s.Primary); ok {
 					cur = pos + 1
 					if old.Equal(s) {
-						s = old
+						s, fresh = old, false
+						sp.digest = prev.spans[pos].digest
 					}
 				}
+			}
+			if digest && fresh {
+				// s's strings were copied out of buf, so its framing
+				// can reuse it.
+				sc.framer.buf = sc.buf
+				sp.digest = sc.framer.digest(s)
+				sc.buf = sc.framer.buf
 			}
 		}
 		sets = append(sets, s)
@@ -164,10 +186,10 @@ func (sc *scanner) sets(prev *Revision, digest bool) ([]*Set, []setSpan, error) 
 	return sets, spans, nil
 }
 
-// take returns r's set at position i and its span when rest starts with
-// the bytes that set was decoded from, and nil otherwise. A set's bytes
-// decode the same wherever they stand, so the set is what decoding them
-// again would give.
+// take returns r's set at position i and its span, content digest
+// included, when rest starts with the bytes that set was decoded from,
+// and nil otherwise. A set's bytes decode the same wherever they stand,
+// so the set is what decoding them again would give.
 func (r *Revision) take(i int, rest []byte) (*Set, setSpan) {
 	if r == nil || i >= len(r.spans) {
 		return nil, setSpan{}
@@ -223,6 +245,8 @@ type scanner struct {
 	spans []span
 	// count tallies the spans of each kind in the set being scanned.
 	count [spanCCTLD + 1]int
+	// framer digests each decoded set's content for Revision.Hash.
+	framer setFramer
 }
 
 // errorf reports a syntax error at the cursor.
@@ -404,20 +428,21 @@ var spanNames = [...]string{"contact", "primary", "associatedSites", "serviceSit
 	"rationaleBySite key", "rationaleBySite", "ccTLDs key", "ccTLDs"}
 
 // build turns the scanned spans into a Set. All of the set's strings are
-// substrings of one allocation, and its slices and maps are sized from
-// the span counts. A map key that canonicalizes to one already present is
-// an error, as is a raw duplicate key.
+// substrings of one allocation, its member slices share one backing
+// array, and its maps are sized from the span counts. A map key that
+// canonicalizes to one already present is an error, as is a raw
+// duplicate key.
 func (sc *scanner) build() (*Set, error) {
 	if sc.count[spanPrimary] == 0 {
 		return nil, fmt.Errorf("primary: %w", domain.ErrEmpty)
 	}
 	arena := string(sc.buf)
 	s := &Set{}
-	if n := sc.count[spanAssociated]; n > 0 {
-		s.Associated = make([]string, 0, n)
-	}
-	if n := sc.count[spanService]; n > 0 {
-		s.Service = make([]string, 0, n)
+	// Each member slice is capped at its own length, so an append to one
+	// never writes into the next.
+	var hosts []string
+	if n := sc.count[spanAssociated] + sc.count[spanService] + sc.count[spanCCTLD]; n > 0 {
+		hosts = make([]string, 0, n)
 	}
 	if n := sc.count[spanRationaleKey]; n > 0 {
 		s.RationaleBySite = make(map[string]string, n)
@@ -426,7 +451,13 @@ func (sc *scanner) build() (*Set, error) {
 		s.CCTLDs = make(map[string][]string, n)
 	}
 	var key, rawKey string // the map entry being filled
+	// hosts[from:] is the member slice being filled: the spans of one
+	// array are consecutive.
+	from, last := 0, spanContact
 	for _, sp := range sc.spans {
+		if sp.kind != last {
+			from, last = len(hosts), sp.kind
+		}
 		raw := arena[sp.start:sp.end]
 		switch sp.kind {
 		case spanContact:
@@ -448,9 +479,11 @@ func (sc *scanner) build() (*Set, error) {
 		case spanPrimary:
 			s.Primary = host
 		case spanAssociated:
-			s.Associated = append(s.Associated, host)
+			hosts = append(hosts, host)
+			s.Associated = hosts[from:len(hosts):len(hosts)]
 		case spanService:
-			s.Service = append(s.Service, host)
+			hosts = append(hosts, host)
+			s.Service = hosts[from:len(hosts):len(hosts)]
 		case spanRationaleKey:
 			if _, dup := s.RationaleBySite[host]; dup {
 				return nil, fmt.Errorf("rationaleBySite: duplicate key %q", raw)
@@ -463,7 +496,8 @@ func (sc *scanner) build() (*Set, error) {
 			key, rawKey = host, raw
 			s.CCTLDs[key] = nil // marks the key seen until its aliases arrive
 		case spanCCTLD:
-			s.CCTLDs[key] = append(s.CCTLDs[key], host)
+			hosts = append(hosts, host)
+			s.CCTLDs[key] = hosts[from:len(hosts):len(hosts)]
 		}
 	}
 	// A key with no aliases names no member: drop it, or MarshalJSON

@@ -406,9 +406,10 @@ func editRationale(tb testing.TB, body []byte) []byte {
 }
 
 // checkParseFrom holds ParseJSONFrom(data, prev) to ParseJSON(data): the
-// same error, or lists with the same Hash and MarshalJSON bytes whose
-// sets Equal position by position, so every set taken from prev Equals
-// the set ParseJSON decoded in its place.
+// same error, or lists with the same Hash, which the revision's own Hash
+// also gives, and the same MarshalJSON bytes, whose sets Equal position
+// by position, so every set taken from prev Equals the set ParseJSON
+// decoded in its place.
 func checkParseFrom(t *testing.T, data []byte, prev *core.Revision) {
 	t.Helper()
 	rev, err := core.ParseJSONFrom(data, prev)
@@ -422,6 +423,9 @@ func checkParseFrom(t *testing.T, data []byte, prev *core.Revision) {
 	got := rev.List()
 	if got.Hash() != want.Hash() {
 		t.Fatalf("ParseJSONFrom and ParseJSON hash differently:\n%q", data)
+	}
+	if rev.Hash() != want.Hash() {
+		t.Fatalf("Revision.Hash differs from its list's Hash:\n%q", data)
 	}
 	gb, _ := got.MarshalJSON()
 	wb, _ := want.MarshalJSON()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -327,5 +328,47 @@ func TestParseJSONFromSkipsUnchangedSpans(t *testing.T) {
 			t.Errorf("%s: %.0f allocations over taking every set, %.1f per decoded set: more than %d decodes",
 				row.name, extra, perSet, row.decoded)
 		}
+	}
+}
+
+// TestRevisionHashMatchesListHash: the hash a revision combines from the
+// set digests its parse kept or carried over equals List.Hash of its
+// list, ParseJSON's hash of the body and the oracle's, for revisions
+// that slide, move a set between the front and the back, re-indent every
+// set and edit a rationale at the same length; and again for the
+// previous body parsed back against each of them.
+func TestRevisionHashMatchesListHash(t *testing.T) {
+	pool, err := amplify.Generate(amplify.Config{Sets: 45, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := pool.Sets()
+	prevBody := listBody(sets[:40]...)
+	prev := mustParse(t, string(prevBody), nil)
+	rows := []struct {
+		name string
+		body []byte
+	}{
+		{"slide", listBody(sets[5:45]...)},
+		{"moved front to back", listBody(append(slices.Clone(sets[1:40]), sets[0])...)},
+		{"moved back to front", listBody(append([]*core.Set{sets[39]}, sets[:39]...)...)},
+		{"re-indented", []byte(indent(t, string(prevBody)))},
+		{"rationale edited at the same length", editRationale(t, prevBody)},
+	}
+	check := func(name string, body []byte, rev *core.Revision) {
+		t.Helper()
+		want, err := core.ParseJSON(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, list, fresh, oracle := rev.Hash(), rev.List().Hash(), want.Hash(), hashOracle(want); got != list || got != fresh || got != oracle {
+			t.Errorf("%s: Revision.Hash %.12s, List.Hash %.12s, ParseJSON's %.12s, oracle %.12s", name, got, list, fresh, oracle)
+		}
+	}
+	check("prev", prevBody, prev)
+	for _, row := range rows {
+		rev := mustParse(t, string(row.body), prev)
+		check(row.name, row.body, rev)
+		check(row.name+", then back", prevBody, mustParse(t, string(prevBody), rev))
 	}
 }

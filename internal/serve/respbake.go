@@ -6,9 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"slices"
 	"strconv"
-	"strings"
 	"sync"
 
 	"rwskit/internal/core"
@@ -115,8 +113,8 @@ func appendMembers(dst []byte, ms []core.Member) []byte {
 	return append(dst, ']')
 }
 
-// bakeResponses fills the stats prefix and the /v1/list order and
-// length after the build pass has encoded the per-set fragments.
+// bakeResponses fills the stats prefix and the /v1/list length after
+// the build pass has encoded the per-set fragments.
 func (s *Snapshot) bakeResponses() {
 	// The stats body is constant per snapshot except the two live server
 	// counters; bake everything up to requests_served and splice digits in
@@ -140,18 +138,13 @@ func (s *Snapshot) bakeResponses() {
 
 	// The /v1/list export: the set objects in primary order, joined by
 	// commas inside listHead and listTail.
-	s.respOrder = make([]int32, len(s.sets))
 	n := len(listHead) + len(listTail)
-	for i, frag := range s.respSets {
-		s.respOrder[i] = int32(i)
+	for _, frag := range s.respSets {
 		n += len(frag) + 1
 	}
 	if len(s.sets) > 0 {
 		n-- // no comma before the first set
 	}
-	slices.SortFunc(s.respOrder, func(a, b int32) int {
-		return strings.Compare(s.sets[a].Primary, s.sets[b].Primary)
-	})
 	s.respListLength = []string{strconv.Itoa(n)}
 }
 
@@ -168,7 +161,7 @@ const listStage = 32 << 10
 // the first failed write.
 func (s *Snapshot) writeList(w io.Writer, buf []byte) []byte {
 	buf = append(buf[:0], listHead...)
-	for k, i := range s.respOrder {
+	for k, i := range s.list.PrimaryOrder() {
 		if k > 0 {
 			buf = append(buf, ',')
 		}

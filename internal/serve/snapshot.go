@@ -122,14 +122,12 @@ type Snapshot struct {
 	respMembers     [][]byte
 	respStatsPrefix []byte
 	// respSets is the upstream-schema object per set index
-	// (core.AppendSetJSON), each with cap == len; respOrder is the set
-	// indexes sorted by primary, the order core.List.JSON writes; and
-	// respListLength is the Content-Length of the /v1/list body writeList
-	// joins from them, the canonical list JSON followers poll. A set
-	// shared with the snapshot this one replaced shares its respSets and
-	// respMembers fragments.
+	// (core.AppendSetJSON), each with cap == len, and respListLength is
+	// the Content-Length of the /v1/list body writeList joins from them
+	// in the list's primary order, the canonical list JSON followers
+	// poll. A set shared with the snapshot this one replaced shares its
+	// respSets and respMembers fragments.
 	respSets       [][]byte
-	respOrder      []int32
 	respListLength []string
 
 	info BuildInfo

@@ -15,9 +15,10 @@ import (
 // a touch(1)) never reports a change. Invalidate drops the stat gate but
 // not the hash gate — exactly the SIGHUP contract rws-serve had when
 // this logic lived in its reloader. Each read is parsed against the last
-// revision delivered (core.ParseJSONFrom): a set whose bytes have that
-// revision's span digest is taken without being decoded, and consecutive
-// revisions share every unchanged set.
+// one parsed (core.ParseJSONFrom): a set whose bytes have that revision's
+// span digest is taken without being decoded, consecutive revisions share
+// every unchanged set, and Revision.Hash frames only the sets that
+// changed.
 type FileSource struct {
 	path string
 
@@ -74,11 +75,14 @@ func (f *FileSource) Fetch(ctx context.Context) (*core.List, Meta, error) {
 		return nil, Meta{}, err
 	}
 	f.mtime, f.size, f.statted = fi.ModTime(), fi.Size(), true
-	h := rev.List().Hash()
+	// A rewrite with identical content still becomes the parse base: see
+	// HTTPSource.fetchOnce.
+	h := rev.Hash()
+	f.last = rev
 	if h == f.hash {
 		return nil, Meta{}, ErrNotModified
 	}
-	f.hash, f.last = h, rev
+	f.hash = h
 	return rev.List(), Meta{
 		Location:  f.path,
 		Hash:      h,

@@ -70,9 +70,10 @@ func (c HTTPConfig) withDefaults() HTTPConfig {
 // exponential backoff; 4xx responses and oversized bodies fail
 // immediately. The content-hash gate backstops servers that emit fresh
 // validators for byte-identical content. Each body is parsed against the
-// last revision delivered (core.ParseJSONFrom): a set whose bytes have
-// that revision's span digest is taken without being decoded, and
-// consecutive revisions share every unchanged set.
+// last one parsed (core.ParseJSONFrom): a set whose bytes have that
+// revision's span digest is taken without being decoded, consecutive
+// revisions share every unchanged set, and Revision.Hash frames only the
+// sets that changed.
 type HTTPSource struct {
 	url string
 	cfg HTTPConfig
@@ -220,11 +221,15 @@ func (h *HTTPSource) fetchOnce(ctx context.Context) (*core.List, Meta, error) {
 	h.etag = resp.Header.Get("ETag")
 	h.lastModified = resp.Header.Get("Last-Modified")
 	list := rev.List()
-	hash := list.Hash()
+	// A re-serialized body shares every set with the last revision; it
+	// still becomes the parse base, so the next body's unchanged sets
+	// match the bytes the upstream now serves.
+	hash := rev.Hash()
+	h.last = rev
 	if hash == h.hash {
 		return nil, Meta{}, ErrNotModified
 	}
-	h.hash, h.last = hash, rev
+	h.hash = hash
 	meta := Meta{
 		Location:     h.url,
 		Hash:         hash,

@@ -1,13 +1,19 @@
 package source
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"rwskit/internal/core"
 )
 
 const oneSetJSON = `{"sets":[{"primary":"https://a.com","associatedSites":["https://b.com"]}]}`
@@ -266,6 +272,108 @@ func TestSourcesShareUnchangedSets(t *testing.T) {
 				if (s1 == s2) != shared {
 					t.Errorf("set %s shared = %v, want %v", site, s1 == s2, shared)
 				}
+			}
+		})
+	}
+}
+
+// TestSourcesParseAgainstReserializedBody: a body that re-serializes the
+// last revision is ErrNotModified, but it becomes the parse base, so when
+// one set then changes in the new formatting only that set is decoded.
+// Decodes are counted through allocations, as core's
+// TestParseJSONFromSkipsUnchangedSpans counts them.
+func TestSourcesParseAgainstReserializedBody(t *testing.T) {
+	const n = 40
+	body := func(edited int) string {
+		sets := make([]string, n)
+		for i := range sets {
+			why := "brand"
+			if i == edited {
+				why = "owner"
+			}
+			sets[i] = fmt.Sprintf(`{"primary":"https://s%03d.com","associatedSites":["https://s%03d-a.com"],"rationaleBySite":{"https://s%03d-a.com":%q}}`, i, i, i, why)
+		}
+		return `{"sets":[` + strings.Join(sets, ",") + "]}"
+	}
+	indent := func(body string) string {
+		var out bytes.Buffer
+		if err := json.Indent(&out, []byte(body), "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	parse := func(body string) *core.Revision {
+		rev, err := core.ParseJSONFrom([]byte(body), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rev
+	}
+	allocs := func(body string, prev *core.Revision) float64 {
+		data := []byte(body)
+		return testing.AllocsPerRun(10, func() {
+			if _, err := core.ParseJSONFrom(data, prev); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	compact, reindented, changed := body(-1), indent(body(-1)), indent(body(7))
+	base := allocs(reindented, parse(reindented)) // every set taken
+	perSet := (allocs(reindented, parse(compact)) - base) / n
+	if perSet < 2 {
+		t.Fatalf("decoding a set costs %.1f allocations, too few to count decodes by", perSet)
+	}
+
+	path := filepath.Join(t.TempDir(), "list.json")
+	if err := os.WriteFile(path, []byte(compact), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	file := NewFileSource(path)
+	upstream := &listServer{body: compact, etag: `"v1"`}
+	ts := httptest.NewServer(upstream)
+	defer ts.Close()
+	web := fastHTTP(ts.URL)
+	for name, src := range map[string]Source{"http": web, "file": file} {
+		publish := func(body, etag string) {
+			if name == "http" {
+				upstream.set(body, etag)
+				return
+			}
+			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			file.Invalidate()
+		}
+		last := func() *core.Revision {
+			if name == "http" {
+				web.mu.Lock()
+				defer web.mu.Unlock()
+				return web.last
+			}
+			file.mu.Lock()
+			defer file.mu.Unlock()
+			return file.last
+		}
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			if _, _, err := src.Fetch(ctx); err != nil {
+				t.Fatal(err)
+			}
+			publish(reindented, `"v2"`)
+			if _, _, err := src.Fetch(ctx); !errors.Is(err, ErrNotModified) {
+				t.Fatalf("re-serialized body: err = %v, want ErrNotModified", err)
+			}
+			if extra := allocs(changed, last()) - base; extra > 3*perSet {
+				t.Errorf("one changed set costs %.0f allocations over taking every set, %.1f per decoded set: "+
+					"the parse base is not the re-serialized body", extra, perSet)
+			}
+			publish(changed, `"v3"`)
+			list, _, err := src.Fetch(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s, _, _ := list.FindSet("s007.com"); s == nil || s.RationaleBySite["s007-a.com"] != "owner" {
+				t.Errorf("changed set not delivered: %+v", s)
 			}
 		})
 	}
