@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -114,13 +115,18 @@ func (s *Set) Members() []Member {
 	for _, v := range s.Service {
 		out = append(out, Member{Site: v, Role: RoleService})
 	}
-	for _, base := range appendSortedKeys(nil, s.CCTLDs) {
+	for _, base := range s.AppendCCTLDKeys(nil) {
 		for _, alias := range s.CCTLDs[base] {
 			out = append(out, Member{Site: alias, Role: RoleCCTLD, AliasOf: base})
 		}
 	}
 	return out
 }
+
+// AppendCCTLDKeys appends the set's ccTLD keys, the members that have
+// country-code variants, to dst in sorted order: the order Members lists
+// their variants in.
+func (s *Set) AppendCCTLDKeys(dst []string) []string { return appendSortedKeys(dst, s.CCTLDs) }
 
 // Size returns the total number of member sites including the primary.
 func (s *Set) Size() int {
@@ -201,10 +207,12 @@ var (
 // (ParseJSON canonicalizes them first) and enforcing the upstream
 // invariant that sets are disjoint: no site may appear in more than one
 // set, or twice within one set.
-func NewList(sets []*Set) (*List, error) { return newList(slices.Clone(sets)) }
+func NewList(sets []*Set) (*List, error) { return newList(slices.Clone(sets), nil) }
 
-// newList is NewList on a slice the list may keep.
-func newList(sets []*Set) (*List, error) {
+// newList is NewList on a slice the list may keep. With a non-nil from,
+// the list's primary order is merged from the previous revision's
+// (prevOrder.merge) instead of sorted.
+func newList(sets []*Set, from *prevOrder) (*List, error) {
 	sites := 0
 	for _, s := range sets {
 		if s != nil {
@@ -212,6 +220,7 @@ func newList(sets []*Set) (*List, error) {
 		}
 	}
 	l := &List{sets: sets, index: make(map[string]membership, sites)}
+	var keys []string // one set's sorted ccTLD keys, reused from set to set
 	for i, s := range sets {
 		if s == nil {
 			return nil, fmt.Errorf("%w at index %d", ErrNilSet, i)
@@ -230,7 +239,8 @@ func newList(sets []*Set) (*List, error) {
 				return nil, err
 			}
 		}
-		for _, base := range appendSortedKeys(nil, s.CCTLDs) {
+		keys = s.AppendCCTLDKeys(keys[:0])
+		for _, base := range keys {
 			for _, alias := range s.CCTLDs[base] {
 				if err := l.indexMember(s, pos, alias, RoleCCTLD); err != nil {
 					return nil, err
@@ -238,13 +248,23 @@ func newList(sets []*Set) (*List, error) {
 			}
 		}
 	}
-	// Primaries are distinct, so the order is total.
+	if from != nil {
+		l.order = from.merge(sets)
+		return l, nil
+	}
 	l.order = make([]int32, len(sets))
 	for i := range l.order {
 		l.order[i] = int32(i)
 	}
-	slices.SortFunc(l.order, func(a, b int32) int { return strings.Compare(sets[a].Primary, sets[b].Primary) })
+	sortByPrimary(sets, l.order)
 	return l, nil
+}
+
+// sortByPrimary sorts positions in sets by their sets' primaries. The
+// index holds each site once, so the primaries are distinct and the
+// order is total.
+func sortByPrimary(sets []*Set, pos []int32) {
+	slices.SortFunc(pos, func(a, b int32) int { return strings.Compare(sets[a].Primary, sets[b].Primary) })
 }
 
 // indexMember adds one member of s, the set at position pos, to the
@@ -457,27 +477,44 @@ func MarshalSetJSON(s *Set) ([]byte, error) {
 	return AppendSetJSON(make([]byte, 0, SetJSONSize(s)), s), nil
 }
 
-// SetJSONSize estimates the length of AppendSetJSON's output for s:
-// exact for ASCII content that needs no escapes, and only a starting
-// capacity otherwise.
+// SetJSONSize is the length of AppendSetJSON's output for s when no
+// string needs an escape, and a starting capacity otherwise.
 func SetJSONSize(s *Set) int {
-	const origin = len(`"https://",`)
-	n := len(`{"contact":"","primary":"","associatedSites":[],"serviceSites":[],"rationaleBySite":{},"ccTLDs":{}}`) +
-		len(s.Contact) + len(s.Primary) + origin
-	for _, a := range s.Associated {
-		n += len(a) + origin
+	n := len(`{"primary":}`) + originSize(s.Primary)
+	if s.Contact != "" {
+		n += len(`"contact":"",`) + len(s.Contact)
 	}
-	for _, v := range s.Service {
-		n += len(v) + origin
+	if len(s.Associated) > 0 {
+		n += len(`,"associatedSites":`) + originsSize(s.Associated)
 	}
-	for site, why := range s.RationaleBySite {
-		n += len(site) + origin + len(why) + len(`"":`)
+	if len(s.Service) > 0 {
+		n += len(`,"serviceSites":`) + originsSize(s.Service)
 	}
-	for base, aliases := range s.CCTLDs {
-		n += len(base) + origin + len(`[]:`)
-		for _, a := range aliases {
-			n += len(a) + origin
+	if len(s.RationaleBySite) > 0 {
+		n += len(`,"rationaleBySite":{}`) + len(s.RationaleBySite) - 1
+		for site, why := range s.RationaleBySite {
+			n += originSize(site) + len(`:""`) + len(why)
 		}
+	}
+	if len(s.CCTLDs) > 0 {
+		n += len(`,"ccTLDs":{}`) + len(s.CCTLDs) - 1
+		for base, aliases := range s.CCTLDs {
+			n += originSize(base) + len(`:`) + originsSize(aliases)
+		}
+	}
+	return n
+}
+
+// originSize is the length of appendOrigin's output for host when it
+// needs no escape.
+func originSize(host string) int { return len(`"https://"`) + len(host) }
+
+// originsSize is the length of appendOrigins' output for hosts when none
+// needs an escape.
+func originsSize(hosts []string) int {
+	n := len(`[]`) + max(len(hosts)-1, 0)
+	for _, h := range hosts {
+		n += originSize(h)
 	}
 	return n
 }
@@ -487,6 +524,8 @@ func SetJSONSize(s *Set) int {
 // host in origin form, map keys in sorted order. It is the one encoder of
 // a set: JSON joins its output, and so does the serve plane's /v1/list.
 func AppendSetJSON(dst []byte, s *Set) []byte {
+	// Map keys are sorted on the stack unless a map has more than this.
+	var stack [16]string
 	dst = append(dst, '{')
 	if s.Contact != "" {
 		dst = append(dst, `"contact":`...)
@@ -505,7 +544,7 @@ func AppendSetJSON(dst []byte, s *Set) []byte {
 	}
 	if len(s.RationaleBySite) > 0 {
 		dst = append(dst, `,"rationaleBySite":{`...)
-		for i, site := range appendSortedKeys(nil, s.RationaleBySite) {
+		for i, site := range appendSortedKeys(stack[:0], s.RationaleBySite) {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
@@ -517,7 +556,7 @@ func AppendSetJSON(dst []byte, s *Set) []byte {
 	}
 	if len(s.CCTLDs) > 0 {
 		dst = append(dst, `,"ccTLDs":{`...)
-		for i, base := range appendSortedKeys(nil, s.CCTLDs) {
+		for i, base := range appendSortedKeys(stack[:0], s.CCTLDs) {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
@@ -562,6 +601,45 @@ var jsonSafe = func() (t [utf8.RuneSelf]bool) {
 	return
 }()
 
+// The string kernels, scanner.str and appendJSONStringBody, skip plain
+// ASCII eight bytes at a time: each little-endian word is tested for the
+// bytes the kernel must look at with bitwise arithmetic on all eight
+// bytes at once (SWAR). For a word x, (x-swarOnes)&^x has the high bit
+// set in each zero byte of x, so x = w^(swarOnes*c) flags the bytes
+// equal to c; (w-swarOnes*0x20)&^w flags the bytes below 0x20, and w
+// itself the bytes from 0x80. A borrow can flag a byte only above a
+// byte that truly matches, so the lowest flagged byte is always a true
+// match, and the word's trailing zero bits locate it.
+const (
+	swarOnes = 0x0101010101010101
+	swarHigh = 0x8080808080808080
+)
+
+// strStops flags the bytes of w that scanner.str handles one at a time:
+// '"', '\\', control bytes below 0x20 and non-ASCII bytes.
+func strStops(w uint64) uint64 {
+	q, b := w^(swarOnes*'"'), w^(swarOnes*'\\')
+	return ((w-swarOnes*0x20)&^w | w | (q-swarOnes)&^q | (b-swarOnes)&^b) & swarHigh
+}
+
+// escapeStops flags the bytes of w that jsonSafe does not pass through:
+// strStops' bytes plus the HTML escapes '<', '>' and '&'. '"' (0x22) and
+// '&' (0x26) differ only in bit 2, and '<' (0x3c) and '>' (0x3e) only in
+// bit 1, so setting that bit in every byte tests each pair at once.
+func escapeStops(w uint64) uint64 {
+	qa := (w | swarOnes*4) ^ (swarOnes * '&')
+	lg := (w | swarOnes*2) ^ (swarOnes * '>')
+	b := w ^ (swarOnes * '\\')
+	return ((w-swarOnes*0x20)&^w | w | (qa-swarOnes)&^qa | (lg-swarOnes)&^lg | (b-swarOnes)&^b) & swarHigh
+}
+
+// load64 returns s[i:i+8] as a little-endian word.
+func load64(s string, i int) uint64 {
+	s = s[i : i+8]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
 // AppendJSONString appends the encoding/json encoding of s — including
 // the HTML escapes (<, >, & → \u003c, \u003e, \u0026) and the
 // invalid-UTF-8 and U+2028/U+2029 replacements — so hand-assembled JSON
@@ -572,10 +650,20 @@ func AppendJSONString(dst []byte, s string) []byte {
 	return append(appendJSONStringBody(dst, s), '"')
 }
 
-// appendJSONStringBody is AppendJSONString without the quotes.
+// appendJSONStringBody is AppendJSONString without the quotes. Runs of
+// bytes jsonSafe passes through are skipped a word at a time.
 func appendJSONStringBody(dst []byte, s string) []byte {
 	start := 0
 	for i := 0; i < len(s); {
+		for ; i+8 <= len(s); i += 8 {
+			if m := escapeStops(load64(s, i)); m != 0 {
+				i += bits.TrailingZeros64(m) >> 3
+				break
+			}
+		}
+		if i == len(s) {
+			break
+		}
 		if b := s[i]; b < utf8.RuneSelf {
 			if jsonSafe[b] {
 				i++

@@ -98,7 +98,8 @@ func marshalOracle(l *core.List) ([]byte, error) {
 }
 
 // checkEncoders holds Hash, MarshalJSON and MarshalSetJSON to their
-// oracles byte for byte.
+// oracles byte for byte, and SetJSONSize to the length of each set's
+// encoding when nothing in it is escaped, and below it otherwise.
 func checkEncoders(t *testing.T, l *core.List) {
 	t.Helper()
 	if got, want := l.Hash(), hashOracle(l); got != want {
@@ -127,6 +128,10 @@ func checkEncoders(t *testing.T, l *core.List) {
 		if string(got) != string(want) {
 			t.Fatalf("MarshalSetJSON(%q) = %s, want %s", s.Primary, got, want)
 		}
+		// Only an escape, which always holds a backslash, lengthens a string.
+		if n, escaped := core.SetJSONSize(s), strings.Contains(string(got), `\`); n > len(got) || (n < len(got)) != escaped {
+			t.Fatalf("SetJSONSize(%q) = %d for %d bytes:\n%s", s.Primary, n, len(got), got)
+		}
 	}
 }
 
@@ -152,15 +157,32 @@ func TestEncodersMatchOracles(t *testing.T) {
 	t.Run("empty", func(t *testing.T) { checkEncoders(t, empty) })
 }
 
+// plainRun returns n bytes of plain ASCII, n at most 36.
+func plainRun(n int) string { return "abcdefghijklmnopqrstuvwxyz0123456789"[:n] }
+
 // TestAppendJSONStringMatchesMarshal holds the hand-rolled string
 // encoder to encoding/json byte-for-byte: ASCII, the HTML escapes, every
-// control character, multibyte runes, invalid UTF-8, U+2028/U+2029.
+// control character, multibyte runes, invalid UTF-8, U+2028/U+2029, and
+// a quote, a backslash, NUL, 0x1f, '<', '>', '&', DEL, a 2-byte and a
+// 3-byte rune, U+2028 and an invalid byte each at every offset 0–16 of a
+// plain run, followed by 0, 7 or 9 plain bytes.
 func TestAppendJSONStringMatchesMarshal(t *testing.T) {
 	cases := []string{
 		"", "example.com", "a.example", "with space", "quote\"inside",
 		"back\\slash", "tab\tnewline\nret\r", "\x00\x01\x1f\x7f",
 		"<script>&amp;</script>", "über.de", "日本語.jp", "emoji 🎉 host",
 		" line sep", "bad\xff\xfeutf8", "\xc3", "mixed<&>\xe2\x80",
+	}
+	// The byte classes the encoder must stop at, or (DEL) pass, at every
+	// offset of a plain run, so a word-at-a-time skip that stops a byte
+	// early or late shows.
+	kernelBytes := []string{`"`, `\`, "\x00", "\x1f", "<", ">", "&", "\x7f", "é", "日", "\u2028", "\xff"}
+	for _, k := range kernelBytes {
+		for off := 0; off <= 16; off++ {
+			for _, tail := range []int{0, 7, 9} {
+				cases = append(cases, plainRun(off)+k+plainRun(tail))
+			}
+		}
 	}
 	rng := rand.New(rand.NewSource(9))
 	for n := 0; n < 500; n++ {

@@ -2,8 +2,10 @@ package core
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"unicode/utf8"
 
 	"rwskit/internal/domain"
@@ -81,6 +83,7 @@ func parseList(data []byte, prev *Revision, digest bool) (*List, []setSpan, erro
 	sc := scanner{data: data}
 	var sets []*Set
 	var spans []setSpan
+	var from *prevOrder
 	sawSets := false
 	more, err := sc.first('{', '}')
 	for more && err == nil {
@@ -95,7 +98,7 @@ func parseList(data []byte, prev *Revision, digest bool) (*List, []setSpan, erro
 			err = sc.errorf(`duplicate field "sets"`)
 		default:
 			sawSets = true
-			if sets, spans, err = sc.sets(prev, digest); err != nil {
+			if sets, spans, from, err = sc.sets(prev, digest); err != nil {
 				return nil, nil, err
 			}
 			more, err = sc.next('}')
@@ -110,8 +113,41 @@ func parseList(data []byte, prev *Revision, digest bool) (*List, []setSpan, erro
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: parsing list JSON: %w", err)
 	}
-	l, err := newList(sets)
+	l, err := newList(sets, from)
 	return l, spans, err
+}
+
+// prevOrder records where a parse against a previous revision put that
+// revision's sets: at[p] is the position in the new list of prev's set p,
+// taken or shared through Equal, or -1, and decoded holds the positions
+// of the sets that are not prev's.
+type prevOrder struct {
+	prev    *List
+	at      []int32
+	decoded []int32
+}
+
+// merge returns the primary order of sets, the new list: prev's order
+// less the sets the new list dropped, which is sorted because a kept set
+// has prev's set's primary, merged with the decoded sets sorted by
+// primary. The new list's index holds each primary once, so no two new
+// positions claim one of prev's sets and every set is in the order once.
+func (o *prevOrder) merge(sets []*Set) []int32 {
+	sortByPrimary(sets, o.decoded)
+	order := make([]int32, 0, len(sets))
+	d := o.decoded
+	for _, p := range o.prev.order {
+		i := o.at[p]
+		if i < 0 {
+			continue
+		}
+		for len(d) > 0 && sets[d[0]].Primary < sets[i].Primary {
+			order = append(order, d[0])
+			d = d[1:]
+		}
+		order = append(order, i)
+	}
+	return append(order, d...)
 }
 
 // ParseSetJSON parses a single set object (the payload of an RWS pull
@@ -130,15 +166,21 @@ func ParseSetJSON(data []byte) (*Set, error) {
 }
 
 // sets scans the "sets" array against prev (see ParseJSONFrom) and
-// returns each set, with its span and content digest if digest is set.
-// An error inside a set names the set.
-func (sc *scanner) sets(prev *Revision, digest bool) ([]*Set, []setSpan, error) {
+// returns each set, with its span and content digest if digest is set,
+// and, against a prev, where prev's sets went. An error inside a set
+// names the set.
+func (sc *scanner) sets(prev *Revision, digest bool) ([]*Set, []setSpan, *prevOrder, error) {
 	var sets []*Set
 	var spans []setSpan
+	var from *prevOrder
 	if prev != nil {
 		// A revision is about as long as the one before it.
 		sets = make([]*Set, 0, len(prev.spans))
 		spans = make([]setSpan, 0, len(prev.spans))
+		from = &prevOrder{prev: prev.list, at: make([]int32, len(prev.spans))}
+		for p := range from.at {
+			from.at[p] = -1
+		}
 	}
 	cur := 0 // the cursor: the prev set the next one is tried against
 	more, err := sc.first('[', ']')
@@ -148,10 +190,11 @@ func (sc *scanner) sets(prev *Revision, digest bool) ([]*Set, []setSpan, error) 
 		s, sp := prev.take(cur, sc.data[start:])
 		if s != nil {
 			sc.pos += sp.n
+			from.at[cur] = int32(len(sets))
 			cur++
 		} else {
 			if s, err = sc.set(); err != nil {
-				return nil, nil, fmt.Errorf("core: set %d: %w", len(sets), err)
+				return nil, nil, nil, fmt.Errorf("core: set %d: %w", len(sets), err)
 			}
 			if digest {
 				sp = setSpan{sum: sha256.Sum256(sc.data[start:sc.pos]), n: sc.pos - start}
@@ -163,7 +206,11 @@ func (sc *scanner) sets(prev *Revision, digest bool) ([]*Set, []setSpan, error) 
 					if old.Equal(s) {
 						s, fresh = old, false
 						sp.digest = prev.spans[pos].digest
+						from.at[pos] = int32(len(sets))
 					}
+				}
+				if fresh {
+					from.decoded = append(from.decoded, int32(len(sets)))
 				}
 			}
 			if digest && fresh {
@@ -181,9 +228,9 @@ func (sc *scanner) sets(prev *Revision, digest bool) ([]*Set, []setSpan, error) 
 		more, err = sc.next(']')
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: parsing list JSON: %w", err)
+		return nil, nil, nil, fmt.Errorf("core: parsing list JSON: %w", err)
 	}
-	return sets, spans, nil
+	return sets, spans, from, nil
 }
 
 // take returns r's set at position i and its span, content digest
@@ -512,13 +559,22 @@ func (sc *scanner) build() (*Set, error) {
 
 // str scans the JSON string at the cursor and appends its decoded bytes
 // to buf. Raw control bytes, invalid UTF-8, unknown escapes and unpaired
-// surrogates are errors.
+// surrogates are errors. Plain ASCII is skipped a word at a time.
 func (sc *scanner) str() error {
 	if err := sc.expect('"'); err != nil {
 		return err
 	}
 	start := sc.pos
 	for sc.pos < len(sc.data) {
+		for ; sc.pos+8 <= len(sc.data); sc.pos += 8 {
+			if m := strStops(binary.LittleEndian.Uint64(sc.data[sc.pos:])); m != 0 {
+				sc.pos += bits.TrailingZeros64(m) >> 3
+				break
+			}
+		}
+		if sc.pos == len(sc.data) {
+			break
+		}
 		c := sc.data[sc.pos]
 		switch {
 		case c == '"':

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"rwskit/internal/amplify"
@@ -220,6 +221,52 @@ func TestParseJSONErrors(t *testing.T) {
 	}
 }
 
+// TestParseStringKernelPositions places each byte class the string
+// scanner must stop at, raw or as an escape, at every offset 0–16 of a
+// plain ASCII run in a contact, followed by 0, 7 or 9 plain bytes. A
+// string encoding/json accepts decodes to the same bytes; a raw control
+// byte or invalid UTF-8 is an error at that byte's offset.
+func TestParseStringKernelPositions(t *testing.T) {
+	classes := []struct {
+		name, lit string // lit: the class as it stands inside the string
+		bad       bool   // a syntax error at lit's first byte
+	}{
+		{"escaped quote", `\"`, false}, {"escaped backslash", `\\`, false},
+		{"escaped newline", `\n`, false}, {"escaped e-acute", `\u00e9`, false},
+		{"escaped U+2028", `\u2028`, false}, {"escaped pair", `\ud83c\udf89`, false},
+		{"less", "<", false}, {"greater", ">", false}, {"ampersand", "&", false},
+		{"DEL", "\x7f", false}, {"2-byte rune", "é", false}, {"3-byte rune", "日", false},
+		{"U+2028", "\u2028", false},
+		{"NUL", "\x00", true}, {"0x1f", "\x1f", true}, {"tab", "\t", true},
+		{"invalid byte", "\xff", true}, {"truncated rune", "\xe6\x97", true},
+	}
+	const head, tail = `{"sets":[{"contact":"`, `","primary":"https://a.com"}]}`
+	for _, c := range classes {
+		for off := 0; off <= 16; off++ {
+			for _, after := range []int{0, 7, 9} {
+				body := head + plainRun(off) + c.lit + plainRun(after) + tail
+				l, err := core.ParseJSON([]byte(body))
+				if c.bad {
+					want := fmt.Sprintf("syntax error at byte %d:", len(head)+off)
+					if err == nil || !strings.Contains(err.Error(), want) {
+						t.Errorf("%s at %d+%d: err %v, want %q", c.name, off, after, err, want)
+					}
+					continue
+				}
+				var jl struct{ Sets []struct{ Contact string } }
+				if err := json.Unmarshal([]byte(body), &jl); err != nil {
+					t.Fatalf("%s at %d+%d: encoding/json: %v", c.name, off, after, err)
+				}
+				if err != nil {
+					t.Errorf("%s at %d+%d: %v", c.name, off, after, err)
+				} else if got, want := l.Sets()[0].Contact, jl.Sets[0].Contact; got != want {
+					t.Errorf("%s at %d+%d: contact %q, encoding/json %q", c.name, off, after, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestParseJSONMatchesOracle: on the embedded list and amplified lists
 // from seeds 1–5, compact and indented, ParseJSON and the oracle agree
 // byte for byte, and so do ParseSetJSON and its oracle on every set.
@@ -407,9 +454,10 @@ func editRationale(tb testing.TB, body []byte) []byte {
 
 // checkParseFrom holds ParseJSONFrom(data, prev) to ParseJSON(data): the
 // same error, or lists with the same Hash, which the revision's own Hash
-// also gives, and the same MarshalJSON bytes, whose sets Equal position
-// by position, so every set taken from prev Equals the set ParseJSON
-// decoded in its place.
+// also gives, the same PrimaryOrder, which the parse merged from prev's,
+// and the same MarshalJSON bytes, whose sets Equal position by position,
+// so every set taken from prev Equals the set ParseJSON decoded in its
+// place.
 func checkParseFrom(t *testing.T, data []byte, prev *core.Revision) {
 	t.Helper()
 	rev, err := core.ParseJSONFrom(data, prev)
@@ -426,6 +474,9 @@ func checkParseFrom(t *testing.T, data []byte, prev *core.Revision) {
 	}
 	if rev.Hash() != want.Hash() {
 		t.Fatalf("Revision.Hash differs from its list's Hash:\n%q", data)
+	}
+	if !slices.Equal(got.PrimaryOrder(), want.PrimaryOrder()) {
+		t.Fatalf("ParseJSONFrom's PrimaryOrder %v, ParseJSON's %v:\n%q", got.PrimaryOrder(), want.PrimaryOrder(), data)
 	}
 	gb, _ := got.MarshalJSON()
 	wb, _ := want.MarshalJSON()

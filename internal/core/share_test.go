@@ -333,10 +333,12 @@ func TestParseJSONFromSkipsUnchangedSpans(t *testing.T) {
 
 // TestRevisionHashMatchesListHash: the hash a revision combines from the
 // set digests its parse kept or carried over equals List.Hash of its
-// list, ParseJSON's hash of the body and the oracle's, for revisions
+// list, ParseJSON's hash of the body and the oracle's, and the primary
+// order its parse merged from prev's equals ParseJSON's, for revisions
 // that slide, move a set between the front and the back, re-indent every
-// set and edit a rationale at the same length; and again for the
-// previous body parsed back against each of them.
+// set or one set (decoded into a set Equal to prev's), and edit a
+// rationale at the same length; and again for the previous body parsed
+// back against each of them.
 func TestRevisionHashMatchesListHash(t *testing.T) {
 	pool, err := amplify.Generate(amplify.Config{Sets: 45, Seed: 3})
 	if err != nil {
@@ -353,6 +355,7 @@ func TestRevisionHashMatchesListHash(t *testing.T) {
 		{"moved front to back", listBody(append(slices.Clone(sets[1:40]), sets[0])...)},
 		{"moved back to front", listBody(append([]*core.Set{sets[39]}, sets[:39]...)...)},
 		{"re-indented", []byte(indent(t, string(prevBody)))},
+		{"one set re-indented", reindentSet(t, prevBody, sets[7])},
 		{"rationale edited at the same length", editRationale(t, prevBody)},
 	}
 	check := func(name string, body []byte, rev *core.Revision) {
@@ -364,6 +367,9 @@ func TestRevisionHashMatchesListHash(t *testing.T) {
 		if got, list, fresh, oracle := rev.Hash(), rev.List().Hash(), want.Hash(), hashOracle(want); got != list || got != fresh || got != oracle {
 			t.Errorf("%s: Revision.Hash %.12s, List.Hash %.12s, ParseJSON's %.12s, oracle %.12s", name, got, list, fresh, oracle)
 		}
+		if got := rev.List().PrimaryOrder(); !slices.Equal(got, want.PrimaryOrder()) {
+			t.Errorf("%s: PrimaryOrder %v, ParseJSON's %v", name, got, want.PrimaryOrder())
+		}
 	}
 	check("prev", prevBody, prev)
 	for _, row := range rows {
@@ -371,4 +377,15 @@ func TestRevisionHashMatchesListHash(t *testing.T) {
 		check(row.name, row.body, rev)
 		check(row.name+", then back", prevBody, mustParse(t, string(prevBody), rev))
 	}
+}
+
+// reindentSet returns body with set's bytes re-indented: the set decodes
+// to one Equal to set, but its span no longer matches.
+func reindentSet(t *testing.T, body []byte, set *core.Set) []byte {
+	t.Helper()
+	raw := core.AppendSetJSON(nil, set)
+	if bytes.Count(body, raw) != 1 {
+		t.Fatalf("set %s is not in the body once", set.Primary)
+	}
+	return bytes.Replace(body, raw, []byte(indent(t, string(raw))), 1)
 }

@@ -32,8 +32,9 @@ func Normalize(d string) (string, error) {
 }
 
 // ldhHost is Normalize without the trim and the Unicode lowercasing: it
-// strips one trailing dot, validates the labels, and lowercases the
-// ASCII letters, allocating only if there are uppercase ones.
+// strips one trailing dot and, in one loop over the name, checks each
+// label's length, hyphens and letters and notes any uppercase letter; it
+// lowercases, and so allocates, only if it saw one.
 func ldhHost(d string) (string, error) {
 	d = strings.TrimSuffix(d, ".")
 	if d == "" {
@@ -42,35 +43,61 @@ func ldhHost(d string) (string, error) {
 	if len(d) > 253 {
 		return "", ErrTooLong
 	}
-	for rest, more := d, true; more; {
-		var label string
-		label, rest, more = strings.Cut(rest, ".")
-		if err := checkLabel(label); err != nil {
-			return "", fmt.Errorf("%w: %q in %q", ErrBadLabel, label, d)
+	upper := false
+	start := 0 // the first byte of the label being checked
+	for i := 0; i < len(d); i++ {
+		switch ldhClass[d[i]] {
+		case ldhPlain:
+		case ldhUpper:
+			upper = true
+		case ldhDot:
+			if !ldhLabel(d[start:i]) {
+				return "", badLabel(d, start)
+			}
+			start = i + 1
+		default:
+			return "", badLabel(d, start)
 		}
 	}
-	return strings.ToLower(d), nil
+	if !ldhLabel(d[start:]) {
+		return "", badLabel(d, start)
+	}
+	if upper {
+		return strings.ToLower(d), nil
+	}
+	return d, nil
 }
 
-func checkLabel(label string) error {
-	if len(label) == 0 || len(label) > 63 {
-		return ErrBadLabel
+// The byte classes of ldhHost's loop: letters, digits and '-' need no
+// more than the label checks; anything else is a bad label.
+const (
+	ldhBad = iota
+	ldhPlain
+	ldhUpper
+	ldhDot
+)
+
+var ldhClass = func() (t [256]uint8) {
+	for c := 'a'; c <= 'z'; c++ {
+		t[c], t[c-'a'+'A'] = ldhPlain, ldhUpper
 	}
-	if label[0] == '-' || label[len(label)-1] == '-' {
-		return ErrBadLabel
+	for c := '0'; c <= '9'; c++ {
+		t[c] = ldhPlain
 	}
-	for i := 0; i < len(label); i++ {
-		c := label[i]
-		switch {
-		case c >= 'a' && c <= 'z':
-		case c >= '0' && c <= '9':
-		case c == '-':
-		case c >= 'A' && c <= 'Z': // ldhHost lowercases after the check
-		default:
-			return ErrBadLabel
-		}
-	}
-	return nil
+	t['-'], t['.'] = ldhPlain, ldhDot
+	return
+}()
+
+// ldhLabel reports whether label has 1–63 bytes and neither starts nor
+// ends with '-'; ldhHost has checked its bytes.
+func ldhLabel(label string) bool {
+	return len(label) > 0 && len(label) <= 63 && label[0] != '-' && label[len(label)-1] != '-'
+}
+
+// badLabel is the error for name d's label starting at byte start.
+func badLabel(d string, start int) error {
+	label, _, _ := strings.Cut(d[start:], ".")
+	return fmt.Errorf("%w: %q in %q", ErrBadLabel, label, d)
 }
 
 // Site is a registrable domain (eTLD+1) — the privacy-boundary unit. The
@@ -189,8 +216,16 @@ type HTTPSOrigin struct {
 // and a trailing root dot, and rejects any other scheme, userinfo, port
 // (even an empty one), path, query, or fragment (even an empty "?" or
 // "#"). The host must be an ASCII LDH name, checked as Normalize checks
-// it. One pass, no allocation unless the host needs lowercasing.
+// it. The upstream spelling, a literal "https://" and an LDH host, is
+// checked in one pass over the host, with no allocation unless the host
+// needs lowercasing; any other input, and any error, takes the general
+// path, which decides what is accepted and every error's text.
 func ParseHTTPSOrigin(s string) (HTTPSOrigin, error) {
+	if rest, ok := strings.CutPrefix(s, "https://"); ok {
+		if host, err := ldhHost(strings.TrimSuffix(rest, "/")); err == nil {
+			return HTTPSOrigin{host: host}, nil
+		}
+	}
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return HTTPSOrigin{}, ErrEmpty

@@ -30,6 +30,28 @@ func buildSerial(list *core.List) *Snapshot {
 	return s.finish(start)
 }
 
+// appendMembers is the oracle for appendSetMembers: the /v1/set members
+// array of one set's Members(), exactly as encoding/json renders a
+// []SetMember.
+func appendMembers(dst []byte, ms []core.Member) []byte {
+	dst = append(dst, '[')
+	for i, m := range ms {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"site":`...)
+		dst = core.AppendJSONString(dst, m.Site)
+		dst = append(dst, `,"role":`...)
+		dst = core.AppendJSONString(dst, m.Role.String())
+		if m.AliasOf != "" {
+			dst = append(dst, `,"alias_of":`...)
+			dst = core.AppendJSONString(dst, m.AliasOf)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, ']')
+}
+
 // buildVerdictsSerial fills the partition-verdict tables for one policy
 // by running the fresh-profile simulation once per reachable cell, using
 // the first member pair (in list order, then Members order) exhibiting
@@ -171,7 +193,9 @@ func equalPrebakedTables(t *testing.T, label string, got, want *Snapshot) {
 // TestParallelSnapshotMatchesSerial is the build's equivalence property:
 // builds of one list run in parallel, sharing its host index, and each
 // produces a snapshot semantically identical to the full-scan reference
-// path, over the embedded real list and randomized amplified lists.
+// path, over the embedded real list and randomized amplified lists, one
+// whose escapes outgrow the size estimates, one whose service cells are
+// filled only by its last set and one that never fills a ccTLD cell.
 func TestParallelSnapshotMatchesSerial(t *testing.T) {
 	lists := map[string]*core.List{}
 	embedded, err := dataset.List()
@@ -208,6 +232,26 @@ func TestParallelSnapshotMatchesSerial(t *testing.T) {
 			t.Fatalf("set %s encodes within its size estimate; the escaped list must exceed it", set.Primary)
 		}
 	}
+	// Only the last set has service sites, so every cell with a service
+	// role is filled from it; and with no ccTLDs anywhere, the ccTLD
+	// cells are never filled.
+	amplified := lists["amplified-seed1"]
+	lastOnly := cloneSets(amplified)
+	for _, set := range lastOnly {
+		set.Service = nil
+	}
+	last := lastOnly[len(lastOnly)-1]
+	last.Service = []string{"last-service-1.example", "last-service-2.example"}
+	if lists["service in the last set"], err = core.NewList(lastOnly); err != nil {
+		t.Fatal(err)
+	}
+	noCC := cloneSets(amplified)
+	for _, set := range noCC {
+		set.CCTLDs = nil
+	}
+	if lists["no ccTLDs"], err = core.NewList(noCC); err != nil {
+		t.Fatal(err)
+	}
 
 	const builders = 3
 	for name, list := range lists {
@@ -224,6 +268,21 @@ func TestParallelSnapshotMatchesSerial(t *testing.T) {
 		serial := buildSerial(list)
 		for i, snap := range snaps {
 			equalSnapshots(t, fmt.Sprintf("%s/builder=%d", name, i), snap, serial)
+		}
+		// The arenas are presized exactly unless a string needs escapes.
+		for i, set := range list.Sets() {
+			m, l := len(serial.respMembers[i]), len(serial.respSets[i])
+			if name != "escaped" && (membersJSONSize(set) != m || core.SetJSONSize(set) != l) {
+				t.Errorf("%s: set %s sized (%d, %d), encoded (%d, %d)",
+					name, set.Primary, membersJSONSize(set), core.SetJSONSize(set), m, l)
+			}
+		}
+		cells := &serial.sameSet[policyRWS]
+		if name == "service in the last set" && !cells[core.RoleService][core.RoleService].filled {
+			t.Errorf("%s: the service cells are not filled", name)
+		}
+		if name == "no ccTLDs" && cells[core.RoleCCTLD][core.RoleAssociated].filled {
+			t.Errorf("%s: a ccTLD cell is filled", name)
 		}
 	}
 }

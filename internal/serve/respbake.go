@@ -92,25 +92,56 @@ var sameSetCrossTail = []byte(`,"same_set":false}`)
 // omitempty).
 var setNotFoundTail = []byte(`,"found":false}` + "\n")
 
-// appendMembers appends the /v1/set members array of one set, exactly as
-// encoding/json renders a []SetMember.
-func appendMembers(dst []byte, ms []core.Member) []byte {
-	dst = append(dst, '[')
-	for i, m := range ms {
-		if i > 0 {
-			dst = append(dst, ',')
+// appendSetMembers appends the /v1/set members array of set, exactly as
+// encoding/json renders its []SetMember: the members in Members() order,
+// written from the set's fields. keys are set's ccTLD keys in sorted
+// order.
+func appendSetMembers(dst []byte, set *core.Set, keys []string) []byte {
+	dst = appendMember(append(dst, '['), set.Primary, core.RolePrimary, "")
+	for _, a := range set.Associated {
+		dst = appendMember(append(dst, ','), a, core.RoleAssociated, "")
+	}
+	for _, v := range set.Service {
+		dst = appendMember(append(dst, ','), v, core.RoleService, "")
+	}
+	for _, base := range keys {
+		for _, alias := range set.CCTLDs[base] {
+			dst = appendMember(append(dst, ','), alias, core.RoleCCTLD, base)
 		}
-		dst = append(dst, `{"site":`...)
-		dst = core.AppendJSONString(dst, m.Site)
-		dst = append(dst, `,"role":`...)
-		dst = core.AppendJSONString(dst, m.Role.String())
-		if m.AliasOf != "" {
-			dst = append(dst, `,"alias_of":`...)
-			dst = core.AppendJSONString(dst, m.AliasOf)
-		}
-		dst = append(dst, '}')
 	}
 	return append(dst, ']')
+}
+
+// appendMember appends one SetMember object.
+func appendMember(dst []byte, site string, role core.Role, aliasOf string) []byte {
+	dst = append(dst, `{"site":`...)
+	dst = core.AppendJSONString(dst, site)
+	dst = append(dst, `,"role":`...)
+	dst = core.AppendJSONString(dst, role.String())
+	if aliasOf != "" {
+		dst = append(dst, `,"alias_of":`...)
+		dst = core.AppendJSONString(dst, aliasOf)
+	}
+	return append(dst, '}')
+}
+
+// membersJSONSize is the length of appendSetMembers' output for set when
+// no string needs an escape, and a starting capacity otherwise.
+func membersJSONSize(set *core.Set) int {
+	const member = len(`{"site":"","role":""},`)
+	n := 1 + member + len(set.Primary) + len("primary")
+	for _, a := range set.Associated {
+		n += member + len(a) + len("associated")
+	}
+	for _, v := range set.Service {
+		n += member + len(v) + len("service")
+	}
+	for base, aliases := range set.CCTLDs {
+		for _, a := range aliases {
+			n += member + len(a) + len("cctld") + len(`,"alias_of":""`) + len(base)
+		}
+	}
+	return n
 }
 
 // bakeResponses fills the stats prefix and the /v1/list length after

@@ -36,8 +36,11 @@ var benchSink int
 
 // BenchmarkSnapshotBuildScale measures snapshot construction, one
 // serial pass over the list, at the scale tiers the amplifier targets —
-// the number the million-set serve plane stands on. Gated by
-// rws-benchgate against the committed baseline.
+// the number the million-set serve plane stands on. Each build also
+// computes the list's List.Hash (BuildSnapshot is handed no hash), which
+// a boot through AddList never pays: the source hands it the revision's
+// hash (see BenchmarkBoot). Gated by rws-benchgate against the committed
+// baseline.
 func BenchmarkSnapshotBuildScale(b *testing.B) {
 	for _, tier := range []struct {
 		name string
@@ -54,6 +57,30 @@ func BenchmarkSnapshotBuildScale(b *testing.B) {
 				benchSink = BuildSnapshot(list).NumSites()
 			}
 		})
+	}
+}
+
+// BenchmarkBoot measures what a node does at boot with the list body in
+// hand: parse a 10⁴-set body with no previous revision, hash the
+// revision, and install it through AddList into a fresh store, which
+// builds its first snapshot. It is the work servebench's swap_churn
+// setup_s times, less the HTTP transfer.
+func BenchmarkBoot(b *testing.B) {
+	body := scaleBenchList(b, 10_000).JSON()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rev, err := core.ParseJSONFrom(body, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st := NewStore(DefaultRetain)
+		snap, err := st.AddList(rev.List(), core.Version{Source: "bench", Hash: rev.Hash()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = snap.NumSites()
 	}
 }
 

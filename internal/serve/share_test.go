@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -371,11 +372,35 @@ func TestSharedSetsStayImmutable(t *testing.T) {
 	}
 }
 
+// checkReuse fails unless got, built against prev, aliases prev's member
+// and list fragments exactly for the sets its list shares with prev's by
+// pointer, and returns how many it shares.
+func checkReuse(t *testing.T, name string, got, prev *Snapshot) int {
+	t.Helper()
+	reused := 0
+	for i, set := range got.list.Sets() {
+		old, j, _, ok := prev.list.Lookup(set.Primary)
+		shared := ok && old == set
+		if aliases := ok && &got.respMembers[i][0] == &prev.respMembers[j][0]; aliases != shared {
+			t.Errorf("%s: set %s fragment reused = %v, shared = %v", name, set.Primary, aliases, shared)
+		}
+		if aliases := ok && &got.respSets[i][0] == &prev.respSets[j][0]; aliases != shared {
+			t.Errorf("%s: set %s list fragment reused = %v, shared = %v", name, set.Primary, aliases, shared)
+		}
+		if shared {
+			reused++
+		}
+	}
+	return reused
+}
+
 // TestBuildAgainstPrevMatchesSerial: a snapshot built against the one it
 // replaces equals the full-scan reference build of its list, and its
 // member and list fragments alias prev's exactly for the sets the two
 // lists share by pointer; a set with prev's primary but other members is
-// re-encoded.
+// re-encoded. A parsed revision that moves prev's last set to the front
+// and re-indents another, which the parse shares through Equal, makes the
+// build's cursor into prev resync.
 func TestBuildAgainstPrevMatchesSerial(t *testing.T) {
 	embedded, err := dataset.List()
 	if err != nil {
@@ -412,22 +437,57 @@ func TestBuildAgainstPrevMatchesSerial(t *testing.T) {
 		prev := BuildSnapshot(listA)
 		got := buildSnapshot(listB, "", prev)
 		equalSnapshots(t, name, got, buildSerial(listB))
-		reused := 0
-		for i, set := range listB.Sets() {
-			old, j, _, ok := listA.Lookup(set.Primary)
-			shared := ok && old == set
-			if aliases := ok && &got.respMembers[i][0] == &prev.respMembers[j][0]; aliases != shared {
-				t.Errorf("%s: set %s fragment reused = %v, shared = %v", name, set.Primary, aliases, shared)
-			}
-			if aliases := ok && &got.respSets[i][0] == &prev.respSets[j][0]; aliases != shared {
-				t.Errorf("%s: set %s list fragment reused = %v, shared = %v", name, set.Primary, aliases, shared)
-			}
-			if shared {
-				reused++
-			}
-		}
-		if reused == 0 || edited == 0 {
+		if reused := checkReuse(t, name, got, prev); reused == 0 || edited == 0 {
 			t.Errorf("%s: %d fragments reused, %d sets edited; the lists must exercise both", name, reused, edited)
 		}
 	}
+
+	pool := pools["amplified-seed1"]
+	revA, err := core.ParseJSONFrom(setsBody(t, pool[:100], -1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := append([]*core.Set{pool[99]}, pool[:99]...)
+	edited := pool[50].Clone()
+	edited.Contact = "edited@example.com"
+	moved[51] = edited
+	const reindented = 20
+	revB, err := core.ParseJSONFrom(setsBody(t, moved, reindented), revA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listB := revB.List()
+	if listB.Sets()[0] != revA.List().Sets()[99] {
+		t.Fatal("the moved set is not shared")
+	}
+	if listB.Sets()[reindented] != revA.List().Sets()[reindented-1] {
+		t.Fatal("the re-indented set is not shared through Equal")
+	}
+	prev := BuildSnapshot(revA.List())
+	got := buildSnapshot(listB, revB.Hash(), prev)
+	equalSnapshots(t, "parsed", got, buildSerial(listB))
+	if reused := checkReuse(t, "parsed", got, prev); reused != len(moved)-1 {
+		t.Errorf("parsed: %d fragments reused, want %d", reused, len(moved)-1)
+	}
+}
+
+// setsBody encodes sets as a list body in the order given, the set at
+// index indented (none if negative) re-indented.
+func setsBody(t *testing.T, sets []*core.Set, indented int) []byte {
+	body := []byte(`{"sets":[`)
+	for i, set := range sets {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		raw := core.AppendSetJSON(nil, set)
+		if i == indented {
+			var out bytes.Buffer
+			if err := json.Indent(&out, raw, "", "  "); err != nil {
+				t.Fatal(err)
+			}
+			raw = out.Bytes()
+		}
+		body = append(body, raw...)
+	}
+	return append(body, "]}"...)
 }

@@ -214,36 +214,53 @@ func prebakeMembers(set *core.Set) []SetMember {
 // empty top means the list has no such pair.
 type repPair struct{ top, emb string }
 
-// build is the one serial pass over the sets in list order. It encodes
-// each set's member and list fragments, or reuses prev's when prev's
-// list holds the same *core.Set (sets are immutable once listed), and
-// records the first member pair per (topRole, embRole) combination, the
-// pair the full-scan verdict builder would evaluate first. Each verdict
-// cell then gets one fresh-profile evaluation per policy.
+// reachableCells counts the verdict cells a list can fill: every
+// (topRole, embRole) combination but primary with primary, as a set has
+// one primary.
+const reachableCells = numRoles*numRoles - 1
+
+// build is the one serial walk over the sets in list order. A set that
+// prev's list holds as the same *core.Set (sets are immutable once
+// listed) reuses prev's member and list fragments: a cursor into
+// prev.sets moves in step with the walk, so a set at the cursor needs no
+// lookup, and the set's primary is looked up in prev's list only to
+// resync the cursor. encodeFresh then encodes the other sets. The walk
+// also takes each verdict cell's representative from the first set with
+// the cell's roles (addReps), until every reachable cell is filled; each
+// filled cell then gets one fresh-profile evaluation per policy.
 func (s *Snapshot) build(prev *Snapshot) {
 	var reps [numRoles][numRoles]repPair
-	var fresh []int // indexes of the sets whose list fragment is encoded here
+	var fresh []int32 // the sets encodeFresh encodes, in list order
+	var keys []string // one set's sorted ccTLD keys, reused from set to set
+	filled, membersSize, listSize := 0, 0, 0
+	j := 0 // the cursor: the position in prev.sets of the set expected next
 	for i, set := range s.sets {
-		ms := set.Members()
 		if prev != nil {
-			if old, j, _, ok := prev.list.Lookup(set.Primary); ok && old == set {
-				s.respMembers[i] = prev.respMembers[j]
-				s.respSets[i] = prev.respSets[j]
+			k := j
+			if k >= len(prev.sets) || prev.sets[k] != set {
+				k = -1
+				if _, pos, _, ok := prev.list.Lookup(set.Primary); ok {
+					k = pos
+				}
 			}
-		}
-		if s.respMembers[i] == nil {
-			s.respMembers[i] = appendMembers(nil, ms)
-			fresh = append(fresh, i)
-		}
-		for _, top := range ms {
-			for _, emb := range ms {
-				if r := &reps[top.Role][emb.Role]; top.Site != emb.Site && r.top == "" {
-					*r = repPair{top.Site, emb.Site}
+			if k >= 0 {
+				j = k + 1
+				if prev.sets[k] == set {
+					s.respMembers[i], s.respSets[i] = prev.respMembers[k], prev.respSets[k]
 				}
 			}
 		}
+		if s.respMembers[i] == nil {
+			fresh = append(fresh, int32(i))
+			membersSize += membersJSONSize(set)
+			listSize += core.SetJSONSize(set)
+		}
+		if filled < reachableCells {
+			keys = set.AppendCCTLDKeys(keys[:0])
+			filled += addReps(&reps, set, keys)
+		}
 	}
-	s.encodeSets(fresh)
+	s.encodeFresh(fresh, membersSize, listSize, keys)
 	for pid := range s.policies {
 		live := s.policies[pid].live
 		v := browser.EvaluateFresh(live, "cross-top.invalid", "cross-embedded.invalid")
@@ -259,27 +276,79 @@ func (s *Snapshot) build(prev *Snapshot) {
 	}
 }
 
-// encodeSets fills respSets for the sets at the indexes fresh from one
-// arena, sized by core.SetJSONSize. Each fragment is sliced out once the
-// arena has stopped growing, so an estimate that falls short costs one
-// copy, not a second retained array.
-func (s *Snapshot) encodeSets(fresh []int) {
-	size := 0
+// addReps fills the verdict cells set exhibits that no earlier set did
+// and returns how many it filled. keys are set's sorted ccTLD keys. The
+// full scan over Members() meets a cell's pair first at the top role's
+// first member, against the embedded role's first member, or its second
+// when the two roles are one; so those are the pair taken.
+func addReps(reps *[numRoles][numRoles]repPair, set *core.Set, keys []string) int {
+	var first, second [numRoles]string
+	see := func(r core.Role, site string) {
+		if first[r] == "" {
+			first[r] = site
+		} else if second[r] == "" {
+			second[r] = site
+		}
+	}
+	see(core.RolePrimary, set.Primary)
+	for _, a := range set.Associated {
+		see(core.RoleAssociated, a)
+	}
+	for _, v := range set.Service {
+		see(core.RoleService, v)
+	}
+	for _, base := range keys {
+		for _, alias := range set.CCTLDs[base] {
+			see(core.RoleCCTLD, alias)
+		}
+	}
+	n := 0
+	for r1 := range reps {
+		for r2 := range reps[r1] {
+			pair := repPair{first[r1], first[r2]}
+			if r1 == r2 {
+				pair.emb = second[r1]
+			}
+			if pair.top != "" && pair.emb != "" && reps[r1][r2].top == "" {
+				reps[r1][r2] = pair
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// encodeFresh encodes the member and list fragments of the sets at the
+// indexes fresh in one walk, into two arenas presized to membersSize and
+// listSize bytes; keys is reused for each set's sorted ccTLD keys. Every
+// fragment has cap == len, and is sliced out of its arena once the arena
+// has stopped growing, so a size that falls short (a string that needs
+// escapes) costs one copy, not a second retained array.
+func (s *Snapshot) encodeFresh(fresh []int32, membersSize, listSize int, keys []string) {
+	members := make([]byte, 0, membersSize)
+	list := make([]byte, 0, listSize)
 	for _, i := range fresh {
-		size += core.SetJSONSize(s.sets[i])
+		set := s.sets[i]
+		keys = set.AppendCCTLDKeys(keys[:0])
+		start := len(members)
+		members = appendSetMembers(members, set, keys)
+		s.respMembers[i] = members[start:len(members):len(members)]
+		start = len(list)
+		list = core.AppendSetJSON(list, set)
+		s.respSets[i] = list[start:len(list):len(list)]
 	}
-	arena := make([]byte, 0, size)
-	ends := make([]int, len(fresh))
-	for k, i := range fresh {
-		arena = core.AppendSetJSON(arena, s.sets[i])
-		ends[k] = len(arena)
-	}
+	resliceFragments(s.respMembers, fresh, members)
+	resliceFragments(s.respSets, fresh, list)
+}
+
+// resliceFragments points the fragments at the indexes fresh, which were
+// encoded back to back, into arena.
+func resliceFragments(frags [][]byte, fresh []int32, arena []byte) {
 	start := 0
-	for k, i := range fresh {
-		// The full slice expression keeps an append to one fragment from
-		// writing into the next.
-		s.respSets[i] = arena[start:ends[k]:ends[k]]
-		start = ends[k]
+	for _, i := range fresh {
+		end := start + len(frags[i])
+		frags[i] = arena[start:end:end]
+		start = end
 	}
 }
 
