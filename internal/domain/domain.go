@@ -216,16 +216,9 @@ type HTTPSOrigin struct {
 // and a trailing root dot, and rejects any other scheme, userinfo, port
 // (even an empty one), path, query, or fragment (even an empty "?" or
 // "#"). The host must be an ASCII LDH name, checked as Normalize checks
-// it. The upstream spelling, a literal "https://" and an LDH host, is
-// checked in one pass over the host, with no allocation unless the host
-// needs lowercasing; any other input, and any error, takes the general
-// path, which decides what is accepted and every error's text.
+// it, in one pass over the host (ldhHost), with no allocation unless the
+// host needs lowercasing.
 func ParseHTTPSOrigin(s string) (HTTPSOrigin, error) {
-	if rest, ok := strings.CutPrefix(s, "https://"); ok {
-		if host, err := ldhHost(strings.TrimSuffix(rest, "/")); err == nil {
-			return HTTPSOrigin{host: host}, nil
-		}
-	}
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return HTTPSOrigin{}, ErrEmpty
