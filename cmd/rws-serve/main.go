@@ -106,7 +106,6 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 	// follower: the boot fetch carries the leader's replication headers,
 	// so record the initial sync and advertise the state in /v1/metrics.
 	if meta.Follows() {
-		srv.FollowUpstream(cfg.list)
 		srv.RecordReplicationSwap(meta)
 		fmt.Fprintf(os.Stderr, "rws-serve: following leader %s (version %.12s)\n", cfg.list, meta.UpstreamVersion)
 	}
@@ -215,18 +214,13 @@ func newServer(cfg config, list *core.List, meta source.Meta) (*serve.Server, er
 			capacity = len(tl.Snapshots) + 1
 		}
 		st = serve.NewStore(capacity)
-		boot := time.Now()
 		// AddList's error is always nil: a snapshot build cannot fail.
 		for _, snap := range tl.Snapshots {
 			asOf, err := time.Parse("2006-01", snap.Month)
 			if err != nil {
 				return nil, fmt.Errorf("timeline month %q: %w", snap.Month, err)
 			}
-			st.AddList(snap.List, core.Version{
-				Source:     "timeline:" + snap.Month,
-				ObservedAt: boot,
-				AsOf:       asOf,
-			})
+			st.AddList(snap.List, core.Version{Source: "timeline:" + snap.Month, AsOf: asOf})
 		}
 		fmt.Fprintf(os.Stderr, "rws-serve: timeline preloaded %d monthly versions (%s..%s)\n",
 			st.Len(), tl.Snapshots[0].Month, tl.Final().Month)
@@ -243,12 +237,8 @@ func newServer(cfg config, list *core.List, meta source.Meta) (*serve.Server, er
 	switch {
 	case cfg.amplify > 0:
 		ver.Source = fmt.Sprintf("amplify:%d:seed=%d", cfg.amplify, cfg.amplifySeed)
-		ver.ObservedAt = time.Now()
-		ver.AsOf = ver.ObservedAt
 	case cfg.list == "":
 		ver.Source = "embedded"
-		ver.ObservedAt = time.Now()
-		ver.AsOf = ver.ObservedAt
 		if t, err := time.Parse("2006-01-02", dataset.SnapshotDate); err == nil {
 			ver.AsOf = t
 		}

@@ -311,13 +311,13 @@ func timelineBenchStore(b *testing.B) *Store {
 }
 
 // BenchmarkStoreDiffCached is the memoized diff plane's steady state:
-// every iteration after the first is a cache hit on the whole-window
-// pair. This is what a /v1/diff request pays once the cache is warm.
+// every iteration is a cache hit on the whole-window pair. This is what a /v1/diff request pays once the cache is warm.
 func BenchmarkStoreDiffCached(b *testing.B) {
 	st := timelineBenchStore(b)
 	infos := st.Versions()
 	from, _, _ := st.ByHash(infos[0].Version.Hash)
 	to, _, _ := st.ByHash(infos[len(infos)-1].Version.Hash)
+	st.Diff(from, to) // warm the memo
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -353,6 +353,7 @@ func BenchmarkHandlerDiff(b *testing.B) {
 	u := fmt.Sprintf("/v1/diff?from=%s&to=%s",
 		infos[0].Version.Hash[:12], infos[len(infos)-1].Version.Hash[:12])
 	req := httptest.NewRequest(http.MethodGet, u, nil)
+	s.ServeHTTP(httptest.NewRecorder(), req) // warm the memo
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -365,12 +366,13 @@ func BenchmarkHandlerDiff(b *testing.B) {
 }
 
 // BenchmarkHandlerChurn walks the whole 15-version chain per request —
-// 14 adjacent diffs (all cache hits after the preload), the churn
-// digest, and the JSON encode.
+// 14 adjacent diffs (all cache hits after the warm-up request), the
+// churn digest, and the JSON encode.
 func BenchmarkHandlerChurn(b *testing.B) {
 	st := timelineBenchStore(b)
 	s := NewFromStore(st)
 	req := httptest.NewRequest(http.MethodGet, "/v1/churn?from=2023-01&to=current", nil)
+	s.ServeHTTP(httptest.NewRecorder(), req) // warm the memo
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

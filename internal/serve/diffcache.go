@@ -25,9 +25,12 @@ type diffMemo struct {
 }
 
 // Diff returns the member-level diff from one retained snapshot to
-// another, memoized by content-hash pair: the first request per pair
-// computes core.DiffLists, every later one shares that result.
-// Identical endpoints short-circuit to the empty diff.
+// another, memoized by content-hash pair: the first request per ordered
+// pair computes core.DiffLists, every later one shares that result.
+// Nothing fills a slot ahead of its first request: a swap's adjacent
+// pair is warmed by the swap log's own Diff call (Server.SwapDeliver),
+// and the reverse of a memoized pair is computed when it is first asked
+// for. Identical endpoints short-circuit to the empty diff.
 //
 // A request that finds a slot, filled or in flight, counts a hit; one
 // that registers a slot, or whose pair is no longer retained (evicted
@@ -49,7 +52,7 @@ func (st *Store) Diff(from, to *Snapshot) core.Diff {
 	}
 	st.mu.Lock()
 	m, hit := st.diffs[k]
-	if !hit && st.retainedLocked(from.hash, to.hash) {
+	if !hit && st.entryLocked(from.hash) != nil && st.entryLocked(to.hash) != nil {
 		m = &diffMemo{}
 		st.diffs[k] = m
 	}
@@ -66,32 +69,14 @@ func (st *Store) Diff(from, to *Snapshot) core.Diff {
 	return st.fill(m, from, to)
 }
 
-// fill computes m's diff once and seeds the inverse pair as an
-// already-filled slot when none exists. It never calls into another
-// slot's once: two callers filling a→b and b→a would wait on each other.
+// fill computes m's diff, the from→to pair, once; every caller of the
+// slot shares the result.
 func (st *Store) fill(m *diffMemo, from, to *Snapshot) core.Diff {
 	m.once.Do(func() {
 		st.diffComputes.Add(1)
 		m.d = core.DiffLists(from.list, to.list)
-		inv := &diffMemo{d: m.d.Inverse()}
-		inv.once.Do(func() {}) // filled: its callers must not recompute
-		ik := diffKey{from: to.hash, to: from.hash}
-		st.mu.Lock()
-		if _, ok := st.diffs[ik]; !ok && st.retainedLocked(from.hash, to.hash) {
-			st.diffs[ik] = inv
-		}
-		st.mu.Unlock()
 	})
 	return m.d
-}
-
-// retainedLocked reports whether both hashes are retained versions.
-//
-//rws:locked mu
-func (st *Store) retainedLocked(a, b string) bool {
-	_, aok := st.byHash[a]
-	_, bok := st.byHash[b]
-	return aok && bok
 }
 
 // dropDiffsLocked deletes every memo slot touching hash, the store's
@@ -117,9 +102,8 @@ type DiffCacheMetrics struct {
 	// Invalidations counts slots dropped because a version they
 	// referenced left the store.
 	Invalidations uint64 `json:"invalidations"`
-	// Computes counts real core.DiffLists runs, swap-time fills
-	// included; it stays at one per cold pair no matter how many
-	// concurrent requests raced for it.
+	// Computes counts real core.DiffLists runs; it stays at one per
+	// cold pair no matter how many concurrent requests raced for it.
 	Computes uint64 `json:"computes"`
 }
 

@@ -47,27 +47,20 @@ type ReplicationMetrics struct {
 }
 
 // replState is the mutable follower state behind ReplicationMetrics.
+// The node follows an upstream once m.Upstream is set.
 type replState struct {
-	mu        sync.Mutex
-	following bool               // guarded by mu
-	m         ReplicationMetrics // guarded by mu
-	now       func() time.Time   // guarded by mu: test clock, nil = time.Now
-}
-
-// FollowUpstream marks this server as a follower of the given leader
-// URL; /v1/metrics carries the replication block from then on.
-func (s *Server) FollowUpstream(url string) {
-	s.repl.mu.Lock()
-	s.repl.following = true
-	s.repl.m.Upstream = url
-	s.repl.mu.Unlock()
+	mu  sync.Mutex
+	m   ReplicationMetrics // guarded by mu
+	now func() time.Time   // guarded by mu: test clock, nil = time.Now
 }
 
 // RecordReplicationSwap records a revision synced from the leader:
-// version hash, leader logical time, and the swap-propagation lag
-// derived from the leader's X-RWS-Swapped-At (falling back to its as-of
-// when the leader predates the swap header). Call it after the store
-// swap, with the meta the revision was fetched under.
+// upstream URL (the meta's Location), version hash, leader logical time,
+// and the swap-propagation lag derived from the leader's
+// X-RWS-Swapped-At (falling back to its as-of when the leader predates
+// the swap header). Call it after the store swap, with the meta the
+// revision was fetched under; the boot fetch's call marks the node as a
+// follower, and /v1/metrics carries the replication block from then on.
 func (s *Server) RecordReplicationSwap(meta source.Meta) {
 	s.repl.mu.Lock()
 	defer s.repl.mu.Unlock()
@@ -87,10 +80,7 @@ func (s *Server) RecordReplicationSwap(meta source.Meta) {
 			lag = 0
 		}
 	}
-	s.repl.following = true
-	if s.repl.m.Upstream == "" {
-		s.repl.m.Upstream = meta.Location
-	}
+	s.repl.m.Upstream = meta.Location
 	s.repl.m.VersionHash = meta.Hash
 	s.repl.m.UpstreamAsOf = meta.UpstreamAsOf
 	s.repl.m.SyncedAt = now
@@ -126,7 +116,7 @@ func (s *Server) RecordReplicationPoll(err error) {
 func (s *Server) Replication() *ReplicationMetrics {
 	s.repl.mu.Lock()
 	defer s.repl.mu.Unlock()
-	if !s.repl.following {
+	if s.repl.m.Upstream == "" {
 		return nil
 	}
 	m := s.repl.m

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -59,7 +60,6 @@ func startFollower(t *testing.T, listURL string, poll time.Duration) *follower {
 	if !meta.Follows() {
 		t.Fatal("boot fetch from a leader /v1/list should carry replication headers")
 	}
-	srv.FollowUpstream(listURL)
 	srv.RecordReplicationSwap(meta)
 
 	w := source.NewWatcher(src, poll, list, nil)
@@ -128,6 +128,20 @@ func tinyList(t *testing.T, primary string) *core.List {
 		t.Fatal(err)
 	}
 	return l
+}
+
+// TestNonFollowerReportsNoReplication: a node whose list does not come
+// from a leader's /v1/list counts its polls but reports no replication
+// block: it follows nothing until RecordReplicationSwap names an
+// upstream.
+func TestNonFollowerReportsNoReplication(t *testing.T) {
+	s := New(tinyList(t, "example.com"))
+	s.RecordReplicationPoll(nil)
+	s.RecordReplicationPoll(source.ErrNotModified)
+	s.RecordReplicationPoll(errors.New("fetch failed"))
+	if m := s.Replication(); m != nil {
+		t.Errorf("non-follower replication = %+v, want nil", m)
+	}
 }
 
 // TestFollowerTracksLeader: a follower polling /v1/list converges to the

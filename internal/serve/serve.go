@@ -113,7 +113,7 @@ var endpointNames = [numEndpoints]string{
 // endpointCounters is one endpoint's metrics. All fields are atomics so
 // the read path takes no locks.
 type endpointCounters struct {
-	requests atomic.Uint64
+	requests atomic.Uint64 // counted on entry, so a request in flight is included
 	errors   atomic.Uint64 // responses with status >= 400
 	nanos    atomic.Uint64 // cumulative handler latency
 }
@@ -128,10 +128,9 @@ const maxBatchBody = 1 << 20
 // Server answers RWS queries against a hot-swappable version store of
 // precomputed snapshots.
 type Server struct {
-	store    *Store
-	requests atomic.Uint64
-	metrics  [numEndpoints]endpointCounters
-	mux      *http.ServeMux
+	store   *Store
+	metrics [numEndpoints]endpointCounters
+	mux     *http.ServeMux
 
 	// repl tracks replication state when this node follows a leader's
 	// /v1/list export; nil fields in /v1/metrics otherwise.
@@ -144,7 +143,7 @@ type Server struct {
 func New(list *core.List) *Server {
 	st := NewStore(DefaultRetain)
 	// AddList's error is always nil: a snapshot build cannot fail.
-	st.AddList(list, core.Version{Source: "boot", ObservedAt: time.Now(), AsOf: time.Now()})
+	st.AddList(list, core.Version{Source: "boot"})
 	return NewFromStore(st)
 }
 
@@ -181,25 +180,19 @@ func (s *Server) Snapshot() *Snapshot { return s.store.Current() }
 // SwapDeliver returns a source.Watcher delivery callback that installs
 // each delivered revision into the version store (Meta → Version, whose
 // Hash spares the build a re-hash) and logs to logw its diff from the
-// version served before the install. The snapshot precompute runs on
-// the watcher goroutine, never on the request path.
+// version served before the install. The snapshot precompute and the
+// diff run on the watcher goroutine, never on the request path.
 func (s *Server) SwapDeliver(logw io.Writer) func(source.Swap) {
 	return func(sw source.Swap) {
-		ver := sw.Meta.Version()
-		if ver.ObservedAt.IsZero() {
-			ver.ObservedAt = time.Now()
-		}
-		if ver.AsOf.IsZero() {
-			ver.AsOf = ver.ObservedAt
-		}
 		prev := s.store.Current()
-		snap, _ := s.store.AddList(sw.List, ver) // the error is always nil
+		snap, _ := s.store.AddList(sw.List, sw.Meta.Version()) // the error is always nil
 		if sw.Meta.Follows() {
 			s.RecordReplicationSwap(sw.Meta)
 		}
 		// The diff is taken after the install, from the version served
-		// before it: AddSnapshot has already filled that memo slot, so the
-		// new ETag is never held back by a diff.
+		// before it, so the new ETag is never held back by a diff. It fills
+		// the memo's superseded→current slot, the pair /v1/diff and churn
+		// walks ask for first.
 		fmt.Fprintf(logw, "serve: swapped list from %s (%d sets, hash %.12s): %s\n",
 			sw.Meta.Location, sw.List.NumSets(), snap.hash, s.store.Diff(prev, snap).Summary())
 	}
@@ -207,8 +200,19 @@ func (s *Server) SwapDeliver(logw io.Writer) func(source.Swap) {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	s.mux.ServeHTTP(w, r)
+}
+
+// requestsServed sums the per-endpoint request counters: every request
+// that reached a handler, the one asking included. A request ServeMux
+// answers itself, such as the redirect to a cleaned path, reaches no
+// handler and is not counted.
+func (s *Server) requestsServed() uint64 {
+	var n uint64
+	for i := range s.metrics {
+		n += s.metrics[i].requests.Load()
+	}
+	return n
 }
 
 // statusWriter records the status code a handler wrote, for the error
@@ -233,11 +237,11 @@ func (w *statusWriter) WriteHeader(status int) {
 func (s *Server) instrument(id endpointID, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
+		m := &s.metrics[id]
+		m.requests.Add(1)
 		sw := statusWriterPool.Get().(*statusWriter)
 		sw.ResponseWriter, sw.status = w, http.StatusOK
 		h(sw, r)
-		m := &s.metrics[id]
-		m.requests.Add(1)
 		m.nanos.Add(uint64(time.Since(start).Nanoseconds()))
 		if sw.status >= 400 {
 			m.errors.Add(1)
@@ -593,7 +597,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rb := getRespBuf()
-	rb.b = snap.appendStats(rb.b[:0], s.requests.Load(), s.store.Swaps())
+	rb.b = snap.appendStats(rb.b[:0], s.requestsServed(), s.store.Swaps())
 	writeResp(w, rb, q.pretty())
 }
 
@@ -620,6 +624,7 @@ type VersionHits struct {
 
 // MetricsResponse answers /v1/metrics.
 type MetricsResponse struct {
+	// Requests is the sum of the Endpoints' request counters.
 	Requests     uint64 `json:"requests_served"`
 	ListSwaps    uint64 `json:"list_swaps"`
 	SnapshotHash string `json:"snapshot_hash"`
@@ -646,7 +651,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	cur := s.Snapshot() // one load: the hash and build info must name the same snapshot
 	infos := s.store.Versions()
 	resp := MetricsResponse{
-		Requests:         s.requests.Load(),
 		ListSwaps:        s.store.Swaps(),
 		SnapshotHash:     cur.hash,
 		SnapshotBuild:    cur.info,
@@ -677,6 +681,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		if em.Requests > 0 {
 			em.MeanLatencyMicros = float64(em.TotalLatencyMicros) / float64(em.Requests)
 		}
+		// requests_served is the sum of the counters listed here, so the
+		// response agrees with itself under concurrent traffic.
+		resp.Requests += em.Requests
 		resp.Endpoints = append(resp.Endpoints, em)
 	}
 	writeJSON(w, http.StatusOK, resp, q.pretty())
@@ -767,8 +774,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	fromSnap.requests.Add(1)
 	toSnap.requests.Add(1)
 	// The diff plane is memoized: the first request per (from, to) hash
-	// pair computes DiffLists, every later one (and the swap-precomputed
-	// adjacent pairs) is a cache hit.
+	// pair computes DiffLists, every later one is a cache hit.
 	d := s.store.Diff(fromSnap, toSnap)
 	writeJSON(w, http.StatusOK, DiffResponse{
 		From:           versionResponse(VersionInfo{Version: fromVer, Sets: fromSnap.NumSets(), Sites: fromSnap.NumSites()}),

@@ -163,6 +163,18 @@ func TestStatsAndCounters(t *testing.T) {
 	if body.Requests < 4 {
 		t.Errorf("requests_served = %d, want >= 4", body.Requests)
 	}
+	// /v1/metrics derives requests_served from its per-endpoint counters.
+	var m MetricsResponse
+	if code := getJSON(t, ts.URL+"/v1/metrics", &m); code != http.StatusOK {
+		t.Fatalf("metrics status = %d", code)
+	}
+	var sum uint64
+	for _, em := range m.Endpoints {
+		sum += em.Requests
+	}
+	if m.Requests != sum || m.Requests < body.Requests+1 {
+		t.Errorf("metrics requests_served = %d, per-endpoint sum %d, stats read %d: want the sum, above the stats count", m.Requests, sum, body.Requests)
+	}
 }
 
 // TestParsePairsLenient: harmless sloppiness — trailing or doubled
@@ -486,6 +498,12 @@ func TestDiffEndpointMatchesDiffLists(t *testing.T) {
 				t.Errorf("diff echo = %s→%s, want %s→%s", body.From.Hash, body.To.Hash, from.Version.Hash, to.Version.Hash)
 			}
 		}
+	}
+	// Every ordered pair of distinct versions was computed once, when it
+	// was first asked for, and nothing else was.
+	n := uint64(len(infos))
+	if m := s.store.diffMetrics(); m.Computes != n*(n-1) || m.Entries != int(n*(n-1)) {
+		t.Errorf("memo after the all-pairs sweep = %+v, want %d computes and entries", m, n*(n-1))
 	}
 }
 
@@ -822,39 +840,30 @@ func TestMetricsDiffCacheAndVersionHits(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/metrics", &m0); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	// The timeline preload precomputed every adjacent pair (both
-	// directions, one DiffLists run each) at install time.
-	if want := 2 * (len(infos) - 1); m0.DiffCache.Entries != want {
-		t.Errorf("diff memo entries = %d, want %d swap-precomputed adjacents", m0.DiffCache.Entries, want)
-	}
-	if want := uint64(len(infos) - 1); m0.DiffCache.Computes != want {
-		t.Errorf("diff memo computes = %d, want %d", m0.DiffCache.Computes, want)
+	// Installs compute no diff: the timeline preload leaves the memo
+	// empty.
+	if m0.DiffCache.Entries != 0 || m0.DiffCache.Computes != 0 {
+		t.Errorf("diff memo after the preload = %+v, want 0 entries and 0 computes", m0.DiffCache)
 	}
 
-	// An adjacent diff is a pure hit; a distant pair misses then hits.
+	// Adjacent or distant, a pair misses and computes on its first
+	// request and hits on the next.
 	adjacentURL := fmt.Sprintf("%s/v1/diff?from=%s&to=%s", ts.URL, infos[0].Version.Hash[:12], infos[1].Version.Hash[:12])
 	distantURL := fmt.Sprintf("%s/v1/diff?from=%s&to=%s", ts.URL, first[:12], last[:12])
-	var d DiffResponse
-	if code := getJSON(t, adjacentURL, &d); code != http.StatusOK {
-		t.Fatalf("adjacent diff status %d", code)
-	}
-	var m1 MetricsResponse
-	getJSON(t, ts.URL+"/v1/metrics", &m1)
-	if m1.DiffCache.Hits != m0.DiffCache.Hits+1 || m1.DiffCache.Misses != m0.DiffCache.Misses {
-		t.Errorf("adjacent diff: hits %d→%d misses %d→%d, want one hit and no miss",
-			m0.DiffCache.Hits, m1.DiffCache.Hits, m0.DiffCache.Misses, m1.DiffCache.Misses)
-	}
-	if code := getJSON(t, distantURL, &d); code != http.StatusOK {
-		t.Fatalf("distant diff status %d", code)
-	}
-	if code := getJSON(t, distantURL, &d); code != http.StatusOK {
-		t.Fatalf("distant diff status %d", code)
-	}
-	var m2 MetricsResponse
-	getJSON(t, ts.URL+"/v1/metrics", &m2)
-	if m2.DiffCache.Misses != m1.DiffCache.Misses+1 || m2.DiffCache.Hits != m1.DiffCache.Hits+1 {
-		t.Errorf("distant pair: hits %d→%d misses %d→%d, want one miss then one hit",
-			m1.DiffCache.Hits, m2.DiffCache.Hits, m1.DiffCache.Misses, m2.DiffCache.Misses)
+	for _, u := range []string{adjacentURL, distantURL} {
+		var before, after MetricsResponse
+		getJSON(t, ts.URL+"/v1/metrics", &before)
+		for i := 0; i < 2; i++ {
+			var d DiffResponse
+			if code := getJSON(t, u, &d); code != http.StatusOK {
+				t.Fatalf("%s: status %d", u, code)
+			}
+		}
+		getJSON(t, ts.URL+"/v1/metrics", &after)
+		b, a := before.DiffCache, after.DiffCache
+		if a.Misses != b.Misses+1 || a.Hits != b.Hits+1 || a.Computes != b.Computes+1 || a.Entries != b.Entries+1 {
+			t.Errorf("%s twice: memo %+v → %+v, want one miss, one hit, one compute and one new entry", u, b, a)
+		}
 	}
 
 	// Per-version hits: pin a version, then find its counter.

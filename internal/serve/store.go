@@ -3,7 +3,9 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,12 +22,6 @@ const DefaultRetain = 8
 // retained version).
 var ErrVersionNotFound = errors.New("serve: no such version")
 
-// storeEntry pairs one retained snapshot with its version descriptor.
-type storeEntry struct {
-	ver  core.Version
-	snap *Snapshot
-}
-
 // VersionInfo describes one retained version for listings.
 type VersionInfo struct {
 	Version core.Version
@@ -37,8 +33,9 @@ type VersionInfo struct {
 	Requests uint64
 }
 
-// ChainEntry is one link of a version chain walk: a retained snapshot
-// paired with its descriptor, in as-of order.
+// ChainEntry is one retained version: a snapshot paired with its
+// descriptor. The store keeps one per retained revision, and Chain
+// returns copies of them in as-of order.
 type ChainEntry struct {
 	Version core.Version
 	Snap    *Snapshot
@@ -60,12 +57,11 @@ type Store struct {
 	swaps atomic.Uint64
 
 	mu      sync.RWMutex
-	entries []*storeEntry          // guarded by mu; insertion order, oldest first
-	byHash  map[string]*storeEntry // guarded by mu
+	entries []ChainEntry // guarded by mu; insertion order, oldest first
 	cap     int
 
 	// diffs is the diff memo (diffcache.go): one slot per ordered pair
-	// of retained hashes that was asked for or swapped through.
+	// of retained hashes that Diff was asked for.
 	diffs map[diffKey]*diffMemo // guarded by mu
 
 	diffHits, diffMisses, diffInvalidations, diffComputes atomic.Uint64
@@ -79,9 +75,8 @@ func NewStore(capacity int) *Store {
 		capacity = DefaultRetain
 	}
 	return &Store{
-		byHash: make(map[string]*storeEntry, capacity),
-		diffs:  make(map[diffKey]*diffMemo),
-		cap:    capacity,
+		diffs: make(map[diffKey]*diffMemo),
+		cap:   capacity,
 	}
 }
 
@@ -115,11 +110,20 @@ func (st *Store) Swaps() uint64 { return st.swaps.Load() }
 // the request path. A snapshot build cannot fail, so the error is always
 // nil; the signature keeps it for existing callers.
 //
-// A non-empty ver.Hash must equal list.Hash(): AddList trusts it and
-// hashes the list itself only when it is empty. A source's Meta.Version()
-// carries the hash the source already computed to gate the fetch, so a
-// delivered revision is hashed once.
+// AddList fills in a version's defaults: a zero ver.ObservedAt becomes
+// the time of the call, and a zero ver.AsOf becomes ver.ObservedAt. A
+// non-empty ver.Hash must equal list.Hash(): AddList trusts it and
+// hashes the list itself only when it is empty. A source's
+// Meta.Version() carries the hash the source already computed to gate
+// the fetch, so a delivered revision is hashed once. AddList computes no
+// diff: a pair's diff is computed when Diff first asks for it.
 func (st *Store) AddList(list *core.List, ver core.Version) (*Snapshot, error) {
+	if ver.ObservedAt.IsZero() {
+		ver.ObservedAt = time.Now()
+	}
+	if ver.AsOf.IsZero() {
+		ver.AsOf = ver.ObservedAt
+	}
 	snap := buildSnapshot(list, ver.Hash, st.cur.Load())
 	st.AddSnapshot(snap, ver)
 	return snap, nil
@@ -136,48 +140,39 @@ func (st *Store) AddList(list *core.List, ver core.Version) (*Snapshot, error) {
 // unversioned requests are served from, at the cost of the revision's
 // earlier as-of point (a bounded content-keyed store cannot represent
 // re-install intervals). When the store is full, the oldest non-current
-// version is evicted.
+// version is evicted. ver is stored as given, apart from its Hash.
 func (st *Store) AddSnapshot(snap *Snapshot, ver core.Version) {
 	ver.Hash = snap.hash
 	st.mu.Lock()
-	e, ok := st.byHash[snap.hash]
-	if ok {
-		if e.snap != snap {
+	defer st.mu.Unlock()
+	if e := st.entryLocked(snap.hash); e != nil {
+		if e.Snap != snap {
 			// Adopting a fresh snapshot instance for a retained hash:
 			// carry the hit counter over so per-version metrics survive a
 			// re-add.
-			snap.requests.Add(e.snap.requests.Load())
+			snap.requests.Add(e.Snap.requests.Load())
 		}
-		e.snap = snap
-		e.ver = ver
+		e.Version, e.Snap = ver, snap
 	} else {
-		e = &storeEntry{ver: ver, snap: snap}
-		st.entries = append(st.entries, e)
-		st.byHash[snap.hash] = e
+		st.entries = append(st.entries, ChainEntry{Version: ver, Snap: snap})
 	}
-	prev := st.cur.Load()
-	st.cur.Store(snap)
-	st.evictLocked()
-	// Swap-time adjacent-pair precompute: the superseded→current diff is
-	// the pair the watcher log, /v1/diff and churn walks ask for first.
-	// Its slot is registered here, inside the install's locked region,
-	// and filled on the swap caller after unlocking — never on the request
-	// path. A pair a flapping source already left in the memo is not
-	// recomputed, and a retain-1 store, which supersedes and evicts prev
-	// in one motion, registers nothing.
-	var fill *diffMemo
-	if prev != nil && prev.hash != snap.hash {
+	if prev := st.cur.Swap(snap); prev != nil && prev.hash != snap.hash {
 		st.swaps.Add(1)
-		k := diffKey{from: prev.hash, to: snap.hash}
-		if _, ok := st.diffs[k]; !ok && st.retainedLocked(prev.hash, snap.hash) {
-			fill = &diffMemo{}
-			st.diffs[k] = fill
+	}
+	st.evictLocked()
+}
+
+// entryLocked returns the retained entry for hash, nil when there is
+// none. A linear scan: the store retains a handful of versions.
+//
+//rws:locked mu
+func (st *Store) entryLocked(hash string) *ChainEntry {
+	for i := range st.entries {
+		if st.entries[i].Version.Hash == hash {
+			return &st.entries[i]
 		}
 	}
-	st.mu.Unlock()
-	if fill != nil {
-		st.fill(fill, prev, snap)
-	}
+	return nil
 }
 
 // evictLocked drops the oldest non-current versions until the store is
@@ -188,23 +183,16 @@ func (st *Store) AddSnapshot(snap *Snapshot, ver core.Version) {
 func (st *Store) evictLocked() {
 	cur := st.cur.Load()
 	for len(st.entries) > st.cap {
-		evicted := false
-		for i, e := range st.entries {
-			if e.snap == cur {
-				continue
-			}
-			delete(st.byHash, e.ver.Hash)
-			st.entries = append(st.entries[:i], st.entries[i+1:]...)
-			// Drop every memoized diff touching the evicted version: no
-			// retained version can request it any more, and the memo must
-			// not pin memory for hashes the store no longer serves.
-			st.dropDiffsLocked(e.ver.Hash)
-			evicted = true
-			break
-		}
-		if !evicted {
+		i := slices.IndexFunc(st.entries, func(e ChainEntry) bool { return e.Snap != cur })
+		if i < 0 {
 			return
 		}
+		hash := st.entries[i].Version.Hash
+		st.entries = slices.Delete(st.entries, i, i+1)
+		// Drop every memoized diff touching the evicted version: no
+		// retained version can request it any more, and the memo must
+		// not pin memory for hashes the store no longer serves.
+		st.dropDiffsLocked(hash)
 	}
 }
 
@@ -223,21 +211,14 @@ func (st *Store) Chain(from, to core.Version) ([]ChainEntry, error) {
 	if len(st.entries) == 0 {
 		return nil, fmt.Errorf("%w: store is empty", ErrVersionNotFound)
 	}
-	if from.Hash != "" {
-		if _, ok := st.byHash[from.Hash]; !ok {
-			return nil, fmt.Errorf("%w: from version %s was evicted", ErrVersionNotFound, from.ID())
-		}
+	if from.Hash != "" && st.entryLocked(from.Hash) == nil {
+		return nil, fmt.Errorf("%w: from version %s was evicted", ErrVersionNotFound, from.ID())
 	}
-	if to.Hash != "" {
-		if _, ok := st.byHash[to.Hash]; !ok {
-			return nil, fmt.Errorf("%w: to version %s was evicted", ErrVersionNotFound, to.ID())
-		}
+	if to.Hash != "" && st.entryLocked(to.Hash) == nil {
+		return nil, fmt.Errorf("%w: to version %s was evicted", ErrVersionNotFound, to.ID())
 	}
 	cur := st.cur.Load()
-	ordered := make([]ChainEntry, 0, len(st.entries))
-	for _, e := range st.entries {
-		ordered = append(ordered, ChainEntry{Version: e.ver, Snap: e.snap})
-	}
+	ordered := slices.Clone(st.entries)
 	sort.SliceStable(ordered, func(i, j int) bool {
 		return ordered[i].Version.AsOf.Before(ordered[j].Version.AsOf)
 	})
@@ -275,11 +256,11 @@ func (st *Store) Chain(from, to core.Version) ([]ChainEntry, error) {
 func (st *Store) versionOf(snap *Snapshot) (core.Version, bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	e, ok := st.byHash[snap.hash]
-	if !ok {
+	e := st.entryLocked(snap.hash)
+	if e == nil {
 		return core.Version{}, false
 	}
-	return e.ver, true
+	return e.Version, true
 }
 
 // Versions lists the retained versions, oldest first.
@@ -290,11 +271,11 @@ func (st *Store) Versions() []VersionInfo {
 	out := make([]VersionInfo, 0, len(st.entries))
 	for _, e := range st.entries {
 		out = append(out, VersionInfo{
-			Version:  e.ver,
-			Sets:     e.snap.NumSets(),
-			Sites:    e.snap.NumSites(),
-			Current:  e.snap == cur,
-			Requests: e.snap.requests.Load(),
+			Version:  e.Version,
+			Sets:     e.Snap.NumSets(),
+			Sites:    e.Snap.NumSites(),
+			Current:  e.Snap == cur,
+			Requests: e.Snap.requests.Load(),
 		})
 	}
 	return out
@@ -312,7 +293,7 @@ func (st *Store) ByHash(spec string) (*Snapshot, core.Version, error) {
 		st.mu.RLock()
 		cur := st.cur.Load()
 		if cur != nil {
-			ver = st.byHash[cur.hash].ver
+			ver = st.entryLocked(cur.hash).Version
 		}
 		st.mu.RUnlock()
 		if cur == nil {
@@ -328,11 +309,12 @@ func (st *Store) ByHash(spec string) (*Snapshot, core.Version, error) {
 	}
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	var found *storeEntry
-	for _, e := range st.entries {
-		if len(spec) <= len(e.ver.Hash) && e.ver.Hash[:len(spec)] == spec {
+	var found *ChainEntry
+	for i := range st.entries {
+		e := &st.entries[i]
+		if strings.HasPrefix(e.Version.Hash, spec) {
 			if found != nil {
-				return nil, core.Version{}, fmt.Errorf("version %q is ambiguous (%s and %s)", spec, found.ver.ID(), e.ver.ID())
+				return nil, core.Version{}, fmt.Errorf("version %q is ambiguous (%s and %s)", spec, found.Version.ID(), e.Version.ID())
 			}
 			found = e
 		}
@@ -340,7 +322,7 @@ func (st *Store) ByHash(spec string) (*Snapshot, core.Version, error) {
 	if found == nil {
 		return nil, core.Version{}, fmt.Errorf("%w: %s", ErrVersionNotFound, spec)
 	}
-	return found.snap, found.ver, nil
+	return found.Snap, found.Version, nil
 }
 
 // AsOf resolves the version in force at t: the retained version with the
@@ -349,19 +331,20 @@ func (st *Store) ByHash(spec string) (*Snapshot, core.Version, error) {
 func (st *Store) AsOf(t time.Time) (*Snapshot, core.Version, error) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	var found *storeEntry
-	for _, e := range st.entries {
-		if e.ver.AsOf.After(t) {
+	var found *ChainEntry
+	for i := range st.entries {
+		e := &st.entries[i]
+		if e.Version.AsOf.After(t) {
 			continue
 		}
-		if found == nil || !e.ver.AsOf.Before(found.ver.AsOf) {
+		if found == nil || !e.Version.AsOf.Before(found.Version.AsOf) {
 			found = e
 		}
 	}
 	if found == nil {
 		return nil, core.Version{}, fmt.Errorf("%w: no version as of %s", ErrVersionNotFound, t.Format(time.RFC3339))
 	}
-	return found.snap, found.ver, nil
+	return found.Snap, found.Version, nil
 }
 
 // Resolve resolves a version spec of any spelling: "" or "current", an

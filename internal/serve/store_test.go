@@ -90,6 +90,24 @@ func TestStoreAddCurrentAndSwaps(t *testing.T) {
 	}
 }
 
+// TestAddListVersionDefaults: AddList fills a zero ObservedAt with the
+// install time and a zero AsOf with ObservedAt, and keeps an AsOf that
+// is set.
+func TestAddListVersionDefaults(t *testing.T) {
+	st := NewStore(4)
+	before := time.Now()
+	mustAdd(t, st, listWithPrimary(t, "alpha"), core.Version{Source: "zero"})
+	ver := currentVersion(st)
+	if ver.ObservedAt.Before(before) || ver.ObservedAt.After(time.Now()) || !ver.AsOf.Equal(ver.ObservedAt) {
+		t.Errorf("defaulted version = %+v, want ObservedAt at the install and AsOf equal to it", ver)
+	}
+	jan := monthVersion("2023-01").AsOf
+	mustAdd(t, st, listWithPrimary(t, "beta"), core.Version{Source: "as-of only", AsOf: jan})
+	if ver := currentVersion(st); ver.ObservedAt.IsZero() || !ver.AsOf.Equal(jan) {
+		t.Errorf("version with AsOf set = %+v, want the given AsOf and a filled ObservedAt", ver)
+	}
+}
+
 // TestStoreDedupByHash: re-adding a retained content hash must not grow
 // the store, must not count a swap when it is already current, and must
 // re-file the revision under its latest provenance so as-of resolution
@@ -201,11 +219,9 @@ func TestStoreByHashResolution(t *testing.T) {
 func TestStoreByHashAmbiguous(t *testing.T) {
 	st := NewStore(4)
 	for _, h := range []string{"deadbeef0000", "deadbeef1111"} {
-		e := &storeEntry{ver: core.Version{Hash: h}, snap: &Snapshot{hash: h}}
-		st.entries = append(st.entries, e)
-		st.byHash[h] = e
+		st.entries = append(st.entries, ChainEntry{Version: core.Version{Hash: h}, Snap: &Snapshot{hash: h}})
 	}
-	st.cur.Store(st.entries[0].snap)
+	st.cur.Store(st.entries[0].Snap)
 	if _, _, err := st.ByHash("deadbeef"); err == nil || errors.Is(err, ErrVersionNotFound) {
 		t.Errorf("ambiguous prefix: err = %v, want an ambiguity error", err)
 	}
@@ -309,12 +325,16 @@ func TestStoreConcurrentAddAndResolve(t *testing.T) {
 }
 
 // TestStoreDiffMemoization: the first Diff per (from, to) pair computes
-// and memoizes; repeats are hits; the inverse pair is pre-seeded;
-// identical endpoints short-circuit without touching the memo.
+// and memoizes; repeats are hits; the reverse pair is computed on its
+// own first request; identical endpoints short-circuit without touching
+// the memo.
 func TestStoreDiffMemoization(t *testing.T) {
 	st := NewStore(4)
 	a := mustAdd(t, st, listWithPrimary(t, "alpha"), monthVersion("2023-01"))
 	b := BuildSnapshot(listWithPrimary(t, "beta"))
+	if m := st.diffMetrics(); m != (DiffCacheMetrics{}) {
+		t.Fatalf("memo after an install = %+v, want empty", m)
+	}
 
 	// b is not retained yet: the diff computes but must not be memoized
 	// (an unretained hash could never be invalidated), and counts a miss.
@@ -327,19 +347,26 @@ func TestStoreDiffMemoization(t *testing.T) {
 	}
 
 	st.AddSnapshot(b, monthVersion("2023-02"))
-	// The swap precomputed the adjacent pair in both directions, counting
-	// a compute but neither a hit nor a miss.
-	if m := st.diffMetrics(); m.Entries != 2 || m.Computes != 2 || m.Hits != 0 || m.Misses != 1 {
-		t.Errorf("memo after the swap precompute = %+v, want 2 entries, 2 computes, no new hits or misses", m)
+	// An install computes no diff and fills no slot.
+	if m := st.diffMetrics(); m.Entries != 0 || m.Computes != 1 || m.Hits != 0 || m.Misses != 1 {
+		t.Errorf("memo after the install = %+v, want it unchanged", m)
 	}
+	// a→b, then b→a: each direction is its own pair, computed once on
+	// its first request.
 	if got := st.Diff(a, b); !reflect.DeepEqual(got, d) {
 		t.Errorf("memoized diff = %+v, want %+v", got, d)
 	}
-	if got := st.Diff(b, a); !reflect.DeepEqual(got, d.Inverse()) {
-		t.Errorf("inverse diff = %+v, want %+v", got, d.Inverse())
+	if got, want := st.Diff(b, a), core.DiffLists(b.list, a.list); !reflect.DeepEqual(got, want) {
+		t.Errorf("reverse diff = %+v, want %+v", got, want)
 	}
-	if m := st.diffMetrics(); m.Misses != 1 || m.Hits != 2 || m.Computes != 2 {
-		t.Errorf("memo after warm reads = %+v, want 2 hits and no new misses or computes", m)
+	if m := st.diffMetrics(); m.Entries != 2 || m.Computes != 3 || m.Misses != 3 || m.Hits != 0 {
+		t.Errorf("memo after both directions = %+v, want 2 entries, 2 new computes, 2 new misses", m)
+	}
+	// A repeat of either direction is a hit.
+	st.Diff(a, b)
+	st.Diff(b, a)
+	if m := st.diffMetrics(); m.Computes != 3 || m.Misses != 3 || m.Hits != 2 {
+		t.Errorf("memo after repeats = %+v, want 2 hits and no new misses or computes", m)
 	}
 	if got := st.Diff(a, a); !got.Empty() {
 		t.Errorf("same-endpoint diff = %+v, want empty", got)
@@ -443,8 +470,7 @@ func TestStoreDiffMemoMatchesOracle(t *testing.T) {
 
 // TestStoreDiffInversePairsConcurrently: callers racing on a cold pair
 // in both directions each get the exact diff for their direction, and
-// none waits on the other direction's computation (a slot that seeds its
-// inverse never calls into that slot's once).
+// each direction is computed once.
 func TestStoreDiffInversePairsConcurrently(t *testing.T) {
 	st := NewStore(4)
 	a := mustAdd(t, st, listWithPrimary(t, "alpha"), monthVersion("2023-01"))
@@ -466,8 +492,8 @@ func TestStoreDiffInversePairsConcurrently(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	if m := st.diffMetrics(); m.Computes > 2+2 { // two swap-time fills plus at most one per direction
-		t.Errorf("computes = %d, want at most one per direction", m.Computes)
+	if m := st.diffMetrics(); m.Computes != 2 {
+		t.Errorf("computes = %d, want one per direction", m.Computes)
 	}
 }
 
@@ -609,9 +635,7 @@ func TestDiffAcrossEvictionUnderTraffic(t *testing.T) {
 // TestStoreDiffSingleflight: N concurrent Diff calls for the same cold
 // pair must run core.DiffLists exactly once — the rest wait on the
 // slot's once and share the winner's result. Run under -race this is
-// also the happens-before proof for the slot handoff. The pair is
-// deliberately non-adjacent (a→c) so the swap-time precompute cannot
-// warm it first.
+// also the happens-before proof for the slot handoff.
 func TestStoreDiffSingleflight(t *testing.T) {
 	st := NewStore(4)
 	a := mustAdd(t, st, listWithPrimary(t, "alpha"), monthVersion("2023-01"))

@@ -118,10 +118,10 @@ func TestAddListTrustsVersionHash(t *testing.T) {
 
 // TestSwapDeliverDiffsOncePerSwap: N revisions through Watcher →
 // SwapDeliver run core.DiffLists exactly N times, whether the
-// superseded version stays retained (its memo slot is filled at install
-// and the log line hits it) or is evicted at once (retain 1: the log
-// line computes it). Each logged summary is the diff from the served
-// list.
+// superseded version stays retained (the log line's diff fills its
+// memo slot, one per swap) or is evicted at once (retain 1: the log
+// line computes it unmemoized). Each logged summary is the diff from
+// the served list.
 func TestSwapDeliverDiffsOncePerSwap(t *testing.T) {
 	lists := prefixLists(t, 4, 6, 5, 9, 2, 7)
 	initial, revs := lists[0], lists[1:]
@@ -134,6 +134,15 @@ func TestSwapDeliverDiffsOncePerSwap(t *testing.T) {
 		watchAll(t, initial, revs, srv.SwapDeliver(&log))
 		if got := st.diffMetrics().Computes - before; got != uint64(len(revs)) {
 			t.Errorf("retain %d: %d DiffLists runs for %d swaps", retain, got, len(revs))
+		}
+		// Each swap leaves one memo slot, superseded→current, unless the
+		// superseded version was evicted at once.
+		wantSlots := len(revs)
+		if retain == 1 {
+			wantSlots = 0
+		}
+		if n := len(memoKeys(st)); n != wantSlots {
+			t.Errorf("retain %d: %d memo slots after %d swaps, want %d", retain, n, len(revs), wantSlots)
 		}
 		got := loggedSummaries(log.String())
 		if len(got) != len(revs) {

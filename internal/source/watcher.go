@@ -14,8 +14,6 @@ type Swap struct {
 	List *core.List
 	// Meta records where the revision came from and its validators.
 	Meta Meta
-	// Forced reports that a Refresh, not a poll tick, produced the swap.
-	Forced bool
 }
 
 // Watcher drives a Source on a ticker and delivers list changes. A poll
@@ -82,20 +80,20 @@ func (w *Watcher) Run(ctx context.Context, deliver func(Swap)) {
 		case <-ctx.Done():
 			return
 		case <-tick:
-			w.poll(ctx, deliver, false)
+			w.poll(ctx, deliver)
 		case <-w.kick:
 			w.src.Invalidate()
-			w.poll(ctx, deliver, true)
+			w.poll(ctx, deliver)
 		}
 	}
 }
 
 // poll performs one fetch and delivers the swap if the list changed.
-func (w *Watcher) poll(ctx context.Context, deliver func(Swap), forced bool) {
+func (w *Watcher) poll(ctx context.Context, deliver func(Swap)) {
 	list, meta, err := w.src.Fetch(ctx)
 	switch {
 	case err == nil:
-		deliver(Swap{List: list, Meta: meta, Forced: forced})
+		deliver(Swap{List: list, Meta: meta})
 	case errors.Is(err, ErrNotModified):
 		// Unchanged: nothing to deliver.
 	case ctx.Err() != nil:
